@@ -15,8 +15,9 @@ so every broken-cord value is a finite matrix computation.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone (they hold identically; a test pins this down), so the
-enumeration fast path skips them; the full check evaluates everything and
-itemizes failures.
+enumeration fast path skips them.  The transport and Wirtinger families are
+written once, as a generator of failures: the fast path stops at its first
+item, and the full check itemizes every item alongside the other families.
 """
 
 from __future__ import annotations
@@ -247,8 +248,7 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     """Verify the finite relation certificate; failures are itemized, not raised.
 
     With full=False the identically-true meridian and skein families are
-    skipped (used by the enumerator; a test asserts the two modes accept the
-    same candidates).
+    skipped.
     """
     report = ValidationReport()
     geom = geometry(braid)
@@ -286,34 +286,9 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
                     if got != want:
                         report.fail("skein", f"({i},{t},{j})", want, got)
 
-    # (e) Wirtinger consistency on the column span
-    for q in range(1, n + 1):
-        lhs = apply_loop(cand, MeridianWord.generator(q), R)
-        rhs = apply_loop(cand, geom.transported[q - 1], R)
-        if lhs != rhs:
-            report.fail("wirtinger", f"m_{q}", lhs.to_json(), rhs.to_json())
-
-    # (f) transport identities: each strand's longitude segment carries row i
-    # to row tau(i) and column tau(i) to column i, with the lambda unit
-    # appearing exactly on the marked (base-strand) segment.
-    tau = geom.tau
-    for i in range(1, n + 1):
-        s = cand.components.component(i)
-        marked = (i == cand.components.base_strand(s))
-        seg_R = apply_loop(cand, geom.segments[i], R)
-        lam = cand.lam[s - 1]
-        for j in range(1, n + 1):
-            want = cand.entry(tau[i - 1], j)
-            got = seg_R[i - 1, j - 1]
-            if marked:
-                got = lam.inv() * got
-            if want != got:
-                report.fail("transport-row", f"strand {i} -> {tau[i-1]}, col {j}", want, got)
-        for k in range(1, n + 1):
-            want = lam * cand.entry(k, i) if marked else cand.entry(k, i)
-            got = seg_R[k - 1, tau[i - 1] - 1]
-            if want != got:
-                report.fail("transport-col", f"strand {i} -> {tau[i-1]}, row {k}", want, got)
+    # (e)-(f) transport identities and Wirtinger consistency
+    for describe in _transport_failures(cand, geom):
+        report.fail(*describe())
 
     # (c) longitude relations at the base strands, both sides
     for s in range(1, cand.r + 1):
@@ -338,13 +313,20 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     return report
 
 
-def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
-    """Early-exit version of the certificate for the enumeration inner loop.
+def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
+    """Yield one item per broken transport or Wirtinger identity, transport
+    first, strand by strand.
 
-    Skips the identically-true meridian/skein families, assumes the diagonal
-    was built from mu, and drops the full-longitude family (which chains from
-    the per-segment transport identities); otherwise equivalent to
-    check_relations.  A test pins the two modes to the same candidate set.
+    An item is a function returning (family, location, want, got).  It reads
+    the generator's current state, so it is called before the generator
+    resumes; the fast path, which stops at the first item, never calls it and
+    so never pays for formatting a report.
+
+    Each strand's longitude segment carries row i to row tau(i) and column
+    tau(i) to column i, with the lambda unit appearing exactly on the marked
+    (base-strand) segment.  Wirtinger consistency compares each meridian with
+    its transport on the column span; strands whose transported meridian is
+    the generator itself hold trivially and are skipped.
     """
     R, n = cand.R, cand.n
     tau = geom.tau
@@ -356,21 +338,33 @@ def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
         for j in range(1, n + 1):
             got = seg_R[i - 1, j - 1]
             want = cand.entry(tau[i - 1], j)
-            if marked:
-                want = lam * want
-            if want != got:
-                return False
+            if (lam * want if marked else want) != got:
+                yield lambda: ("transport-row", f"strand {i} -> {tau[i-1]}, col {j}",
+                               want, lam.inv() * got if marked else got)
         for k in range(1, n + 1):
             want = lam * cand.entry(k, i) if marked else cand.entry(k, i)
-            if want != seg_R[k - 1, tau[i - 1] - 1]:
-                return False
+            got = seg_R[k - 1, tau[i - 1] - 1]
+            if want != got:
+                yield lambda: ("transport-col", f"strand {i} -> {tau[i-1]}, row {k}",
+                               want, got)
     for q in range(1, n + 1):
         if geom.transported[q - 1] != MeridianWord.generator(q):
             lhs = apply_loop(cand, MeridianWord.generator(q), R)
             rhs = apply_loop(cand, geom.transported[q - 1], R)
             if lhs != rhs:
-                return False
-    return True
+                yield lambda: ("wirtinger", f"m_{q}", lhs.to_json(), rhs.to_json())
+
+
+def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
+    """Early-exit version of the certificate for the enumeration inner loop.
+
+    Stops at the first failure of the transport and Wirtinger families that
+    check_relations also itemizes; skips the identically-true meridian/skein
+    families, assumes the diagonal was built from mu, and drops the
+    full-longitude family (which chains from the per-segment transport
+    identities).  A test pins the two modes to the same candidate set.
+    """
+    return next(_transport_failures(cand, geom), None) is None
 
 
 # -- dilations ---------------------------------------------------------------------------

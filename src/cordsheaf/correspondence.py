@@ -215,40 +215,28 @@ def pure_cord_trace(sheaf: SheafData, component: int,
 # -- augmentation to sheaf ----------------------------------------------------------
 
 
-def _column_basis(cand: AugCandidate) -> tuple[list[int], Subspace]:
-    """Pivot columns of R in column order; they base the subsheaf space."""
-    field, n = cand.field, cand.n
-    span = Subspace.zero(field, n)
-    pivots = []
-    for j in range(1, n + 1):
-        col = cand.R.col(j - 1)
-        if not span.contains(col):
-            pivots.append(j)
-            span = span.sum(Subspace.from_vectors(field, n, [col]))
-    basis = Subspace.from_matrix_columns(
-        Matrix(field, [[cand.R[i, j - 1] for j in pivots] for i in range(n)])
-    ) if pivots else Subspace.zero(field, n)
-    return pivots, basis
-
-
 class _AugLayout:
-    """Shared coordinates for the subsheaf/sheaf built from one candidate."""
+    """Shared coordinates for the subsheaf, sheaf and trivialization of one
+    candidate.
+
+    The pivot columns of the RREF of R are the columns outside the span of
+    the columns before them; they base the subsheaf space, and the RREF
+    column of R_t holds its coordinates in that basis.  When non-degenerate
+    zero-row strands exist, the ambient space is extended by R_0 at
+    coordinate 0, ahead of the pivot coordinates.
+    """
 
     __slots__ = ("cand", "pivots", "dim_sub", "coords", "deg_comps", "deg_strands",
                  "zero_rows", "extended", "N")
 
     def __init__(self, cand: AugCandidate):
         self.cand = cand
-        field, n = cand.field, cand.n
-        self.pivots, _ = _column_basis(cand)
-        self.dim_sub = len(self.pivots)
-        P = Matrix(field, [[cand.R[i, j - 1] for j in self.pivots] for i in range(n)])
-        self.coords = {}
-        for t in range(1, n + 1):
-            sol = P.solve(cand.R.column_matrix(t - 1))
-            if sol is None:
-                raise ValueError("pivot columns fail to span; not a matrix")
-            self.coords[t] = sol
+        n = cand.n
+        red, pivots = cand.R.rref()
+        self.pivots = [c + 1 for c in pivots]
+        self.dim_sub = len(pivots)
+        self.coords = {t: tuple(red[k, t - 1] for k in range(self.dim_sub))
+                       for t in range(1, n + 1)}
         self.deg_comps = degenerate_components(cand)
         self.deg_strands = {i for i in range(1, n + 1)
                             if cand.components.component(i) in self.deg_comps}
@@ -269,6 +257,121 @@ class _AugLayout:
             vec[self.sub_index(k)] = c
         return vec
 
+    def functional(self, i: int) -> Matrix:
+        """Row functional of strand i in the ambient coordinates (zero on R_0)."""
+        field = self.cand.field
+        row = [field.zero()] * self.N
+        for k, j in enumerate(self.pivots):
+            row[self.sub_index(k)] = self.cand.R[i - 1, j - 1]
+        return Matrix.row_vector(field, row)
+
+    def _sub_meridians(self) -> list[Matrix]:
+        """rho(m_t) R_j = R_j - R[t][j] R_t in subspace coordinates."""
+        cand, coords = self.cand, self.coords
+        mats = []
+        for t in range(1, cand.n + 1):
+            cols = []
+            for j in self.pivots:
+                col = list(coords[j])
+                factor = cand.R[t - 1, j - 1]
+                if not factor.is_zero():
+                    col = [a - factor * b for a, b in zip(col, coords[t])]
+                cols.append(col)
+            mats.append(Matrix(cand.field, list(zip(*cols)) if self.dim_sub else []))
+        return mats
+
+    def _degenerate_summands(self) -> list[DegenerateSummand]:
+        return [DegenerateSummand(s, self.cand.lam[s - 1]) for s in self.deg_comps]
+
+    def subsheaf(self, braid: BraidWord) -> SheafData:
+        cand = self.cand
+        field, n, d = cand.field, cand.n, self.dim_sub
+        stalks = []
+        for i in range(1, n + 1):
+            if d == 0:
+                stalks.append(Subspace.zero(field, 0))
+                continue
+            functional = Matrix(field, [[cand.R[i - 1, j - 1] for j in self.pivots]])
+            stalks.append(functional.kernel())
+        return SheafData(field, braid, d, self._sub_meridians(), stalks,
+                         self._degenerate_summands())
+
+    def sheaf(self, braid: BraidWord) -> SheafData:
+        field, n, N = self.cand.field, self.cand.n, self.N
+        sub_mats = self._sub_meridians()
+        mats, stalks = [], []
+        full = Subspace.full(field, N)
+        for i in range(1, n + 1):
+            if i in self.deg_strands:
+                mats.append(Matrix.identity(field, N))
+                stalks.append(full)
+                continue
+            sub_mat = sub_mats[i - 1]
+            if self.extended:
+                rows = [[field.zero()] * N for _ in range(N)]
+                rows[0][0] = field.one()
+                for a in range(self.dim_sub):
+                    for b in range(self.dim_sub):
+                        rows[a + 1][b + 1] = sub_mat[a, b]
+                if i in self.zero_rows:
+                    col = self.embed_column(i)
+                    for a in range(1, N):
+                        rows[a][0] = col[a]
+                mat = Matrix(field, rows)
+            else:
+                mat = sub_mat
+            mats.append(mat)
+            if i in self.zero_rows:
+                stalks.append(Subspace.from_vectors(
+                    field, N,
+                    [[field.one() if a == self.sub_index(k) else field.zero()
+                      for a in range(N)] for k in range(self.dim_sub)],
+                ))
+            else:
+                stalks.append(self.functional(i).kernel())
+        return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
+
+    def trivialization(self) -> LocalTrivialization:
+        field = self.cand.field
+        f, finv = [], []
+        for i in range(1, self.cand.n + 1):
+            if i in self.deg_strands:
+                f.append(None)
+                finv.append(None)
+                continue
+            if i in self.zero_rows:
+                row = [field.zero()] * self.N
+                row[0] = -field.one()
+                col = [field.zero()] * self.N
+                col[0] = -field.one()
+                f.append(Matrix.row_vector(field, row))
+                finv.append(Matrix.column(field, col))
+                continue
+            fi = self.functional(i)
+            f.append(fi)
+            last = None
+            for k in range(self.dim_sub - 1, -1, -1):
+                if not fi[0, self.sub_index(k)].is_zero():
+                    last = k
+                    break
+            if last is None:
+                raise AssertionError("nonzero row vanishing on all pivot columns")
+            # finv = R_{j_last} / R[i][j_last]; pivot columns are basis vectors,
+            # and (Id - M_j) finv_j = R_j falls out for every strand.
+            value = fi[0, self.sub_index(last)]
+            col = [field.zero()] * self.N
+            col[self.sub_index(last)] = value.inv()
+            finv.append(Matrix.column(field, col))
+        return LocalTrivialization(f, finv)
+
+
+def _certified_layout(cand: AugCandidate, braid: BraidWord) -> _AugLayout:
+    """The layout of cand, after the relation certificate has passed."""
+    report = check_relations(cand, braid)
+    if not report.ok:
+        raise NotAnAugmentationError(report)
+    return _AugLayout(cand)
+
 
 def aug_to_subsheaf(cand: AugCandidate, braid: BraidWord) -> SheafData:
     """The representation on the column span of R with stalks ker(row_i).
@@ -276,127 +379,20 @@ def aug_to_subsheaf(cand: AugCandidate, braid: BraidWord) -> SheafData:
     Strands with zero rows keep the full space as stalk datum, matching the
     once-stabilized subobject of the associated sheaf.
     """
-    report = check_relations(cand, braid)
-    if not report.ok:
-        raise NotAnAugmentationError(report)
-    field, n = cand.field, cand.n
-    pivots, _ = _column_basis(cand)
-    d = len(pivots)
-    P = Matrix(field, [[cand.R[i, j - 1] for j in pivots] for i in range(n)])
-    coords = {t: P.solve(cand.R.column_matrix(t - 1)) for t in range(1, n + 1)}
-
-    mats = []
-    for t in range(1, n + 1):
-        # rho(m_t) R_j = R_j - R[t][j] R_t in subspace coordinates
-        cols = []
-        for k, j in enumerate(pivots):
-            col = list(coords[j])
-            factor = cand.R[t - 1, j - 1]
-            if not factor.is_zero():
-                col = [a - factor * b for a, b in zip(col, coords[t])]
-            cols.append(col)
-        mats.append(Matrix(field, list(zip(*cols)) if d else []))
-    stalks = []
-    for i in range(1, n + 1):
-        if d == 0:
-            stalks.append(Subspace.zero(field, 0))
-            continue
-        functional = Matrix(field, [[cand.R[i - 1, j - 1] for j in pivots]])
-        stalks.append(functional.kernel())
-    deg = [DegenerateSummand(s, cand.lam[s - 1]) for s in degenerate_components(cand)]
-    return SheafData(field, braid, d, mats, stalks, deg)
+    return _certified_layout(cand, braid).subsheaf(braid)
 
 
 def aug_to_sheaf(cand: AugCandidate, braid: BraidWord) -> SheafData:
     """The full sheaf: extend by R_0 when non-degenerate zero-row strands
     exist, with unipotent meridians there; degenerate components split off."""
-    report = check_relations(cand, braid)
-    if not report.ok:
-        raise NotAnAugmentationError(report)
-    lay = _AugLayout(cand)
-    field, n, N = cand.field, cand.n, lay.N
-    sub = aug_to_subsheaf(cand, braid)
-
-    mats, stalks = [], []
-    full = Subspace.full(field, N)
-    for i in range(1, n + 1):
-        if i in lay.deg_strands:
-            mats.append(Matrix.identity(field, N))
-            stalks.append(full)
-            continue
-        sub_mat = sub.M[i - 1]
-        if lay.extended:
-            rows = [[field.zero()] * N for _ in range(N)]
-            rows[0][0] = field.one()
-            for a in range(lay.dim_sub):
-                for b in range(lay.dim_sub):
-                    rows[a + 1][b + 1] = sub_mat[a, b]
-            if i in lay.zero_rows:
-                col = lay.embed_column(i)
-                for a in range(1, N):
-                    rows[a][0] = col[a]
-            mat = Matrix(field, rows)
-        else:
-            mat = sub_mat
-        mats.append(mat)
-        if i in lay.zero_rows:
-            stalks.append(Subspace.from_vectors(
-                field, N,
-                [[field.one() if a == lay.sub_index(k) else field.zero()
-                  for a in range(N)] for k in range(lay.dim_sub)],
-            ))
-        else:
-            functional = _canonical_functional(lay, i)
-            stalks.append(functional.kernel())
-    deg = [DegenerateSummand(s, cand.lam[s - 1]) for s in lay.deg_comps]
-    return SheafData(field, braid, N, mats, stalks, deg)
-
-
-def _canonical_functional(lay: _AugLayout, i: int) -> Matrix:
-    """Row functional of strand i in the ambient coordinates (zero on R_0)."""
-    field = lay.cand.field
-    row = [field.zero()] * lay.N
-    for k, j in enumerate(lay.pivots):
-        row[lay.sub_index(k)] = lay.cand.R[i - 1, j - 1]
-    return Matrix.row_vector(field, row)
+    return _certified_layout(cand, braid).sheaf(braid)
 
 
 def canonical_trivialization(cand: AugCandidate) -> LocalTrivialization:
     """Row functionals as trivializations, with right inverses supported on
     the last pivot column where the row is nonzero; zero-row strands use the
     R_0 functional normalized to f(R_0) = -1, finv = -R_0 (see module doc)."""
-    lay = _AugLayout(cand)
-    field = cand.field
-    f, finv = [], []
-    for i in range(1, cand.n + 1):
-        if i in lay.deg_strands:
-            f.append(None)
-            finv.append(None)
-            continue
-        if i in lay.zero_rows:
-            row = [field.zero()] * lay.N
-            row[0] = -field.one()
-            col = [field.zero()] * lay.N
-            col[0] = -field.one()
-            f.append(Matrix.row_vector(field, row))
-            finv.append(Matrix.column(field, col))
-            continue
-        fi = _canonical_functional(lay, i)
-        f.append(fi)
-        last = None
-        for k in range(lay.dim_sub - 1, -1, -1):
-            if not fi[0, lay.sub_index(k)].is_zero():
-                last = k
-                break
-        if last is None:
-            raise AssertionError("nonzero row vanishing on all pivot columns")
-        # finv = R_{j_last} / R[i][j_last]; pivot columns are basis vectors,
-        # and (Id - M_j) finv_j = R_j falls out for every strand.
-        value = fi[0, lay.sub_index(last)]
-        col = [field.zero()] * lay.N
-        col[lay.sub_index(last)] = value.inv()
-        finv.append(Matrix.column(field, col))
-    return LocalTrivialization(f, finv)
+    return _AugLayout(cand).trivialization()
 
 
 # -- round trips ----------------------------------------------------------------------
@@ -420,9 +416,8 @@ def diff_candidates(expected: AugCandidate, got: AugCandidate) -> DiffReport:
 def roundtrip_aug(cand: AugCandidate, braid: BraidWord) -> DiffReport:
     """Build the sheaf with its canonical trivialization and read the
     augmentation back; the diff is empty exactly when the round trip is."""
-    sheaf = aug_to_sheaf(cand, braid)
-    triv = canonical_trivialization(cand)
-    recovered = sheaf_to_aug(sheaf, triv)
+    lay = _certified_layout(cand, braid)
+    recovered = sheaf_to_aug(lay.sheaf(braid), lay.trivialization())
     return diff_candidates(cand, recovered)
 
 
@@ -480,10 +475,11 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
         report.add("deg", expected_deg, got_deg)
 
     try:
-        sub = aug_to_subsheaf(eps, sheaf.braid)
+        lay = _certified_layout(eps, sheaf.braid)
     except NotAnAugmentationError as err:
         report.add("induced augmentation", "valid candidate", err.report.failures[:3])
         return report
+    sub = lay.subsheaf(sheaf.braid)
     V0 = stabilized_space(sheaf)
     if sub.N != V0.dim:
         report.add("dim V_0", sub.N, V0.dim)
@@ -491,7 +487,6 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
     if sub.N == 0:
         return report
 
-    pivots, _ = _column_basis(eps)
     try:
         v = _transverse_vector(sheaf)
     except NoTransverseVectorError as err:
@@ -501,7 +496,7 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
         return report
     eye = Matrix.identity(field, sheaf.N)
     cols = []
-    for j in pivots:
+    for j in lay.pivots:
         fj_v = (triv.f[j - 1] * Matrix.column(field, v))[0, 0]
         vj = (eye - sheaf.M[j - 1]) * Matrix.column(field, v)
         cols.append([fj_v.inv() * x for x in vj.col(0)])

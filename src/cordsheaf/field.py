@@ -225,6 +225,4 @@ class Scalar:
 
     def __str__(self) -> str:
         # Wire format: residue, or num/den with the /1 suppressed.
-        if self.field.is_prime_field:
-            return str(self.value)
         return str(self.value)

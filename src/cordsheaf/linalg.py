@@ -357,10 +357,6 @@ class Subspace:
                    Matrix(field, basis_rows, cols=ambient_dim).transpose())
 
     @classmethod
-    def from_matrix_columns(cls, mat: Matrix) -> "Subspace":
-        return mat.image()
-
-    @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls.from_vectors(field, ambient_dim, [])
 

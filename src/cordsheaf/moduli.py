@@ -173,15 +173,13 @@ class ModuliReport:
 
 def verify_bijection(braid: BraidWord, field: FieldSpec,
                      budget: int = DEFAULT_BUDGET,
-                     roundtrip_every_point: bool = True,
                      full_collision_scan: bool = False) -> ModuliReport:
     """Enumerate both sides and check they are in bijection.
 
-    Every candidate (or every orbit representative when
-    roundtrip_every_point=False) must survive the augmentation round trip;
-    every sheaf representative must survive the sheaf round trip and induce
-    an augmentation back in its paired orbit; distinct orbits must give
-    inequivalent sheaves.
+    Every candidate, not only each orbit representative, must survive the
+    augmentation round trip; every sheaf representative must survive the
+    sheaf round trip and induce an augmentation back in its paired orbit;
+    distinct orbits must give inequivalent sheaves.
     """
     report = ModuliReport(braid, field)
     report.aug_points = enumerate_augs(braid, field, budget)
@@ -189,9 +187,7 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     report.notes.append(
         f"{len(report.aug_points)} candidates, {len(report.orbits)} dilation orbits")
 
-    to_roundtrip = report.aug_points if roundtrip_every_point \
-        else [o.rep for o in report.orbits]
-    for idx, cand in enumerate(to_roundtrip):
+    for idx, cand in enumerate(report.aug_points):
         diff = roundtrip_aug(cand, braid)
         if not diff.empty:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])

@@ -92,6 +92,19 @@ def test_sheaf_to_aug_pipeline(tmp_path, capsys):
     assert recovered["mu"] == cand["mu"]
 
 
+def test_sheaf_rejects_a_non_augmentation(tmp_path, capsys):
+    bad = {"field": {"kind": "prime", "p": 5}, "n": 2, "r": 1, "component_map": [1, 1],
+           "R": [["0", "1"], ["2", "0"]], "lambda": ["1"], "mu": ["1"]}
+    aug_file = tmp_path / "aug.json"
+    aug_file.write_text(json.dumps(bad))
+    code, out = run(capsys, "sheaf", "--aug", str(aug_file), "--braid", "1 1 1",
+                    "--strands", "2")
+    assert code == 2
+    data = json.loads(out)
+    assert data["error"] == "not an augmentation"
+    assert data["failures"]
+
+
 def test_markov_cli(capsys):
     code, out = run(capsys, "markov", "--braid1", "", "--strands1", "1",
                     "--braid2", "1", "--strands2", "2", "--field", "3", "--json")

@@ -13,6 +13,7 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       extend_by_constant, pure_cord_trace,
                                       roundtrip_aug, roundtrip_sheaf,
                                       sheaf_to_aug)
+from cordsheaf.correspondence import _AugLayout
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation
@@ -91,11 +92,52 @@ def test_invalid_trivialization_rejected():
 
 
 def test_not_an_augmentation_rejected():
-    cm = component_map(UNLINK3)
-    bad = AugCandidate(F5, cm, Matrix.from_rows(F5, [[3, 0, 0], [0, 0, 0], [0, 0, 0]]),
-                       [F5.one()] * 3, [F5.one()] * 3)
-    with pytest.raises(NotAnAugmentationError):
-        aug_to_sheaf(bad, UNLINK3)
+    # a normalization failure, and a trefoil candidate with the right
+    # diagonal that breaks the transport identities
+    trefoil = BraidWord(2, [1, 1, 1])
+    cases = [
+        (UNLINK3, AugCandidate(F5, component_map(UNLINK3),
+                               Matrix.from_rows(F5, [[3, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                               [F5.one()] * 3, [F5.one()] * 3)),
+        (trefoil, AugCandidate(F5, component_map(trefoil),
+                               Matrix.from_rows(F5, [[0, 1], [2, 0]]),
+                               [F5.one()], [F5.one()])),
+    ]
+    for braid, bad in cases:
+        expected = check_relations(bad, braid).failures
+        assert expected
+        for build in (aug_to_sheaf, aug_to_subsheaf):
+            with pytest.raises(NotAnAugmentationError) as err:
+                build(bad, braid)
+            assert err.value.report.failures == expected
+    assert {f["family"] for f in check_relations(cases[1][1], trefoil).failures} \
+        & {"transport-row", "transport-col"}
+
+
+def test_layout_pivots_match_greedy_definition():
+    rng = random.Random(11)
+    for field in (F3, F5):
+        for n in (2, 3, 4):
+            for _ in range(40):
+                rows = [[field.scalar(rng.randrange(field.p)) if rng.random() < 0.5
+                         else field.zero() for _ in range(n)] for _ in range(n)]
+                cand = AugCandidate(field, component_map(BraidWord(n, [])),
+                                    Matrix(field, rows), [field.one()] * n,
+                                    [field.one()] * n)
+                lay = _AugLayout(cand)
+                cols = [cand.R.col(j - 1) for j in range(1, n + 1)]
+                for j in range(1, n + 1):
+                    earlier = Subspace.from_vectors(field, n, cols[:j - 1])
+                    assert (j in lay.pivots) == (not earlier.contains(cols[j - 1]))
+                    if j not in lay.pivots:
+                        spanned = Subspace.from_vectors(
+                            field, n, [cols[p - 1] for p in lay.pivots if p < j])
+                        assert spanned.contains(cols[j - 1])
+                    # the coordinates rebuild the column from the pivot columns
+                    rebuilt = [field.zero()] * n
+                    for c, p in zip(lay.coords[j], lay.pivots):
+                        rebuilt = [a + c * b for a, b in zip(rebuilt, cols[p - 1])]
+                    assert tuple(rebuilt) == cols[j - 1]
 
 
 # -- gauge properties --------------------------------------------------------------
