@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "for braid closures, with exact brute-force verification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--json", action="store_true",
+                        help="JSON output for example-unlink3 (other verbs always print JSON)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_parser(name, **kwargs):

@@ -11,7 +11,13 @@ of R by the rank-one updates
     rho(m_t) R_j = R_j - R[t][j] R_t,
     rho(m_t^-1) R_j = R_j + mu_t^-1 R[t][j] R_t,
 
-so every broken-cord value is a finite matrix computation.
+so every broken-cord value is a finite matrix computation.  One private
+kernel applies these updates to rows of plain field values (residues in
+0..p-1 reduced mod p, or exact Fractions over the rationals, which every
+function here still supports), with mu^-1 computed once per strand;
+apply_loop wraps it between Matrix conversions, and the transport and
+Wirtinger checks call it directly and build Scalars only to report a
+failure.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone (they hold identically; a test pins this down), so the
@@ -25,7 +31,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .braid import BraidGeometry, BraidWord, ComponentMap, MeridianWord, geometry
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, MixedFieldError, Scalar
 from .linalg import Matrix
 from .reports import ValidationReport
 
@@ -164,20 +170,52 @@ def meridian_operator(cand: AugCandidate, t: int, exponent: int = 1) -> Matrix:
     return Matrix(cand.field, rows)
 
 
+def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> list:
+    """The rows of loop_matrix(word) @ X from the raw rows of X.
+
+    Works on plain field values: residues reduced mod p for a prime field,
+    exact Fractions for the rationals (p is None).  cols are the raw columns
+    of R and minv the raw mu^-1 of each strand.  Each letter is one rank-one
+    update; a row it touches is replaced by a new list, never changed in
+    place, so the caller's rows are left as they were.
+    """
+    rows = list(rows)
+    for t, e in reversed(letters):
+        row_t = rows[t - 1]
+        coeff = -1 if e == 1 else minv[t - 1]
+        for i, c in enumerate(cols[t - 1]):
+            if c:
+                ci = coeff * c
+                if p:
+                    rows[i] = [(a + ci * b) % p for a, b in zip(rows[i], row_t)]
+                else:
+                    rows[i] = [a + ci * b for a, b in zip(rows[i], row_t)]
+    return rows
+
+
+def _raw_rows(X: Matrix) -> list:
+    return [[x.value for x in row] for row in X.entries]
+
+
+def _kernel_inputs(cand: AugCandidate) -> tuple:
+    """(p, raw rows of R, raw columns of R, raw mu^-1 per strand)."""
+    p = cand.field.p
+    rows = _raw_rows(cand.R)
+    inv = [pow(m.value, -1, p) if p else 1 / m.value for m in cand.mu]
+    minv = [inv[s - 1] for s in cand.components.labels]
+    return p, rows, list(zip(*rows)), minv
+
+
+def _matrix(field: FieldSpec, rows: list) -> Matrix:
+    return Matrix(field, [[Scalar(field, v) for v in row] for row in rows])
+
+
 def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
     """loop_matrix(word) @ X via rank-one updates, O(n^2) per letter."""
-    entries = [list(row) for row in X.entries]
-    n = cand.n
-    for t, e in reversed(word.letters):
-        col = cand.R.col(t - 1)
-        coeff = -cand.field.one() if e == 1 else cand.mu_of_strand(t).inv()
-        row_t = list(entries[t - 1])
-        for i in range(n):
-            ci = coeff * col[i]
-            if ci.is_zero():
-                continue
-            entries[i] = [a + ci * b for a, b in zip(entries[i], row_t)]
-    return Matrix(cand.field, entries)
+    if X.field != cand.field:
+        raise MixedFieldError(f"cannot mix {cand.field} and {X.field}")
+    p, _, cols, minv = _kernel_inputs(cand)
+    return _matrix(cand.field, _loop_rows(p, cols, minv, word.letters, _raw_rows(X)))
 
 
 def loop_matrix(cand: AugCandidate, word: MeridianWord) -> Matrix:
@@ -320,7 +358,8 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
     An item is a function returning (family, location, want, got).  It reads
     the generator's current state, so it is called before the generator
     resumes; the fast path, which stops at the first item, never calls it and
-    so never pays for formatting a report.
+    so never pays for formatting a report.  The checks compare raw field
+    values; only an item builds Scalars, for its report.
 
     Each strand's longitude segment carries row i to row tau(i) and column
     tau(i) to column i, with the lambda unit appearing exactly on the marked
@@ -328,31 +367,36 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
     its transport on the column span; strands whose transported meridian is
     the generator itself hold trivially and are skipped.
     """
-    R, n = cand.R, cand.n
+    p, rows, cols, minv = _kernel_inputs(cand)
+    field, n, comps = cand.field, cand.n, cand.components
     tau = geom.tau
     for i in range(1, n + 1):
-        s = cand.components.component(i)
-        marked = (i == cand.components.base_strand(s))
-        seg_R = apply_loop(cand, geom.segments[i], R)
+        s = comps.component(i)
+        marked = (i == comps.base_strand(s))
+        seg = _loop_rows(p, cols, minv, geom.segments[i].letters, rows)
+        ti = tau[i - 1]
         lam = cand.lam[s - 1]
-        for j in range(1, n + 1):
-            got = seg_R[i - 1, j - 1]
-            want = cand.entry(tau[i - 1], j)
-            if (lam * want if marked else want) != got:
-                yield lambda: ("transport-row", f"strand {i} -> {tau[i-1]}, col {j}",
-                               want, lam.inv() * got if marked else got)
-        for k in range(1, n + 1):
-            want = lam * cand.entry(k, i) if marked else cand.entry(k, i)
-            got = seg_R[k - 1, tau[i - 1] - 1]
+        want_row, want_col = rows[ti - 1], cols[i - 1]
+        if marked:
+            want_row = [lam.value * x % p if p else lam.value * x for x in want_row]
+            want_col = [lam.value * x % p if p else lam.value * x for x in want_col]
+        for j, (want, got) in enumerate(zip(want_row, seg[i - 1]), 1):
             if want != got:
-                yield lambda: ("transport-col", f"strand {i} -> {tau[i-1]}, row {k}",
-                               want, got)
+                yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}",
+                               rows[ti - 1][j - 1],
+                               lam.inv() * Scalar(field, got) if marked else got)
+        for k, (want, row) in enumerate(zip(want_col, seg), 1):
+            if want != row[ti - 1]:
+                yield lambda: ("transport-col", f"strand {i} -> {ti}, row {k}",
+                               want, row[ti - 1])
     for q in range(1, n + 1):
-        if geom.transported[q - 1] != MeridianWord.generator(q):
-            lhs = apply_loop(cand, MeridianWord.generator(q), R)
-            rhs = apply_loop(cand, geom.transported[q - 1], R)
+        word = geom.transported[q - 1].letters
+        if word != ((q, 1),):
+            lhs = _loop_rows(p, cols, minv, ((q, 1),), rows)
+            rhs = _loop_rows(p, cols, minv, word, rows)
             if lhs != rhs:
-                yield lambda: ("wirtinger", f"m_{q}", lhs.to_json(), rhs.to_json())
+                yield lambda: ("wirtinger", f"m_{q}", _matrix(field, lhs).to_json(),
+                               _matrix(field, rhs).to_json())
 
 
 def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:

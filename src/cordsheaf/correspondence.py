@@ -460,12 +460,18 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
     induced augmentation onto the once-stabilized subobject, matching
     meridian actions, stalks, extension bookkeeping, and degenerate data.
     """
+    return _roundtrip_sheaf(sheaf)[0]
+
+
+def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]:
+    """roundtrip_sheaf's report, plus the induced augmentation it read
+    (None when Gamma != 0 stopped it first)."""
     report = DiffReport()
     field = sheaf.field
     gamma = global_sections(sheaf)
     if gamma.dim != 0:
         report.add("Gamma", "0", gamma.dim)
-        return report
+        return report, None
     triv = choose_trivialization(sheaf)
     eps = sheaf_to_aug(sheaf, triv)
 
@@ -478,14 +484,14 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
         lay = _certified_layout(eps, sheaf.braid)
     except NotAnAugmentationError as err:
         report.add("induced augmentation", "valid candidate", err.report.failures[:3])
-        return report
+        return report, eps
     sub = lay.subsheaf(sheaf.braid)
     V0 = stabilized_space(sheaf)
     if sub.N != V0.dim:
         report.add("dim V_0", sub.N, V0.dim)
-        return report
+        return report, eps
     if sub.N == 0:
-        return report
+        return report, eps
 
     try:
         v = _transverse_vector(sheaf)
@@ -493,7 +499,7 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
         # Field too small for the comparison vector; not a failure of the
         # correspondence, so reported as a note.
         report.note(f"comparison map skipped: {err}")
-        return report
+        return report, eps
     eye = Matrix.identity(field, sheaf.N)
     cols = []
     for j in lay.pivots:
@@ -504,7 +510,7 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
 
     if Phi.rank() != sub.N:
         report.add("comparison rank", sub.N, Phi.rank())
-        return report
+        return report, eps
     if Phi.image() != V0:
         report.add("image", "V_0", "smaller space")
     for t in range(1, sheaf.braid.n + 1):
@@ -521,7 +527,7 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
     zero_rows = set(index_sets(eps).I_dprime)
     if outside != zero_rows:
         report.add("extension strands", sorted(zero_rows), sorted(outside))
-    return report
+    return report, eps
 
 
 def extend_by_constant(sheaf: SheafData, extra: int) -> SheafData:

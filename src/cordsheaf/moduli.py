@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 from .braid import BraidWord, component_map, geometry
 from .cordaug import (AugCandidate, canonical_form, degenerate_components,
                       index_sets, passes_fast)
-from .correspondence import (aug_to_sheaf, aug_to_subsheaf, choose_trivialization,
-                             roundtrip_aug, roundtrip_sheaf, sheaf_to_aug)
+from .correspondence import (_roundtrip_sheaf, aug_to_sheaf, aug_to_subsheaf,
+                             choose_trivialization, roundtrip_aug, sheaf_to_aug)
 from .field import FieldSpec
 from .linalg import Matrix, Subspace
 from .sheafmodel import (SheafData, global_sections, is_reduced, isomorphic,
@@ -202,12 +202,14 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     induced_keys: dict = {}
     for k, sheaf in enumerate(report.sheaf_reps):
         try:
-            diff = roundtrip_sheaf(sheaf)
+            diff, eps = _roundtrip_sheaf(sheaf)
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
             for note in diff.notes:
                 report.notes.append(f"representative {k}: {note}")
-            induced, _ = canonical_form(sheaf_to_aug(sheaf, choose_trivialization(sheaf)))
+            if eps is None:  # the round trip stopped before reading it
+                eps = sheaf_to_aug(sheaf, choose_trivialization(sheaf))
+            induced, _ = canonical_form(eps)
             rep = report.orbits[k].rep
             if (induced.R, induced.lam, induced.mu) != (rep.R, rep.lam, rep.mu):
                 report.fail("wrong-orbit", f"representative {k}",

@@ -1,21 +1,23 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from cordsheaf.braid import BraidWord, MeridianWord, component_map, geometry
 from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation,
-                               canonical_form, check_relations,
+                               apply_loop, canonical_form, check_relations,
                                degenerate_components, eval_broken_cord,
                                index_sets, is_generic, loop_matrix,
                                meridian_operator, passes_fast,
                                zero_column_components, zero_row_components)
-from cordsheaf.field import FieldSpec
+from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+QQ = FieldSpec.rationals()
 
 UNLINK3 = BraidWord(3, [])
 HOPF = BraidWord(2, [1, 1])
@@ -117,6 +119,48 @@ def test_loop_matrix_multiplicative():
     assert loop_matrix(GOLDEN, w).is_identity()
 
 
+def random_rational(rng):
+    return QQ.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+
+
+def random_rational_candidate(braid, rng):
+    cm = component_map(braid)
+    n = braid.n
+    units = [QQ.scalar(Fraction(a, b)) for a in (-3, -1, 2, 5) for b in (1, 2, 3)]
+    mu = [rng.choice(units) for _ in range(cm.r)]
+    lam = [rng.choice(units) for _ in range(cm.r)]
+    rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = QQ.one() - mu[cm.component(i + 1) - 1]
+    return AugCandidate(QQ, cm, Matrix(QQ, rows), lam, mu)
+
+
+def test_apply_loop_matches_operator_product():
+    # reference: the ordered product of meridian operators, times X
+    rng = random.Random(7)
+    for field in (F5, QQ):
+        for braid in (UNLINK3, BraidWord(3, [1, -2, 1, -2]), HOPF):
+            n = braid.n
+            for _ in range(60):
+                if field == QQ:
+                    cand = random_rational_candidate(braid, rng)
+                    value = lambda: random_rational(rng)
+                else:
+                    cand = random_candidate(field, braid, rng)
+                    value = lambda: field.scalar(rng.randrange(field.p))
+                letters = [(rng.randint(1, n), rng.choice([1, -1]))
+                           for _ in range(rng.randint(0, 6))]
+                cols = rng.randint(1, 4)
+                X = Matrix(field, [[value() for _ in range(cols)] for _ in range(n)])
+                want = Matrix.identity(field, n)
+                for t, e in letters:
+                    want = want * meridian_operator(cand, t, e)
+                want = want * X
+                assert apply_loop(cand, MeridianWord(letters), X) == want
+    with pytest.raises(MixedFieldError):
+        apply_loop(GOLDEN, MeridianWord.generator(3), Matrix.identity(F3, 3))
+
+
 def test_eval_broken_cord_examples():
     assert eval_broken_cord(GOLDEN, 1, MeridianWord.identity(), 2) == GOLDEN.entry(1, 2)
     mu3 = GOLDEN.mu[2]
@@ -149,8 +193,11 @@ def test_meridian_and_skein_families_are_identities():
 
 
 def test_fast_path_equals_full_check():
+    # the figure-eight on 3 strands has multi-letter segments and nontrivial
+    # Wirtinger words on every strand
     for braid, field in ((HOPF, F3), (BraidWord(2, []), F3),
-                         (BraidWord(2, [1, 1, 1]), F3), (HOPF, F2)):
+                         (BraidWord(2, [1, 1, 1]), F3), (HOPF, F2),
+                         (BraidWord(3, [1, -2, 1, -2]), F3)):
         cm = component_map(braid)
         geom = geometry(braid)
         units = list(field.elements(nonzero=True))
@@ -173,6 +220,70 @@ def test_fast_path_equals_full_check():
                     if check_relations(cand, braid).ok:
                         full_set.add(key)
         assert fast_set == full_set
+
+
+def test_rational_candidates_checked():
+    # the worked unlink-3 shape with rational entries is an augmentation;
+    # with lambda_3 = 2/3 the marked strand 3 breaks transport and longitude
+    R = Matrix.from_rows(QQ, [[0, Fraction(1, 2), 3], [0, 0, 0],
+                              [0, Fraction(-2, 3), Fraction(5, 2)]])
+    one = QQ.one()
+    mu = [one, one, QQ.scalar(Fraction(-3, 2))]
+    good = AugCandidate(QQ, component_map(UNLINK3), R, [one] * 3, mu)
+    assert check_relations(good, UNLINK3).ok
+    assert passes_fast(good, geometry(UNLINK3))
+    bad = AugCandidate(QQ, component_map(UNLINK3), R,
+                       [one, one, QQ.scalar(Fraction(2, 3))], mu)
+    assert not passes_fast(bad, geometry(UNLINK3))
+    assert check_relations(bad, UNLINK3).failures == [
+        {"family": "transport-row", "location": "strand 3 -> 3, col 2",
+         "expected": "-2/3", "got": "-1"},
+        {"family": "transport-row", "location": "strand 3 -> 3, col 3",
+         "expected": "5/2", "got": "15/4"},
+        {"family": "transport-col", "location": "strand 3 -> 3, row 1",
+         "expected": "2", "got": "3"},
+        {"family": "transport-col", "location": "strand 3 -> 3, row 3",
+         "expected": "5/3", "got": "5/2"},
+        {"family": "longitude-left", "location": "(l_3; 3,2)",
+         "expected": "-4/9", "got": "-2/3"},
+        {"family": "longitude-left", "location": "(l_3; 3,3)",
+         "expected": "5/3", "got": "5/2"},
+        {"family": "longitude-right", "location": "(1,3; l_3)",
+         "expected": "2", "got": "3"},
+        {"family": "longitude-right", "location": "(3,3; l_3)",
+         "expected": "5/3", "got": "5/2"},
+    ]
+
+
+def test_failure_report_format():
+    # Hopf link over F5 with lambda = 3 on both components: strands 1 and 2
+    # are both marked, so transport-row reports lambda^-1 * got (raw got is
+    # 3 * 4 = 2 on strand 1), and the Wirtinger entries carry matrix JSON
+    cm = component_map(HOPF)
+    cand = AugCandidate(F5, cm, Matrix.from_rows(F5, [[2, 1], [1, 2]]),
+                        [F5.scalar(3)] * 2, [F5.scalar(4)] * 2)
+    assert check_relations(cand, HOPF).failures == [
+        {"family": "transport-row", "location": "strand 1 -> 1, col 2",
+         "expected": "1", "got": "4"},
+        {"family": "transport-col", "location": "strand 1 -> 1, row 2",
+         "expected": "3", "got": "2"},
+        {"family": "transport-row", "location": "strand 2 -> 2, col 1",
+         "expected": "1", "got": "3"},
+        {"family": "transport-col", "location": "strand 2 -> 2, row 1",
+         "expected": "3", "got": "4"},
+        {"family": "wirtinger", "location": "m_1",
+         "expected": "[['3', '4'], ['4', '1']]", "got": "[['1', '4'], ['4', '3']]"},
+        {"family": "wirtinger", "location": "m_2",
+         "expected": "[['1', '4'], ['4', '3']]", "got": "[['1', '2'], ['2', '1']]"},
+        {"family": "longitude-left", "location": "(l_1; 1,2)",
+         "expected": "3", "got": "2"},
+        {"family": "longitude-right", "location": "(2,1; l_1)",
+         "expected": "3", "got": "2"},
+        {"family": "longitude-left", "location": "(l_2; 2,1)",
+         "expected": "3", "got": "4"},
+        {"family": "longitude-right", "location": "(1,2; l_2)",
+         "expected": "3", "got": "4"},
+    ]
 
 
 def test_dilation_action():
