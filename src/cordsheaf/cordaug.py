@@ -12,12 +12,12 @@ of R by the rank-one updates
     rho(m_t^-1) R_j = R_j + mu_t^-1 R[t][j] R_t,
 
 so every broken-cord value is a finite matrix computation.  One private
-kernel applies these updates to rows of plain field values (residues in
-0..p-1 reduced mod p, or exact Fractions over the rationals, which every
-function here still supports), with mu^-1 computed once per strand;
-apply_loop wraps it between Matrix conversions, and the transport and
-Wirtinger checks call it directly and build Scalars only to report a
-failure.
+kernel applies these updates to rows of plain field values, the values a
+Matrix stores (residues in 0..p-1 reduced mod p, or exact Fractions over the
+rationals, which every function here still supports), with mu^-1 computed
+once per strand and the row updates done by linalg's shared kernels.
+apply_loop runs it on X's stored values, and the relation certificate runs
+it on R's, building Scalars only to report a failure.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone (they hold identically; a test pins this down), so the
@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .braid import BraidGeometry, BraidWord, ComponentMap, MeridianWord, geometry
 from .field import FieldSpec, MixedFieldError, Scalar
-from .linalg import Matrix
+from .linalg import Matrix, _axpy, _identity, _inv, _mul, _one, _scale, _sub
 from .reports import ValidationReport
 
 
@@ -153,21 +153,18 @@ class DilationParam:
 
 def meridian_operator(cand: AugCandidate, t: int, exponent: int = 1) -> Matrix:
     """The n x n matrix of rho(m_t^exponent): Id -+ (coeff) R_t e_t^T."""
-    n = cand.n
-    eye = Matrix.identity(cand.field, n)
-    col = cand.R.col(t - 1)
+    p = cand.field.p
     if exponent == 1:
-        coeff = -cand.field.one()
+        coeff = -1
     elif exponent == -1:
-        coeff = cand.mu_of_strand(t).inv()
+        coeff = _inv(p, cand.mu_of_strand(t).value)
     else:
         raise ValueError("exponent must be +-1")
-    rows = []
-    for i in range(n):
-        row = list(eye.row(i))
-        row[t - 1] = row[t - 1] + coeff * col[i]
-        rows.append(row)
-    return Matrix(cand.field, rows)
+    rows = _identity(p, cand.n)
+    col = _axpy(p, [row[t - 1] for row in rows], coeff, [row[t - 1] for row in cand.R.values])
+    for row, x in zip(rows, col):
+        row[t - 1] = x
+    return Matrix._from_values(cand.field, rows)
 
 
 def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> list:
@@ -177,7 +174,8 @@ def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> li
     exact Fractions for the rationals (p is None).  cols are the raw columns
     of R and minv the raw mu^-1 of each strand.  Each letter is one rank-one
     update; a row it touches is replaced by a new list, never changed in
-    place, so the caller's rows are left as they were.
+    place, so the caller's rows are left as they were.  Rows it leaves alone
+    keep their type, so compare rows as tuples.
     """
     rows = list(rows)
     for t, e in reversed(letters):
@@ -185,29 +183,17 @@ def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> li
         coeff = -1 if e == 1 else minv[t - 1]
         for i, c in enumerate(cols[t - 1]):
             if c:
-                ci = coeff * c
-                if p:
-                    rows[i] = [(a + ci * b) % p for a, b in zip(rows[i], row_t)]
-                else:
-                    rows[i] = [a + ci * b for a, b in zip(rows[i], row_t)]
+                rows[i] = _axpy(p, rows[i], coeff * c, row_t)
     return rows
-
-
-def _raw_rows(X: Matrix) -> list:
-    return [[x.value for x in row] for row in X.entries]
 
 
 def _kernel_inputs(cand: AugCandidate) -> tuple:
     """(p, raw rows of R, raw columns of R, raw mu^-1 per strand)."""
     p = cand.field.p
-    rows = _raw_rows(cand.R)
-    inv = [pow(m.value, -1, p) if p else 1 / m.value for m in cand.mu]
+    rows = cand.R.values
+    inv = [_inv(p, m.value) for m in cand.mu]
     minv = [inv[s - 1] for s in cand.components.labels]
     return p, rows, list(zip(*rows)), minv
-
-
-def _matrix(field: FieldSpec, rows: list) -> Matrix:
-    return Matrix(field, [[Scalar(field, v) for v in row] for row in rows])
 
 
 def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
@@ -215,7 +201,8 @@ def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
     if X.field != cand.field:
         raise MixedFieldError(f"cannot mix {cand.field} and {X.field}")
     p, _, cols, minv = _kernel_inputs(cand)
-    return _matrix(cand.field, _loop_rows(p, cols, minv, word.letters, _raw_rows(X)))
+    return Matrix._from_values(cand.field, _loop_rows(p, cols, minv, word.letters, X.values),
+                               cols=X.cols)
 
 
 def loop_matrix(cand: AugCandidate, word: MeridianWord) -> Matrix:
@@ -232,11 +219,11 @@ def eval_broken_cord(cand: AugCandidate, i: int, word: MeridianWord, j: int) -> 
 
 
 def index_sets(cand: AugCandidate) -> IndexSets:
-    n = cand.n
+    rows = cand.R.values
     I_prime, I_dprime, J_prime, J_dprime = [], [], [], []
-    for i in range(1, n + 1):
-        (I_prime if any(not x.is_zero() for x in cand.R.row(i - 1)) else I_dprime).append(i)
-        (J_prime if any(not x.is_zero() for x in cand.R.col(i - 1)) else J_dprime).append(i)
+    for i, (row, col) in enumerate(zip(rows, zip(*rows)), 1):
+        (I_prime if any(row) else I_dprime).append(i)
+        (J_prime if any(col) else J_dprime).append(i)
     return IndexSets(I_prime, I_dprime, J_prime, J_dprime)
 
 
@@ -292,35 +279,37 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     geom = geometry(braid)
     if geom.components != cand.components:
         raise ValueError("candidate component map does not match the braid")
-    field, n, R = cand.field, cand.n, cand.R
+    n = cand.n
+    p, rows, cols, minv = _kernel_inputs(cand)
+    mu = [cand.mu[s - 1].value for s in cand.components.labels]
 
     # (a) diagonal normalization
-    one = field.one()
+    one = _one(p)
     for i in range(1, n + 1):
-        want = one - cand.mu_of_strand(i)
-        if cand.entry(i, i) != want:
-            report.fail("normalization", f"R[{i}][{i}]", want, cand.entry(i, i))
+        want = _sub(p, one, mu[i - 1])
+        if rows[i - 1][i - 1] != want:
+            report.fail("normalization", f"R[{i}][{i}]", want, rows[i - 1][i - 1])
     if not report.ok:
         return report  # everything below assumes the normalization
 
     if full:
+        # rho(m_t) R for every strand t
+        inserted = [_loop_rows(p, cols, minv, ((t, 1),), rows) for t in range(1, n + 1)]
         # (b) meridian relations, both sides
         for i in range(1, n + 1):
-            left = apply_loop(cand, MeridianWord.generator(i), R)
+            left = inserted[i - 1]
             for j in range(1, n + 1):
-                want = cand.mu_of_strand(i) * cand.entry(i, j)
-                if left[i - 1, j - 1] != want:
-                    report.fail("meridian-left", f"(m_{i}; {i},{j})", want, left[i - 1, j - 1])
-                want = cand.entry(j, i) * cand.mu_of_strand(i)
-                if left[j - 1, i - 1] != want:
-                    report.fail("meridian-right", f"({j},{i}; m_{i})", want, left[j - 1, i - 1])
+                want = _mul(p, mu[i - 1], rows[i - 1][j - 1])
+                if left[i - 1][j - 1] != want:
+                    report.fail("meridian-left", f"(m_{i}; {i},{j})", want, left[i - 1][j - 1])
+                want = _mul(p, rows[j - 1][i - 1], mu[i - 1])
+                if left[j - 1][i - 1] != want:
+                    report.fail("meridian-right", f"({j},{i}; m_{i})", want, left[j - 1][i - 1])
         # (d) skein relations
         for t in range(1, n + 1):
-            inserted = apply_loop(cand, MeridianWord.generator(t), R)
             for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    want = cand.entry(i, j)
-                    got = inserted[i - 1, j - 1] + cand.entry(i, t) * cand.entry(t, j)
+                got_row = _axpy(p, inserted[t - 1][i - 1], rows[i - 1][t - 1], rows[t - 1])
+                for j, (want, got) in enumerate(zip(rows[i - 1], got_row), 1):
                     if got != want:
                         report.fail("skein", f"({i},{t},{j})", want, got)
 
@@ -331,16 +320,16 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     # (c) longitude relations at the base strands, both sides
     for s in range(1, cand.r + 1):
         b = cand.components.base_strand(s)
-        lam = cand.lam[s - 1]
-        ell_R = apply_loop(cand, geom.longitudes[s], R)
+        lam = cand.lam[s - 1].value
+        ell_R = _loop_rows(p, cols, minv, geom.longitudes[s].letters, rows)
         for j in range(1, n + 1):
-            want = lam * cand.entry(b, j)
-            if ell_R[b - 1, j - 1] != want:
-                report.fail("longitude-left", f"(l_{s}; {b},{j})", want, ell_R[b - 1, j - 1])
+            want = _mul(p, lam, rows[b - 1][j - 1])
+            if ell_R[b - 1][j - 1] != want:
+                report.fail("longitude-left", f"(l_{s}; {b},{j})", want, ell_R[b - 1][j - 1])
         for i in range(1, n + 1):
-            want = cand.entry(i, b) * lam
-            if ell_R[i - 1, b - 1] != want:
-                report.fail("longitude-right", f"({i},{b}; l_{s})", want, ell_R[i - 1, b - 1])
+            want = _mul(p, rows[i - 1][b - 1], lam)
+            if ell_R[i - 1][b - 1] != want:
+                report.fail("longitude-right", f"({i},{b}; l_{s})", want, ell_R[i - 1][b - 1])
 
     for s in degenerate_components(cand):
         report.note(
@@ -378,8 +367,8 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
         lam = cand.lam[s - 1]
         want_row, want_col = rows[ti - 1], cols[i - 1]
         if marked:
-            want_row = [lam.value * x % p if p else lam.value * x for x in want_row]
-            want_col = [lam.value * x % p if p else lam.value * x for x in want_col]
+            want_row = _scale(p, lam.value, want_row)
+            want_col = _scale(p, lam.value, want_col)
         for j, (want, got) in enumerate(zip(want_row, seg[i - 1]), 1):
             if want != got:
                 yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}",
@@ -394,9 +383,9 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
         if word != ((q, 1),):
             lhs = _loop_rows(p, cols, minv, ((q, 1),), rows)
             rhs = _loop_rows(p, cols, minv, word, rows)
-            if lhs != rhs:
-                yield lambda: ("wirtinger", f"m_{q}", _matrix(field, lhs).to_json(),
-                               _matrix(field, rhs).to_json())
+            if any(tuple(a) != tuple(b) for a, b in zip(lhs, rhs)):
+                yield lambda: ("wirtinger", f"m_{q}", Matrix._from_values(field, lhs).to_json(),
+                               Matrix._from_values(field, rhs).to_json())
 
 
 def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
@@ -418,15 +407,12 @@ def apply_dilation(cand: AugCandidate, d: DilationParam) -> AugCandidate:
     """Rescale mixed cords by d_s/d_t; lambda and mu are untouched."""
     if len(d.d) != cand.r:
         raise ValueError("dilation parameter has the wrong number of components")
-    comp = cand.components
-    rows = []
-    for i in range(1, cand.n + 1):
-        di = d.d[comp.component(i) - 1]
-        rows.append([
-            di * d.d[comp.component(j) - 1].inv() * cand.entry(i, j)
-            for j in range(1, cand.n + 1)
-        ])
-    return AugCandidate(cand.field, comp, Matrix(cand.field, rows), cand.lam, cand.mu)
+    p, comp = cand.field.p, cand.components
+    scale = [d.d[s - 1].value for s in comp.labels]
+    inv = [_inv(p, x) for x in scale]
+    rows = [[_mul(p, _mul(p, di, dj), x) for dj, x in zip(inv, row)]
+            for di, row in zip(scale, cand.R.values)]
+    return AugCandidate(cand.field, comp, Matrix._from_values(cand.field, rows), cand.lam, cand.mu)
 
 
 def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
@@ -441,8 +427,8 @@ def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
     edges and the resulting representative are constant on orbits, and the
     map is idempotent because every anchor entry of a representative is 1.
     """
-    comp = cand.components
-    one = cand.field.one()
+    p, comp, R = cand.field.p, cand.components, cand.R.values
+    one = _one(p)
     d: list = [None] * cand.r
     mixed = [(i, j) for i in range(1, cand.n + 1) for j in range(1, cand.n + 1)
              if comp.component(i) != comp.component(j)]
@@ -457,14 +443,14 @@ def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
             for i, j in mixed:
                 ci, cj = comp.component(i), comp.component(j)
                 known_i, known_j = d[ci - 1] is not None, d[cj - 1] is not None
-                if known_i == known_j or cand.entry(i, j).is_zero():
+                if known_i == known_j or not R[i - 1][j - 1]:
                     continue
                 # rescaled entry (d_ci / d_cj) R[i][j] becomes 1
                 if known_i:
-                    d[cj - 1] = d[ci - 1] * cand.entry(i, j)
+                    d[cj - 1] = _mul(p, d[ci - 1], R[i - 1][j - 1])
                 else:
-                    d[ci - 1] = d[cj - 1] * cand.entry(i, j).inv()
+                    d[ci - 1] = _mul(p, d[cj - 1], _inv(p, R[i - 1][j - 1]))
                 grew = True
                 break
-    param = DilationParam(d)
+    param = DilationParam([Scalar(cand.field, x) for x in d])
     return apply_dilation(cand, param), param

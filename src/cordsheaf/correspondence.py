@@ -30,8 +30,9 @@ from typing import Optional, Sequence
 from .braid import BraidWord, MeridianWord, geometry
 from .cordaug import (AugCandidate, check_relations, degenerate_components,
                       index_sets)
-from .field import Scalar
-from .linalg import Matrix, Subspace
+from .field import MixedFieldError, Scalar
+from .linalg import (Matrix, Subspace, _axpy, _dot, _inv, _matvec, _one, _rref, _scale,
+                     _solve, _sub, _transpose, _zero)
 from .reports import DiffReport
 from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
                          stabilized_space)
@@ -68,7 +69,21 @@ class LocalTrivialization:
         return f"LocalTrivialization(f={parts})"
 
 
+def _column_values(col: Matrix) -> list:
+    return [row[0] for row in col.values]
+
+
+def _row_matrix(field, row) -> Matrix:
+    return Matrix._from_values(field, [row])
+
+
+def _column_matrix(field, col) -> Matrix:
+    return Matrix._from_values(field, [(x,) for x in col], cols=1)
+
+
 def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> None:
+    field, N = sheaf.field, sheaf.N
+    p = field.p
     deg_strands = sheaf.deg_strands()
     for i in range(1, sheaf.braid.n + 1):
         f_i, finv_i = triv.f[i - 1], triv.finv[i - 1]
@@ -79,12 +94,18 @@ def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> None:
             continue
         if f_i is None or finv_i is None:
             raise InvalidTrivializationError(f"strand {i} needs a functional")
+        if f_i.field != field or finv_i.field != field:
+            raise MixedFieldError(f"trivialization at strand {i} is not over {field}")
+        if (f_i.rows, f_i.cols, finv_i.rows, finv_i.cols) != (1, N, N, 1):
+            raise InvalidTrivializationError(
+                f"f[{i}] must be 1x{N} and finv[{i}] {N}x1")
         if f_i.is_zero():
             raise InvalidTrivializationError(f"f[{i}] vanishes")
-        for w in sheaf.W[i - 1].basis_columns():
-            if not (f_i * Matrix.column(sheaf.field, w))[0, 0].is_zero():
+        f_row = f_i.values[0]
+        for w in sheaf.W[i - 1]._vectors:
+            if _dot(p, f_row, w):
                 raise InvalidTrivializationError(f"f[{i}] does not kill W[{i}]")
-        if not (f_i * finv_i)[0, 0].is_one():
+        if _dot(p, f_row, _column_values(finv_i)) != 1:
             raise InvalidTrivializationError(f"finv[{i}] is not a right inverse")
 
 
@@ -99,19 +120,19 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     stalk annihilator scaled so its first nonzero entry is 1; right inverses
     are the deterministic solver's.
     """
-    field = sheaf.field
+    field, N = sheaf.field, sheaf.N
+    p = field.p
     geom = geometry(sheaf.braid)
     comps = sheaf.components
     deg_strands = sheaf.deg_strands()
-    one = field.one()
-    f: list[Optional[Matrix]] = [None] * sheaf.braid.n
-    finv: list[Optional[Matrix]] = [None] * sheaf.braid.n
+    f: list = [None] * sheaf.braid.n
+    finv: list = [None] * sheaf.braid.n
 
-    def right_inverse(fi: Matrix) -> Matrix:
-        sol = fi.solve(Matrix.column(field, [one]))
+    def right_inverse(fi: list) -> list:
+        sol = _solve(p, [fi], N, [_one(p)])
         if sol is None:
             raise InvalidTrivializationError("functional vanishes identically")
-        return Matrix.column(field, sol)
+        return sol
 
     for s in range(1, comps.r + 1):
         b = comps.base_strand(s)
@@ -121,63 +142,64 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
         if ann.rows != 1:
             raise InvalidTrivializationError(
                 f"stalk at strand {b} has codimension {ann.rows}, not 1")
-        row = list(ann.row(0))
-        lead = next(x for x in row if not x.is_zero())
-        fb = Matrix.row_vector(field, [lead.inv() * x for x in row])
+        row = ann.values[0]
+        lead = next(x for x in row if x)
+        fb = _scale(p, _inv(p, lead), row)
         f[b - 1] = fb
         finv[b - 1] = right_inverse(fb)
-        lam = (fb * (sheaf.transport(geom.longitudes[s]) * finv[b - 1]))[0, 0]
-        if lam.is_zero():
+        lam = _dot(p, fb, sheaf._transport_vector(geom.longitudes[s], finv[b - 1]))
+        if not lam:
             raise InvalidTrivializationError(
                 f"longitude of component {s} degenerates on the stalk quotient")
         i = b
         while geom.tau[i - 1] != b:
             nxt = geom.tau[i - 1]
-            fi = f[i - 1] * sheaf.transport(geom.segments[i])
+            T = sheaf.transport(geom.segments[i]).values
+            fi = _matvec(p, _transpose(T, N), f[i - 1])
             if i == b:
-                fi = fi.scaled(lam.inv())
+                fi = _scale(p, _inv(p, lam), fi)
             f[nxt - 1] = fi
             finv[nxt - 1] = right_inverse(fi)
             i = nxt
-    return LocalTrivialization(f, finv)
+    return LocalTrivialization(
+        [None if x is None else _row_matrix(field, x) for x in f],
+        [None if x is None else _column_matrix(field, x) for x in finv])
 
 
 def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
     """Read off the augmentation; degenerate summands give lambda = alpha."""
     _check_trivialization(sheaf, triv)
     field = sheaf.field
+    p = field.p
     comps = sheaf.components
     n = sheaf.braid.n
     geom = geometry(sheaf.braid)
     deg_strands = sheaf.deg_strands()
-    eye = Matrix.identity(field, sheaf.N)
-    zero = field.zero()
-    one = field.one()
+    zero = _zero(p)
+    f = [None if i in deg_strands else triv.f[i - 1].values[0] for i in range(1, n + 1)]
+    x = [None if j in deg_strands else _column_values(triv.finv[j - 1])
+         for j in range(1, n + 1)]
 
-    displaced = {j: (eye - sheaf.M[j - 1]) * triv.finv[j - 1]
+    # (Id - M_j) finv_j
+    displaced = {j: _axpy(p, x[j - 1], -1, _matvec(p, sheaf.M[j - 1].values, x[j - 1]))
                  for j in range(1, n + 1) if j not in deg_strands}
     rows = []
     for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i in deg_strands or j in deg_strands:
-                row.append(zero)
-            else:
-                row.append((triv.f[i - 1] * displaced[j])[0, 0])
-        rows.append(row)
-    R = Matrix(field, rows)
+        rows.append([zero if i in deg_strands or j in deg_strands
+                     else _dot(p, f[i - 1], displaced[j]) for j in range(1, n + 1)])
+    R = Matrix._from_values(field, rows)
 
     deg_alpha = {d.component: d.alpha for d in sheaf.deg}
     lam, mu = [], []
     for s in range(1, comps.r + 1):
         if s in deg_alpha:
             lam.append(deg_alpha[s])
-            mu.append(one)
+            mu.append(field.one())
             continue
         b = comps.base_strand(s)
-        A = sheaf.transport(geom.longitudes[s])
-        lam.append((triv.f[b - 1] * (A * triv.finv[b - 1]))[0, 0])
-        mu.append(one - (triv.f[b - 1] * displaced[b])[0, 0])
+        moved = sheaf._transport_vector(geom.longitudes[s], x[b - 1])
+        lam.append(Scalar(field, _dot(p, f[b - 1], moved)))
+        mu.append(Scalar(field, _sub(p, _one(p), _dot(p, f[b - 1], displaced[b]))))
     return AugCandidate(field, comps, R, lam, mu)
 
 
@@ -217,7 +239,7 @@ def pure_cord_trace(sheaf: SheafData, component: int,
 
 class _AugLayout:
     """Shared coordinates for the subsheaf, sheaf and trivialization of one
-    candidate.
+    candidate, as field values.
 
     The pivot columns of the RREF of R are the columns outside the span of
     the columns before them; they base the subsheaf space, and the RREF
@@ -226,16 +248,17 @@ class _AugLayout:
     coordinate 0, ahead of the pivot coordinates.
     """
 
-    __slots__ = ("cand", "pivots", "dim_sub", "coords", "deg_comps", "deg_strands",
+    __slots__ = ("cand", "p", "pivots", "dim_sub", "coords", "deg_comps", "deg_strands",
                  "zero_rows", "extended", "N")
 
     def __init__(self, cand: AugCandidate):
         self.cand = cand
         n = cand.n
-        red, pivots = cand.R.rref()
+        self.p = cand.field.p
+        red, pivots = _rref(self.p, cand.R.values, n)
         self.pivots = [c + 1 for c in pivots]
         self.dim_sub = len(pivots)
-        self.coords = {t: tuple(red[k, t - 1] for k in range(self.dim_sub))
+        self.coords = {t: tuple(red[k][t - 1] for k in range(self.dim_sub))
                        for t in range(1, n + 1)}
         self.deg_comps = degenerate_components(cand)
         self.deg_strands = {i for i in range(1, n + 1)
@@ -249,35 +272,38 @@ class _AugLayout:
         """Ambient coordinate of the k-th pivot column (0-based k)."""
         return k + (1 if self.extended else 0)
 
-    def embed_column(self, t: int) -> list[Scalar]:
+    def _unit(self, a: int) -> list:
+        vec = [_zero(self.p)] * self.N
+        vec[a] = _one(self.p)
+        return vec
+
+    def embed_column(self, t: int) -> list:
         """Coordinates of column R_t inside the (possibly extended) space."""
-        field = self.cand.field
-        vec = [field.zero()] * self.N
+        vec = [_zero(self.p)] * self.N
         for k, c in enumerate(self.coords[t]):
             vec[self.sub_index(k)] = c
         return vec
 
-    def functional(self, i: int) -> Matrix:
+    def functional(self, i: int) -> list:
         """Row functional of strand i in the ambient coordinates (zero on R_0)."""
-        field = self.cand.field
-        row = [field.zero()] * self.N
+        R = self.cand.R.values
+        row = [_zero(self.p)] * self.N
         for k, j in enumerate(self.pivots):
-            row[self.sub_index(k)] = self.cand.R[i - 1, j - 1]
-        return Matrix.row_vector(field, row)
+            row[self.sub_index(k)] = R[i - 1][j - 1]
+        return row
 
     def _sub_meridians(self) -> list[Matrix]:
         """rho(m_t) R_j = R_j - R[t][j] R_t in subspace coordinates."""
-        cand, coords = self.cand, self.coords
+        cand, coords, p = self.cand, self.coords, self.p
+        R = cand.R.values
         mats = []
         for t in range(1, cand.n + 1):
             cols = []
             for j in self.pivots:
-                col = list(coords[j])
-                factor = cand.R[t - 1, j - 1]
-                if not factor.is_zero():
-                    col = [a - factor * b for a, b in zip(col, coords[t])]
-                cols.append(col)
-            mats.append(Matrix(cand.field, list(zip(*cols)) if self.dim_sub else []))
+                factor = R[t - 1][j - 1]
+                cols.append(_axpy(p, coords[j], -factor, coords[t]) if factor else coords[j])
+            mats.append(Matrix._from_values(cand.field, _transpose(cols, self.dim_sub),
+                                            cols=self.dim_sub))
         return mats
 
     def _degenerate_summands(self) -> list[DegenerateSummand]:
@@ -286,53 +312,46 @@ class _AugLayout:
     def subsheaf(self, braid: BraidWord) -> SheafData:
         cand = self.cand
         field, n, d = cand.field, cand.n, self.dim_sub
+        R = cand.R.values
         stalks = []
         for i in range(1, n + 1):
             if d == 0:
                 stalks.append(Subspace.zero(field, 0))
                 continue
-            functional = Matrix(field, [[cand.R[i - 1, j - 1] for j in self.pivots]])
-            stalks.append(functional.kernel())
+            functional = [R[i - 1][j - 1] for j in self.pivots]
+            stalks.append(_row_matrix(field, functional).kernel())
         return SheafData(field, braid, d, self._sub_meridians(), stalks,
                          self._degenerate_summands())
 
     def sheaf(self, braid: BraidWord) -> SheafData:
-        field, n, N = self.cand.field, self.cand.n, self.N
+        field, n, N, d = self.cand.field, self.cand.n, self.N, self.dim_sub
+        zero = _zero(self.p)
         sub_mats = self._sub_meridians()
         mats, stalks = [], []
+        eye = Matrix.identity(field, N)
         full = Subspace.full(field, N)
         for i in range(1, n + 1):
             if i in self.deg_strands:
-                mats.append(Matrix.identity(field, N))
+                mats.append(eye)
                 stalks.append(full)
                 continue
-            sub_mat = sub_mats[i - 1]
             if self.extended:
-                rows = [[field.zero()] * N for _ in range(N)]
-                rows[0][0] = field.one()
-                for a in range(self.dim_sub):
-                    for b in range(self.dim_sub):
-                        rows[a + 1][b + 1] = sub_mat[a, b]
-                if i in self.zero_rows:
-                    col = self.embed_column(i)
-                    for a in range(1, N):
-                        rows[a][0] = col[a]
-                mat = Matrix(field, rows)
+                # R_0 is fixed, except at zero-row strands: M_i(R_0) = R_0 + R_i
+                col = self.embed_column(i) if i in self.zero_rows else [zero] * N
+                rows = [self._unit(0)]
+                rows += [(col[a + 1],) + row for a, row in enumerate(sub_mats[i - 1].values)]
+                mats.append(Matrix._from_values(field, rows))
             else:
-                mat = sub_mat
-            mats.append(mat)
+                mats.append(sub_mats[i - 1])
             if i in self.zero_rows:
-                stalks.append(Subspace.from_vectors(
-                    field, N,
-                    [[field.one() if a == self.sub_index(k) else field.zero()
-                      for a in range(N)] for k in range(self.dim_sub)],
-                ))
+                stalks.append(Subspace._from_values(
+                    field, N, [self._unit(self.sub_index(k)) for k in range(d)]))
             else:
-                stalks.append(self.functional(i).kernel())
+                stalks.append(_row_matrix(field, self.functional(i)).kernel())
         return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
 
     def trivialization(self) -> LocalTrivialization:
-        field = self.cand.field
+        field, p = self.cand.field, self.p
         f, finv = [], []
         for i in range(1, self.cand.n + 1):
             if i in self.deg_strands:
@@ -340,28 +359,24 @@ class _AugLayout:
                 finv.append(None)
                 continue
             if i in self.zero_rows:
-                row = [field.zero()] * self.N
-                row[0] = -field.one()
-                col = [field.zero()] * self.N
-                col[0] = -field.one()
-                f.append(Matrix.row_vector(field, row))
-                finv.append(Matrix.column(field, col))
+                minus_r0 = _scale(p, -1, self._unit(0))
+                f.append(_row_matrix(field, minus_r0))
+                finv.append(_column_matrix(field, minus_r0))
                 continue
             fi = self.functional(i)
-            f.append(fi)
+            f.append(_row_matrix(field, fi))
             last = None
             for k in range(self.dim_sub - 1, -1, -1):
-                if not fi[0, self.sub_index(k)].is_zero():
+                if fi[self.sub_index(k)]:
                     last = k
                     break
             if last is None:
                 raise AssertionError("nonzero row vanishing on all pivot columns")
             # finv = R_{j_last} / R[i][j_last]; pivot columns are basis vectors,
             # and (Id - M_j) finv_j = R_j falls out for every strand.
-            value = fi[0, self.sub_index(last)]
-            col = [field.zero()] * self.N
-            col[self.sub_index(last)] = value.inv()
-            finv.append(Matrix.column(field, col))
+            col = [_zero(p)] * self.N
+            col[self.sub_index(last)] = _inv(p, fi[self.sub_index(last)])
+            finv.append(_column_matrix(field, col))
         return LocalTrivialization(f, finv)
 
 
@@ -401,10 +416,12 @@ def canonical_trivialization(cand: AugCandidate) -> LocalTrivialization:
 def diff_candidates(expected: AugCandidate, got: AugCandidate) -> DiffReport:
     report = DiffReport()
     n = expected.n
+    same_field = expected.field == got.field
+    want, have = expected.R.values, got.R.values
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if expected.entry(i, j) != got.entry(i, j):
-                report.add(f"R[{i}][{j}]", expected.entry(i, j), got.entry(i, j))
+            if not same_field or want[i - 1][j - 1] != have[i - 1][j - 1]:
+                report.add(f"R[{i}][{j}]", want[i - 1][j - 1], have[i - 1][j - 1])
     for s in range(1, expected.r + 1):
         if expected.lam[s - 1] != got.lam[s - 1]:
             report.add(f"lambda[{s}]", expected.lam[s - 1], got.lam[s - 1])
@@ -416,20 +433,26 @@ def diff_candidates(expected: AugCandidate, got: AugCandidate) -> DiffReport:
 def roundtrip_aug(cand: AugCandidate, braid: BraidWord) -> DiffReport:
     """Build the sheaf with its canonical trivialization and read the
     augmentation back; the diff is empty exactly when the round trip is."""
-    lay = _certified_layout(cand, braid)
+    return _roundtrip_layout(_certified_layout(cand, braid), braid)
+
+
+def _roundtrip_layout(lay: _AugLayout, braid: BraidWord) -> DiffReport:
+    """roundtrip_aug for the layout of a candidate known to pass the
+    relation certificate."""
     recovered = sheaf_to_aug(lay.sheaf(braid), lay.trivialization())
-    return diff_candidates(cand, recovered)
+    return diff_candidates(lay.cand, recovered)
 
 
-def _transverse_vector(sheaf: SheafData) -> list[Scalar]:
-    """A deterministic vector outside every non-degenerate stalk subspace."""
+def _transverse_vector(sheaf: SheafData) -> list:
+    """A deterministic vector of values outside every non-degenerate stalk
+    subspace."""
     field, N = sheaf.field, sheaf.N
     walls = [sheaf.W[i - 1] for i in range(1, sheaf.braid.n + 1)
              if i not in sheaf.deg_strands()]
-    zero, one = field.zero(), field.one()
+    zero, one = _zero(field.p), _one(field.p)
 
     def outside_all(vec) -> bool:
-        return all(not wall.contains(vec) for wall in walls)
+        return all(wall._coordinates(vec) is None for wall in walls)
 
     for a in range(N):
         vec = [one if k == a else zero for k in range(N)]
@@ -441,12 +464,12 @@ def _transverse_vector(sheaf: SheafData) -> list[Scalar]:
             if outside_all(vec):
                 return vec
     if field.is_prime_field:
-        for tup in itertools.product(field.elements(), repeat=N):
+        for tup in itertools.product(range(field.p), repeat=N):
             if outside_all(list(tup)):
                 return list(tup)
         raise NoTransverseVectorError(
             f"every vector of F_{field.p}^{N} lies on one of {len(walls)} stalks")
-    for tup in itertools.product([field.scalar(v) for v in range(-2, 3)], repeat=N):
+    for tup in itertools.product([field.scalar(v).value for v in range(-2, 3)], repeat=N):
         if outside_all(list(tup)):
             return list(tup)
     raise NoTransverseVectorError("no small transverse vector found")
@@ -500,13 +523,13 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
         # correspondence, so reported as a note.
         report.note(f"comparison map skipped: {err}")
         return report, eps
-    eye = Matrix.identity(field, sheaf.N)
+    p = field.p
     cols = []
     for j in lay.pivots:
-        fj_v = (triv.f[j - 1] * Matrix.column(field, v))[0, 0]
-        vj = (eye - sheaf.M[j - 1]) * Matrix.column(field, v)
-        cols.append([fj_v.inv() * x for x in vj.col(0)])
-    Phi = Matrix(field, list(zip(*cols)))
+        fj_v = _dot(p, triv.f[j - 1].values[0], v)
+        vj = _axpy(p, v, -1, _matvec(p, sheaf.M[j - 1].values, v))
+        cols.append(_scale(p, _inv(p, fj_v), vj))
+    Phi = Matrix._from_values(field, _transpose(cols, sheaf.N))
 
     if Phi.rank() != sub.N:
         report.add("comparison rank", sub.N, Phi.rank())

@@ -1,10 +1,13 @@
 """Exact scalar arithmetic over prime fields F_p and over the rationals.
 
-Every other module computes with these scalars, so canonical forms matter:
-prime-field elements are stored as residues in ``0..p-1`` and rationals as
-``fractions.Fraction`` (always in lowest terms with positive denominator).
-Equal scalars therefore compare equal bit-for-bit, which the subspace and
-moduli code relies on for deduplication.
+Scalars are the element type of the public API, and canonical forms
+matter: prime-field elements are stored as residues in ``0..p-1`` and
+rationals as ``fractions.Fraction`` (always in lowest terms with positive
+denominator).  Equal scalars therefore compare equal bit-for-bit, which the
+subspace and moduli code relies on for deduplication.  Matrices and
+subspaces (``linalg``) store these same canonical values, ``Scalar.value``,
+rather than Scalars, and compute on them directly; a Scalar is made only
+where a value leaves through the API.
 
 The wire format is the decimal residue for prime fields and ``num/den``
 for rationals; ``FieldSpec.from_str`` parses it back.

@@ -1,9 +1,24 @@
 """Dense exact linear algebra over a FieldSpec.
 
-Matrices are immutable, row-major tuples of Scalars.  Subspaces are stored
-by a basis matrix in reduced column echelon form, which is unique, so two
-equal subspaces have bit-identical bases; this is what lets the moduli code
-deduplicate by syntactic comparison.
+Matrices are immutable and store their entries row-major in ``values`` as
+plain canonical field values, the same values ``Scalar.value`` holds:
+residues in ``0..p-1`` for F_p and ``Fraction``s in lowest terms for the
+rationals.  All arithmetic and elimination runs on those values.  Scalars
+exist only at the API edge: the public constructor checks the field of
+every entry it is given, and ``entries``, ``m[i, j]``, ``row`` and ``col``
+wrap values in Scalars on the way out.  Code that builds a matrix from
+values it computed itself uses the trusted ``Matrix._from_values``.
+
+The module-level kernels below are the one place that tells the two kinds
+of field apart: they take the characteristic p (None for the rationals)
+and reduce mod p after every operation, or leave exact Fractions as they
+are.  Other modules of the package share them for their own raw loops.
+
+Subspaces are stored by a basis matrix in reduced column echelon form, which
+is unique, so two equal subspaces have bit-identical bases; this is what
+lets the moduli code deduplicate by syntactic comparison.  The basis vectors
+also sit row-wise in reduced row echelon form, with their pivot positions,
+so membership and coordinates are read off without elimination.
 
 Dimensions in this project stay below ~10, so everything is plain Gaussian
 elimination with no pivoting heuristics.
@@ -11,32 +26,178 @@ elimination with no pivoting heuristics.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldSpec, MixedFieldError, Scalar
+
+# -- raw kernels on field values ---------------------------------------------------
+#
+# p is the characteristic of a prime field, or None for the rationals, whose
+# values are Fractions; the constants below keep them Fractions.
+
+_QQ_ZERO, _QQ_ONE = Fraction(0), Fraction(1)
+
+
+def _zero(p: int | None):
+    return 0 if p else _QQ_ZERO
+
+
+def _one(p: int | None):
+    return 1 if p else _QQ_ONE
+
+
+def _neg(p: int | None, a):
+    return -a % p if p else -a
+
+
+def _sub(p: int | None, a, b):
+    return (a - b) % p if p else a - b
+
+
+def _mul(p: int | None, a, b):
+    return a * b % p if p else a * b
+
+
+def _inv(p: int | None, a):
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    return pow(a, -1, p) if p else 1 / a
+
+
+def _axpy(p: int | None, y: Sequence, c, x: Sequence) -> list:
+    """y + c x, entrywise (c need not be reduced)."""
+    if p:
+        return [(a + c * b) % p for a, b in zip(y, x)]
+    return [a + c * b for a, b in zip(y, x)]
+
+
+def _scale(p: int | None, c, x: Sequence) -> list:
+    if p:
+        return [c * b % p for b in x]
+    return [c * b for b in x]
+
+
+def _dot(p: int | None, x: Sequence, y: Sequence):
+    if p:
+        return sum(map(mul, x, y)) % p
+    return sum(map(mul, x, y), _QQ_ZERO)
+
+
+def _matvec(p: int | None, a: Sequence[Sequence], x: Sequence) -> list:
+    """a @ x for the rows of a and a vector x."""
+    return [_dot(p, row, x) for row in a]
+
+
+def _matmul(p: int | None, a: Sequence[Sequence], b: Sequence[Sequence],
+            b_cols: int) -> list:
+    """Rows of a @ b, where b has b_cols columns (given for 0-row b)."""
+    bcols = list(zip(*b)) if b else [()] * b_cols
+    return [[_dot(p, row, c) for c in bcols] for row in a]
+
+
+def _transpose(rows: Sequence[Sequence], cols: int) -> list:
+    """The columns of rows, a matrix with cols columns (given for 0 rows)."""
+    return list(zip(*rows)) if rows else [()] * cols
+
+
+def _identity(p: int | None, n: int) -> list:
+    zero, one = _zero(p), _one(p)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _rref(p: int | None, rows: Sequence[Sequence], cols: int) -> tuple[list, list]:
+    """Reduced row echelon form of rows and its pivot columns.
+
+    The rows passed in are left as they were: a row that changes is
+    replaced by a new list.
+    """
+    m = list(rows)
+    n = len(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        for i in range(r, n):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        row_r = m[r] = _scale(p, _inv(p, m[r][c]), m[r])
+        for i in range(n):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _axpy(p, m[i], -f, row_r)
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _solve(p: int | None, rows: Sequence[Sequence], cols: int,
+           rhs: Sequence) -> Optional[list]:
+    """One solution x of rows @ x = rhs, free variables zero, or None."""
+    red, pivots = _rref(p, [tuple(row) + (b,) for row, b in zip(rows, rhs)], cols + 1)
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [_zero(p)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return x
+
+
+def _null_vectors(p: int | None, red: Sequence[Sequence], pivots: Sequence[int],
+                  cols: int) -> list:
+    """A basis of the right null space from a reduced row echelon form."""
+    pivot_set = set(pivots)
+    zero, one = _zero(p), _one(p)
+    vectors = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = _neg(p, red[r][fc])
+        vectors.append(v)
+    return vectors
 
 
 class Matrix:
     """An exact rows x cols matrix over a fixed field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "values")
 
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence[Scalar]],
                  cols: int | None = None):
+        rows = [tuple(row) for row in entries]
         self.field = field
-        self.entries = tuple(tuple(row) for row in entries)
-        self.rows = len(self.entries)
+        self.rows = len(rows)
         # The column count cannot be inferred from an empty row list, so
         # degenerate shapes carry it explicitly.
-        self.cols = len(self.entries[0]) if self.rows else (cols or 0)
-        for row in self.entries:
+        self.cols = len(rows[0]) if rows else (cols or 0)
+        for row in rows:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
             for x in row:
-                if x.field != field:
+                if x.field is not field and x.field != field:
                     raise MixedFieldError("matrix entry from a different field")
+        self.values = tuple(tuple(x.value for x in row) for row in rows)
 
     # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def _from_values(cls, field: FieldSpec, values: Iterable[Sequence],
+                     cols: int | None = None) -> "Matrix":
+        """Trusted constructor: rows of canonical values of field, unchecked."""
+        m = object.__new__(cls)
+        m.field = field
+        m.values = vals = tuple(map(tuple, values))
+        m.rows = len(vals)
+        m.cols = len(vals[0]) if vals else (cols or 0)
+        return m
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
@@ -44,13 +205,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._from_values(field, _identity(field.p, n))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        zero = field.zero()
-        return cls(field, [[zero] * cols for _ in range(rows)], cols=cols)
+        zero = _zero(field.p)
+        return cls._from_values(field, [[zero] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def column(cls, field: FieldSpec, vec: Sequence[Scalar]) -> "Matrix":
@@ -62,31 +222,39 @@ class Matrix:
 
     # -- access ----------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        field = self.field
+        return tuple(tuple(Scalar(field, v) for v in row) for row in self.values)
+
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self.entries[i][j]
+        return Scalar(self.field, self.values[i][j])
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
+        field = self.field
+        return tuple(Scalar(field, v) for v in self.values[i])
 
     def col(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        field = self.field
+        return tuple(Scalar(field, row[j]) for row in self.values)
 
     def column_matrix(self, j: int) -> "Matrix":
-        return Matrix.column(self.field, self.col(j))
+        return Matrix._from_values(self.field, [(row[j],) for row in self.values], cols=1)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.entries == other.entries
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.values == other.values
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.entries))
+        return hash((self.field, self.rows, self.cols, self.values))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.values)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic --------------------------------------------------------------
@@ -99,126 +267,101 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=True)
-        return Matrix(self.field, [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        p = self.field.p
+        return Matrix._from_values(self.field, [
+            _axpy(p, r1, 1, r2) for r1, r2 in zip(self.values, other.values)
+        ], cols=self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=True)
-        return Matrix(self.field, [
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        p = self.field.p
+        return Matrix._from_values(self.field, [
+            _axpy(p, r1, -1, r2) for r1, r2 in zip(self.values, other.values)
+        ], cols=self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.entries], cols=self.cols)
+        p = self.field.p
+        return Matrix._from_values(self.field, [_scale(p, -1, row) for row in self.values],
+                                   cols=self.cols)
 
     def scaled(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, [[c * a for a in row] for row in self.entries])
+        if not isinstance(c, Scalar):
+            raise TypeError(f"expected Scalar, got {type(c).__name__}")
+        if c.field != self.field:
+            raise MixedFieldError(f"cannot mix {self.field} and {c.field}")
+        p = self.field.p
+        return Matrix._from_values(self.field,
+                                   [_scale(p, c.value, row) for row in self.values],
+                                   cols=self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=False)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0:
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        zero = self.field.zero()
-        ocols = tuple(other.col(j) for j in range(other.cols))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for c in ocols:
-                acc = zero
-                for a, b in zip(row, c):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.field, out)
+        return Matrix._from_values(
+            self.field, _matmul(self.field.p, self.values, other.values, other.cols),
+            cols=other.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.cols)], cols=self.rows)
+        return Matrix._from_values(self.field, _transpose(self.values, self.cols),
+                                   cols=self.rows)
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        p = self.field.p
+        diag = [row[i] for i, row in enumerate(self.values)]
+        return Scalar(self.field, _dot(p, diag, [_one(p)] * len(diag)))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(map(any, self.values))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        return self == Matrix.identity(self.field, self.rows)
+        return all((v == 1) if i == j else not v
+                   for i, row in enumerate(self.values) for j, v in enumerate(row))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_shape(other, same=False)
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-                      cols=self.cols + other.cols)
+        return Matrix._from_values(self.field,
+                                   [r1 + r2 for r1, r2 in zip(self.values, other.values)],
+                                   cols=self.cols + other.cols)
 
     # -- elimination -------------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        if self.rows == 0:
-            return Matrix.zeros(self.field, 0, self.cols), ()
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c].inv()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.field, m), tuple(pivots)
+        red, pivots = _rref(self.field.p, self.values, self.cols)
+        return Matrix._from_values(self.field, red, cols=self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref(self.field.p, self.values, self.cols)[1])
 
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(row) for row in self.entries]
-        det = self.field.one()
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(c, self.rows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
+        p = self.field.p
+        m = list(self.values)
+        n = self.rows
+        det = _one(p)
+        for c in range(n):
+            for i in range(c, n):
+                if m[i][c]:
                     break
-            if pivot_row is None:
-                return self.field.zero()
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].inv()
-            for i in range(c + 1, self.rows):
-                if not m[i][c].is_zero():
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+            else:
+                return Scalar(self.field, _zero(p))
+            if i != c:
+                m[c], m[i] = m[i], m[c]
+                det = _neg(p, det)
+            det = _mul(p, det, m[c][c])
+            inv = _inv(p, m[c][c])
+            for k in range(c + 1, n):
+                if m[k][c]:
+                    m[k] = _axpy(p, m[k], -_mul(p, m[k][c], inv), m[c])
+        return Scalar(self.field, det)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and not self.det().is_zero()
@@ -233,6 +376,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.rows
+        entries = self.entries
         zero, one = self.field.zero(), self.field.one()
         coeffs = [zero] * (n + 1)
         for perm in _it.permutations(range(n)):
@@ -252,7 +396,7 @@ class Matrix:
             # product of linear factors (x delta_{i,perm(i)} - M[i][perm(i)])
             poly = [sign]
             for i in range(n):
-                lin = [-self.entries[i][perm[i]], one if perm[i] == i else zero]
+                lin = [-entries[i][perm[i]], one if perm[i] == i else zero]
                 new = [zero] * (len(poly) + 1)
                 for a, ca in enumerate(poly):
                     for b, cb in enumerate(lin):
@@ -265,11 +409,12 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        aug = self.hstack(Matrix.identity(self.field, self.rows))
-        red, pivots = aug.rref()
-        if len(pivots) < self.rows or any(p >= self.rows for p in pivots):
+        p, n = self.field.p, self.rows
+        aug = [row + tuple(unit) for row, unit in zip(self.values, _identity(p, n))]
+        red, pivots = _rref(p, aug, 2 * n)
+        if len(pivots) < n or any(c >= n for c in pivots):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, [row[self.rows:] for row in red.entries])
+        return Matrix._from_values(self.field, [row[n:] for row in red], cols=n)
 
     def solve(self, b: "Matrix") -> Optional[tuple[Scalar, ...]]:
         """One solution x of self @ x = b (a column), or None.
@@ -277,44 +422,31 @@ class Matrix:
         Deterministic: free variables are set to zero, so repeated calls
         agree and serialized outputs are reproducible.
         """
+        self._check_shape(b, same=False)
         if b.rows != self.rows or b.cols != 1:
             raise ValueError("right-hand side must be a column of matching height")
-        if self.rows == 0:
-            return tuple([self.field.zero()] * self.cols)
-        red, pivots = self.hstack(b).rref()
-        if self.cols in pivots:
+        x = _solve(self.field.p, self.values, self.cols, [row[0] for row in b.values])
+        if x is None:
             return None
-        zero = self.field.zero()
-        x = [zero] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red.entries[r][self.cols]
-        return tuple(x)
+        field = self.field
+        return tuple(Scalar(field, v) for v in x)
 
     def kernel(self) -> "Subspace":
         """The right null space, canonicalized."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = self.field.zero(), self.field.one()
-        vectors = []
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
-            vectors.append(v)
-        return Subspace.from_vectors(self.field, self.cols, vectors)
+        p = self.field.p
+        red, pivots = _rref(p, self.values, self.cols)
+        return Subspace._from_values(self.field, self.cols,
+                                     _null_vectors(p, red, pivots, self.cols))
 
     def image(self) -> "Subspace":
         """The column span, canonicalized."""
-        return Subspace.from_vectors(
-            self.field, self.rows, [self.col(j) for j in range(self.cols)]
-        )
+        return Subspace._from_values(self.field, self.rows,
+                                     _transpose(self.values, self.cols))
 
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
+        return [[str(x) for x in row] for row in self.values]
 
     @classmethod
     def from_json(cls, field: FieldSpec, data: Sequence[Sequence[str]],
@@ -329,16 +461,44 @@ class Subspace:
     """A subspace of k^n, stored by a reduced-column-echelon basis matrix.
 
     The canonical basis makes equality syntactic: two Subspace objects are
-    equal iff they describe the same subspace.
+    equal iff they describe the same subspace.  ``_vectors`` holds the same
+    basis as rows of values in reduced row echelon form, and ``_pivots``
+    their pivot positions, where each vector has a 1 and every other basis
+    vector a 0; so the coordinates of a vector of the subspace are its
+    entries at the pivots.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_vectors", "_pivots")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix):
         # basis is trusted to be canonical; build through from_vectors.
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._vectors = tuple(_transpose(basis.values, basis.cols)) if ambient_dim else ()
+        self._pivots = tuple(next(k for k, x in enumerate(v) if x) for v in self._vectors)
+
+    @classmethod
+    def _from_values(cls, field: FieldSpec, ambient_dim: int,
+                     vectors: Iterable[Sequence]) -> "Subspace":
+        """Trusted: the span of vectors of canonical values of field."""
+        red, pivots = _rref(field.p, list(vectors), ambient_dim)
+        return cls._from_echelon(field, ambient_dim, red[:len(pivots)], pivots)
+
+    @classmethod
+    def _from_echelon(cls, field: FieldSpec, ambient_dim: int, rows: Sequence[Sequence],
+                      pivots: Sequence[int]) -> "Subspace":
+        """Trusted: rows of values in reduced row echelon form, with their pivots."""
+        sub = object.__new__(cls)
+        sub.field = field
+        sub.ambient_dim = ambient_dim
+        sub._vectors = tuple(map(tuple, rows))
+        sub._pivots = tuple(pivots)
+        # Store spanning vectors as columns; RREF of the generators is the
+        # canonical form, transposed into column convention.
+        sub.basis = Matrix._from_values(field, _transpose(sub._vectors, ambient_dim),
+                                        cols=len(pivots))
+        return sub
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient_dim: int,
@@ -347,79 +507,104 @@ class Subspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        if not rows:
-            return cls(field, ambient_dim, Matrix.zeros(field, ambient_dim, 0))
-        red, pivots = Matrix(field, rows).rref()
-        basis_rows = [red.entries[r] for r in range(len(pivots))]
-        # Store spanning vectors as columns; RREF of the generators is the
-        # canonical form, transposed into column convention.
-        return cls(field, ambient_dim,
-                   Matrix(field, basis_rows, cols=ambient_dim).transpose())
+        values = Matrix(field, rows, cols=ambient_dim).values
+        return cls._from_values(field, ambient_dim, values)
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(field, ambient_dim, [])
+        return cls._from_echelon(field, ambient_dim, [], [])
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return cls.from_vectors(field, ambient_dim, eye.entries)
+        return cls._from_echelon(field, ambient_dim, _identity(field.p, ambient_dim),
+                                 range(ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
     def basis_columns(self) -> list[tuple[Scalar, ...]]:
-        return [self.basis.col(j) for j in range(self.basis.cols)]
+        field = self.field
+        return [tuple(Scalar(field, x) for x in v) for v in self._vectors]
+
+    def _values_of(self, vec: Sequence[Scalar]) -> list:
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return list(Matrix(self.field, [vec], cols=self.ambient_dim).values[0]) if vec else []
+
+    def _coordinates(self, vec: Sequence) -> Optional[list]:
+        """Coordinates of a vector of values in this basis, or None if outside."""
+        p = self.field.p
+        coords = [vec[q] for q in self._pivots]
+        rest = vec
+        for c, v in zip(coords, self._vectors):
+            if c:
+                rest = _axpy(p, rest, -c, v)
+        return None if any(rest) else coords
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        if self.dim == 0:
-            return all(x.is_zero() for x in vec)
-        return self.basis.solve(Matrix.column(self.field, vec)) is not None
+        return self._coordinates(self._values_of(vec)) is not None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_columns())
+        self._check(other)
+        return all(self._coordinates(v) is not None for v in other._vectors)
 
     def coordinates(self, vec: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
         """Coordinates of vec in this basis, or None if outside."""
-        return self.basis.solve(Matrix.column(self.field, vec))
+        coords = self._coordinates(self._values_of(vec))
+        if coords is None:
+            return None
+        field = self.field
+        return tuple(Scalar(field, x) for x in coords)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim,
-            self.basis_columns() + other.basis_columns(),
-        )
+        return Subspace._from_values(self.field, self.ambient_dim,
+                                     self._vectors + other._vectors)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        # x in A cap B iff x = A u = B w; solve [A | -B] (u; w) = 0 and push
-        # the u-part back through A.
-        stacked = self.basis.hstack(-other.basis)
-        sols = stacked.kernel()
+        # x in A cap B iff x = sum u_k a_k lies in B, i.e. its remainder
+        # modulo B's echelon basis vanishes; the remainder is linear in u,
+        # so the u are the left kernel of the remainders of the a_k.
+        p = self.field.p
+        rests = []
+        for a in self._vectors:
+            rest = a
+            for q, b in zip(other._pivots, other._vectors):
+                if rest[q]:
+                    rest = _axpy(p, rest, -rest[q], b)
+            rests.append(rest)
+        red, pivots = _rref(p, _transpose(rests, self.ambient_dim), self.dim)
         vectors = []
-        for col in sols.basis_columns():
-            u = col[: self.dim]
-            vec = [self.field.zero()] * self.ambient_dim
-            for coeff, bcol in zip(u, self.basis_columns()):
-                if not coeff.is_zero():
-                    vec = [a + coeff * b for a, b in zip(vec, bcol)]
+        for u in _null_vectors(p, red, pivots, self.dim):
+            vec = [_zero(p)] * self.ambient_dim
+            for c, a in zip(u, self._vectors):
+                if c:
+                    vec = _axpy(p, vec, c, a)
             vectors.append(vec)
-        return Subspace.from_vectors(self.field, self.ambient_dim, vectors)
+        return Subspace._from_values(self.field, self.ambient_dim, vectors)
 
     def annihilator(self) -> Matrix:
         """Rows spanning the functionals that vanish on this subspace."""
-        # phi(basis) = 0  <=>  basis^T phi^T = 0.
-        ker = self.basis.transpose().kernel()
-        return ker.basis.transpose()
+        # phi(basis) = 0  <=>  phi lies in the null space of the basis rows,
+        # which are already in reduced row echelon form.
+        p, n = self.field.p, self.ambient_dim
+        ker = Subspace._from_values(self.field, n,
+                                    _null_vectors(p, self._vectors, self._pivots, n))
+        return Matrix._from_values(self.field, ker._vectors, cols=n)
 
     def apply(self, mat: Matrix) -> "Subspace":
         """The image subspace mat(self)."""
+        if mat.field != self.field:
+            raise MixedFieldError("matrices over different fields")
         if mat.cols != self.ambient_dim:
             raise ValueError("matrix does not act on this ambient space")
-        return (mat * self.basis).image()
+        p = self.field.p
+        return Subspace._from_values(self.field, mat.rows,
+                                     [_matvec(p, mat.values, v) for v in self._vectors])
 
     def _check(self, other: "Subspace") -> None:
         if self.field != other.field:

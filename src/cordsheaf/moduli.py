@@ -21,10 +21,11 @@ from typing import Iterable, Sequence
 from .braid import BraidWord, component_map, geometry
 from .cordaug import (AugCandidate, canonical_form, degenerate_components,
                       index_sets, passes_fast)
-from .correspondence import (_roundtrip_sheaf, aug_to_sheaf, aug_to_subsheaf,
-                             choose_trivialization, roundtrip_aug, sheaf_to_aug)
+from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf,
+                             aug_to_sheaf, aug_to_subsheaf, choose_trivialization,
+                             sheaf_to_aug)
 from .field import FieldSpec
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _sub
 from .sheafmodel import (SheafData, global_sections, is_reduced, isomorphic,
                          stabilized_space, validate)
 
@@ -55,22 +56,19 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     if space > budget:
         raise BudgetExceededError(space, budget)
 
-    n, r = braid.n, cm.r
+    n, r, p = braid.n, cm.r, field.p
     units = list(field.elements(nonzero=True))
-    everything = list(field.elements())
-    one = field.one()
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    # the off-diagonal residues, row by row: row i is values[a:b] + (R[i][i],)
+    # + values[b:c]
+    cuts = [(i * (n - 1), i * n, (i + 1) * (n - 1)) for i in range(n)]
     out = []
     for mu in itertools.product(units, repeat=r):
-        diag = [one - mu[cm.component(i + 1) - 1] for i in range(n)]
+        diag = [_sub(p, 1, mu[s - 1].value) for s in cm.labels]
         for lam in itertools.product(units, repeat=r):
-            for values in itertools.product(everything, repeat=len(off_diag)):
-                rows = [[None] * n for _ in range(n)]
-                for i in range(n):
-                    rows[i][i] = diag[i]
-                for (i, j), v in zip(off_diag, values):
-                    rows[i][j] = v
-                cand = AugCandidate(field, cm, Matrix(field, rows), lam, mu)
+            for values in itertools.product(range(p), repeat=n * (n - 1)):
+                R = Matrix._from_values(field, [values[a:b] + (x,) + values[b:c]
+                                                for x, (a, b, c) in zip(diag, cuts)])
+                cand = AugCandidate(field, cm, R, lam, mu)
                 if passes_fast(cand, geom):
                     out.append(cand)
     return out
@@ -187,8 +185,9 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     report.notes.append(
         f"{len(report.aug_points)} candidates, {len(report.orbits)} dilation orbits")
 
+    # enumerate_augs kept only candidates passing the relation certificate
     for idx, cand in enumerate(report.aug_points):
-        diff = roundtrip_aug(cand, braid)
+        diff = _roundtrip_layout(_AugLayout(cand), braid)
         if not diff.empty:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
 

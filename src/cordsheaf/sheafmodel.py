@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
 from .field import FieldSpec, Scalar
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _identity, _matmul, _matvec
 from .reports import ValidationReport
 
 
@@ -98,10 +98,18 @@ class SheafData:
 
     def transport(self, word: MeridianWord) -> Matrix:
         """rho(word): ordered product of meridian matrices over the letters."""
-        out = Matrix.identity(self.field, self.N)
-        for s, e in word.letters:
-            out = out * self.meridian_matrix(s, e)
-        return out
+        p, N = self.field.p, self.N
+        mats = [self.meridian_matrix(s, e).values for s, e in word.letters]
+        out = mats[0] if mats else _identity(p, N)
+        for mat in mats[1:]:
+            out = _matmul(p, out, mat, N)
+        return Matrix._from_values(self.field, out, cols=N)
+
+    def _transport_vector(self, word: MeridianWord, vec) -> list:
+        """rho(word) applied to a vector of field values."""
+        for s, e in reversed(word.letters):
+            vec = _matvec(self.field.p, self.meridian_matrix(s, e).values, vec)
+        return list(vec)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SheafData)
@@ -174,13 +182,14 @@ def validate(sheaf: SheafData) -> ValidationReport:
             report.fail("wirtinger", f"m_{q}", rhs.to_json(), lhs.to_json())
 
     # meridians act trivially on their own stalk
+    p = sheaf.field.p
     for i in range(1, n + 1):
         M_i = sheaf.M[i - 1]
-        for w in sheaf.W[i - 1].basis_columns():
-            got = M_i * Matrix.column(sheaf.field, w)
-            if got != Matrix.column(sheaf.field, w):
+        for w in sheaf.W[i - 1]._vectors:
+            got = _matvec(p, M_i.values, w)
+            if tuple(got) != w:
                 report.fail("meridian-triviality", f"M[{i}] on W[{i}]",
-                            list(map(str, w)), got.to_json())
+                            list(map(str, w)), [[str(x)] for x in got])
                 break
 
     # longitude segments carry stalk subspaces into each other
@@ -287,8 +296,9 @@ def _split_constant_summand_exists(sheaf: SheafData) -> bool:
     eye = Matrix.identity(field, N)
     stacked_rows = []
     for mat in sheaf.M:
-        stacked_rows.extend((eye - mat).entries)
-    fixed = Matrix(field, stacked_rows).kernel() if stacked_rows else Subspace.full(field, N)
+        stacked_rows.extend((eye - mat).values)
+    fixed = (Matrix._from_values(field, stacked_rows).kernel() if stacked_rows
+             else Subspace.full(field, N))
     if fixed.dim == 0:
         return False
     comps = sheaf.components

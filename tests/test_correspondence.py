@@ -133,10 +133,11 @@ def test_layout_pivots_match_greedy_definition():
                         spanned = Subspace.from_vectors(
                             field, n, [cols[p - 1] for p in lay.pivots if p < j])
                         assert spanned.contains(cols[j - 1])
-                    # the coordinates rebuild the column from the pivot columns
+                    # the coordinates (field values) rebuild the column from
+                    # the pivot columns
                     rebuilt = [field.zero()] * n
                     for c, p in zip(lay.coords[j], lay.pivots):
-                        rebuilt = [a + c * b for a, b in zip(rebuilt, cols[p - 1])]
+                        rebuilt = [a + field.scalar(c) * b for a, b in zip(rebuilt, cols[p - 1])]
                     assert tuple(rebuilt) == cols[j - 1]
 
 

@@ -1,6 +1,10 @@
+import itertools
 import random
+from fractions import Fraction
 
-from cordsheaf.field import FieldSpec
+import pytest
+
+from cordsheaf.field import FieldSpec, MixedFieldError, Scalar
 from cordsheaf.linalg import Matrix, Subspace
 
 F5 = FieldSpec.prime(5)
@@ -136,3 +140,253 @@ def test_matrix_json_roundtrip():
     m = Matrix.from_rows(QQ, [[1, -2], [3, 4]])
     m2 = Matrix.from_json(QQ, m.to_json())
     assert m == m2
+
+
+def test_matrix_equality_and_hash_see_shape():
+    a, b = Matrix.zeros(F3, 0, 2), Matrix.zeros(F3, 0, 3)
+    assert a != b
+    assert hash(a) != hash(b)
+    assert len({a, b, Matrix.zeros(F3, 0, 2)}) == 2
+    assert Matrix.zeros(F3, 2, 0) != Matrix.zeros(F3, 3, 0)
+    assert Matrix.zeros(F3, 0, 2) == Matrix.zeros(F3, 0, 2)
+
+
+# -- the value kernels against a Scalar-by-Scalar reference ------------------------
+#
+# Every reference below works on lists of Scalars with the field's own
+# operators, and shares no code with linalg.
+
+F2 = FieldSpec.prime(2)
+F7 = FieldSpec.prime(7)
+FIELDS = (F2, F3, F5, F7, QQ)
+
+
+def rand_scalar(field, rng):
+    if field.is_prime_field:
+        return field.scalar(rng.randrange(field.p))
+    if rng.random() < 0.3:
+        return field.zero()
+    return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def rand_rows(field, rows, cols, rng):
+    # sparse often enough that rank drops and pivots skip columns
+    zero_share = rng.choice((0.0, 0.4, 0.8))
+    return [[field.zero() if rng.random() < zero_share else rand_scalar(field, rng)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def ref_rref(field, rows, cols):
+    m = [list(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def ref_span(field, vectors, n):
+    """Canonical basis of a span: the nonzero rows of the RREF."""
+    red, pivots = ref_rref(field, vectors, n)
+    return [tuple(row) for row in red[:len(pivots)]]
+
+
+def ref_null(field, rows, cols):
+    red, pivots = ref_rref(field, rows, cols)
+    out = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [field.zero()] * cols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        out.append(v)
+    return ref_span(field, out, cols)
+
+
+def ref_det(field, rows):
+    n = len(rows)
+    total = field.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = -field.one() if inversions % 2 else field.one()
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def ref_solve(field, rows, cols, rhs):
+    red, pivots = ref_rref(field, [list(r) + [b] for r, b in zip(rows, rhs)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [field.zero()] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return tuple(x)
+
+
+def ref_mul(field, a, b, inner, cols):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            acc = field.zero()
+            for k in range(inner):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return out
+
+
+def scalars(m):
+    """The entries of m, checked to be canonical Scalars of m's field."""
+    rows = m.entries
+    assert len(rows) == m.rows and all(len(row) == m.cols for row in rows)
+    for row in rows:
+        for x in row:
+            assert isinstance(x, Scalar) and x.field == m.field
+            if m.field.is_prime_field:
+                assert type(x.value) is int and 0 <= x.value < m.field.p
+            else:
+                assert type(x.value) is Fraction
+    return [list(row) for row in rows]
+
+
+def basis(sub):
+    scalars(sub.basis)
+    return [tuple(v) for v in sub.basis_columns()]
+
+
+def test_value_kernels_match_scalar_reference():
+    rng = random.Random(9)
+    for field in FIELDS:
+        for _ in range(60):
+            r, c, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+            rows = rand_rows(field, r, c, rng)
+            m = Matrix(field, rows, cols=c)
+            assert scalars(m) == rows and (m.rows, m.cols) == (r, c)
+
+            # products, transpose, hstack
+            other_rows = rand_rows(field, c, k, rng)
+            prod = m * Matrix(field, other_rows, cols=k)
+            assert (prod.rows, prod.cols) == (r, k)
+            assert scalars(prod) == [list(x) for x in ref_mul(field, rows, other_rows, c, k)]
+            t = m.transpose()
+            assert (t.rows, t.cols) == (c, r)
+            assert scalars(t) == [[rows[i][j] for i in range(r)] for j in range(c)]
+            side_rows = rand_rows(field, r, k, rng)
+            h = m.hstack(Matrix(field, side_rows, cols=k))
+            assert (h.rows, h.cols) == (r, c + k)
+            assert scalars(h) == [a + b for a, b in zip(rows, side_rows)]
+            same = Matrix(field, rand_rows(field, r, c, rng), cols=c)
+            assert scalars(m + same) == [[a + b for a, b in zip(x, y)]
+                                         for x, y in zip(rows, scalars(same))]
+            assert scalars(m - same) == [[a - b for a, b in zip(x, y)]
+                                         for x, y in zip(rows, scalars(same))]
+            s = rand_scalar(field, rng)
+            assert scalars(m.scaled(s)) == [[s * a for a in row] for row in rows]
+
+            # elimination
+            red, pivots = m.rref()
+            want_red, want_pivots = ref_rref(field, rows, c)
+            assert scalars(red) == want_red and list(pivots) == want_pivots
+            assert m.rank() == len(want_pivots)
+            assert basis(m.kernel()) == ref_null(field, rows, c)
+            assert basis(m.image()) == ref_span(field, [list(col) for col in zip(*rows)]
+                                                if r else [[]] * c, r)
+            rhs = [rand_scalar(field, rng) for _ in range(r)]
+            got = m.solve(Matrix.column(field, rhs)) if r else m.solve(Matrix.zeros(field, 0, 1))
+            want = ref_solve(field, rows, c, rhs)
+            assert got == want
+            assert got is None or all(isinstance(x, Scalar) and x.field == field for x in got)
+
+            # square matrices
+            sq = Matrix(field, rand_rows(field, r, r, rng), cols=r)
+            sq_rows = scalars(sq)
+            assert sq.det() == ref_det(field, sq_rows)
+            if sq.det().is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    sq.inverse()
+            else:
+                red, _ = ref_rref(field, [row + [field.one() if i == j else field.zero()
+                                                 for j in range(r)]
+                                          for i, row in enumerate(sq_rows)], 2 * r)
+                assert scalars(sq.inverse()) == [row[r:] for row in red]
+
+
+def test_subspace_operations_match_scalar_reference():
+    rng = random.Random(10)
+    for field in FIELDS:
+        for _ in range(60):
+            n = rng.randint(0, 4)
+            gens_u = rand_rows(field, rng.randint(0, 3), n, rng)
+            gens_v = rand_rows(field, rng.randint(0, 3), n, rng)
+            U = Subspace.from_vectors(field, n, gens_u)
+            V = Subspace.from_vectors(field, n, gens_v)
+            assert basis(U) == ref_span(field, gens_u, n)
+            assert U.dim == len(basis(U)) and U.basis.rows == n
+            assert basis(U.sum(V)) == ref_span(field, gens_u + gens_v, n)
+            # U cap V as the annihilator of ann(U) + ann(V), computed apart
+            ann = ref_null(field, basis(U), n) + ref_null(field, basis(V), n)
+            assert basis(U.intersect(V)) == ref_null(field, ann, n)
+            assert scalars(U.annihilator()) == [list(v) for v in ref_null(field, basis(U), n)]
+            assert U.annihilator().cols == n
+
+            # coordinates of a vector inside U, and of one that may not be
+            coeffs = [rand_scalar(field, rng) for _ in range(U.dim)]
+            inside = [field.zero()] * n
+            for c, v in zip(coeffs, basis(U)):
+                inside = [a + c * b for a, b in zip(inside, v)]
+            assert U.contains(inside)
+            assert U.coordinates(inside) == tuple(coeffs)
+            probe = [rand_scalar(field, rng) for _ in range(n)]
+            cols = [list(col) for col in zip(*basis(U))] if U.dim else [[]] * n
+            want = ref_solve(field, cols, U.dim, probe)
+            assert U.coordinates(probe) == want
+            assert U.contains(probe) == (want is not None)
+            assert U.contains_subspace(U.intersect(V))
+
+            # image under a map
+            k = rng.randint(0, 3)
+            mat_rows = rand_rows(field, k, n, rng)
+            image = U.apply(Matrix(field, mat_rows, cols=n))
+            moved = ref_mul(field, mat_rows, [list(col) for col in zip(*basis(U))]
+                            if U.dim else [[] for _ in range(n)], n, U.dim)
+            assert basis(image) == ref_span(field, [list(col) for col in zip(*moved)]
+                                            if k else [[]] * U.dim, k)
+
+
+def test_mixed_fields_rejected_at_the_boundary():
+    a = Matrix.identity(F3, 2)
+    b = Matrix.identity(F5, 2)
+    with pytest.raises(MixedFieldError):
+        Matrix(F3, [[F3.one(), F5.one()], [F3.one(), F3.one()]])
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.hstack(b),
+               lambda: a.solve(Matrix.column(F5, [F5.one(), F5.one()])),
+               lambda: a.scaled(F5.one()),
+               lambda: Subspace.full(F3, 2).sum(Subspace.full(F5, 2)),
+               lambda: Subspace.full(F3, 2).intersect(Subspace.full(F5, 2)),
+               lambda: Subspace.full(F3, 2).contains([F5.one(), F5.one()]),
+               lambda: Subspace.from_vectors(F3, 2, [[F5.one(), F5.one()]])):
+        with pytest.raises(MixedFieldError):
+            op()
+
+
+def test_accessors_return_scalars_of_the_matrix_field():
+    for field in FIELDS:
+        m = Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3]])
+        for x in (m[1, 2], *m.row(0), *m.col(1), *(x for row in m.entries for x in row)):
+            assert isinstance(x, Scalar) and x.field == field
+        assert m[1, 1] == -field.one()
+        assert m.row(1) == tuple(m.entries[1])
+        assert m.col(2) == (field.zero(), field.scalar(3))

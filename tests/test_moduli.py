@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cordsheaf.braid import BraidWord, component_map
-from cordsheaf.cordaug import (DilationParam, apply_dilation,
+from cordsheaf.cordaug import (DilationParam, apply_dilation, check_relations,
                                degenerate_components, zero_row_components)
 from cordsheaf.correspondence import aug_to_sheaf
 from cordsheaf.field import FieldSpec
@@ -15,6 +15,7 @@ from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
 
 UNKNOT = BraidWord(1, [])
 UNLINK2 = BraidWord(2, [])
@@ -89,6 +90,18 @@ def test_hopf_component_swap_symmetry():
         R2 = ((R[1][1], R[1][0]), (R[0][1], R[0][0]))
         swapped.add((R2, (lam[1], lam[0]), (mu[1], mu[0])))
     assert keys == swapped
+
+
+def test_enumerated_candidates_pass_the_full_certificate():
+    # verify_bijection round-trips enumerated candidates without certifying
+    # them again, which relies on this
+    for braid, field in ((UNLINK2, F7), (UNLINK2, F5), (UNLINK3, F2), (TREFOIL, F5),
+                         (HOPF, F5)):
+        pts = enumerate_augs(braid, field)
+        assert pts
+        for cand in pts:
+            report = check_relations(cand, braid, full=True)
+            assert report.ok, (braid, field, cand, report.failures[:3])
 
 
 def test_verify_bijection_clean_cases():
