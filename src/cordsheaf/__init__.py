@@ -17,7 +17,8 @@ from .correspondence import (InvalidTrivializationError, LocalTrivialization,
                              canonical_trivialization, choose_trivialization,
                              extend_by_constant, pure_cord_trace, roundtrip_aug,
                              roundtrip_sheaf, sheaf_to_aug)
-from .field import FieldSpec, MixedFieldError, NotEnumerableError, Scalar, enumerate_scalars
+from .field import (FieldSpec, MixedFieldError, NotEnumerableError, Scalar,
+                    WireFormatError, enumerate_scalars)
 from .linalg import Matrix, Subspace
 from .moduli import (BudgetExceededError, ComparisonReport, ModuliReport, Orbit,
                      enumerate_augs, enumerate_sheaf_moduli,

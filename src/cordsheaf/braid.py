@@ -33,6 +33,23 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+from .field import WireFormatError, wire_get
+
+# Letters the expanded words of one BraidGeometry may hold.  Words grow
+# exponentially with crossings: (s1 s2^-1)^12 on 3 strands holds about
+# 450 000, and 32 crossings of that braid about 20 million.
+MAX_LETTERS = 10 ** 6
+
+
+class BudgetExceededError(RuntimeError):
+    """An input needs more work than a fixed budget allows."""
+
+    def __init__(self, space: int, budget: int, unit: str = "tuples",
+                 what: str = "search space"):
+        super().__init__(f"{what} of {space} {unit} exceeds the budget {budget}")
+        self.space = space
+        self.budget = budget
+
 
 class NonMonotoneComponentsError(ValueError):
     """Cycle labels cannot be made non-decreasing without relabeling strands."""
@@ -147,8 +164,16 @@ class BraidWord:
         return {"n": self.n, "word": list(self.word)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "BraidWord":
-        return cls(data["n"], data["word"])
+    def from_json(cls, data: dict, path: str = "$") -> "BraidWord":
+        n = wire_get(data, "n", path, int)
+        if n < 1:
+            raise WireFormatError(f"{path}.n", f"strand count must be >= 1, got {n}")
+        word = wire_get(data, "word", path, list)
+        for k, g in enumerate(word):
+            if type(g) is not int or not 0 < abs(g) < n:
+                raise WireFormatError(f"{path}.word[{k}]",
+                                      f"expected a generator in +-1..{n - 1}, got {g!r}")
+        return cls(n, word)
 
 
 class ComponentMap:
@@ -302,6 +327,7 @@ class BraidGeometry:
         occupant = list(range(1, n + 1))
         contributions: dict[int, list[MeridianWord]] = {i: [] for i in range(1, n + 1)}
         writhe = [0] * self.components.r
+        letters = n  # held by theta and the contributions
         for g in braid.word:
             k = abs(g) - 1
             if g > 0:
@@ -314,7 +340,11 @@ class BraidGeometry:
             cu = self.components.component(under_strand)
             if cu == self.components.component(over_strand):
                 writhe[cu - 1] += 1 if g > 0 else -1
+            letters += len(over_word) - len(theta[k]) - len(theta[k + 1])
             _positional_step(theta, g)
+            letters += len(theta[k]) + len(theta[k + 1])
+            if letters > MAX_LETTERS:
+                raise BudgetExceededError(letters, MAX_LETTERS, "letters", "braid geometry")
             occupant[k], occupant[k + 1] = occupant[k + 1], occupant[k]
 
         self.transported = tuple(theta)

@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .braid import BraidGeometry, BraidWord, ComponentMap, MeridianWord, geometry
-from .field import FieldSpec, MixedFieldError, Scalar
+from .field import (FieldSpec, MixedFieldError, Scalar, WireFormatError, wire_get,
+                    wire_units)
 from .linalg import Matrix, _axpy, _identity, _inv, _mul, _one, _scale, _sub
 from .reports import ValidationReport
 
@@ -105,11 +106,18 @@ class AugCandidate:
 
     @classmethod
     def from_json(cls, data: dict) -> "AugCandidate":
-        field = FieldSpec.from_json(data["field"])
-        components = ComponentMap(data["n"], data["component_map"])
-        R = Matrix.from_json(field, data["R"], rows=data["n"], cols=data["n"])
-        lam = [field.from_str(x) for x in data["lambda"]]
-        mu = [field.from_str(x) for x in data["mu"]]
+        field = FieldSpec.from_json(wire_get(data, "field", "$"), "$.field")
+        n = wire_get(data, "n", "$", int)
+        if n < 1:
+            raise WireFormatError("$.n", f"strand count must be >= 1, got {n}")
+        labels = wire_get(data, "component_map", "$", list)
+        if len(labels) != n or any(type(s) is not int or s < 1 for s in labels):
+            raise WireFormatError("$.component_map",
+                                  f"expected {n} component labels >= 1, got {labels}")
+        components = ComponentMap(n, labels)
+        R = Matrix.from_json(field, wire_get(data, "R", "$"), n, n, "$.R")
+        lam, mu = (wire_units(field, wire_get(data, key, "$"), f"$.{key}", components.r)
+                   for key in ("lambda", "mu"))
         return cls(field, components, R, lam, mu)
 
 

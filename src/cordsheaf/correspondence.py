@@ -381,8 +381,14 @@ class _AugLayout:
 
 
 def _certified_layout(cand: AugCandidate, braid: BraidWord) -> _AugLayout:
-    """The layout of cand, after the relation certificate has passed."""
-    report = check_relations(cand, braid)
+    """The layout of cand, after the relation certificate has passed.
+
+    The certificate skips the meridian and skein families (full=False),
+    and the report is the full one all the same: those families hold
+    identically once the diagonal normalization holds, and when the
+    normalization fails the certificate stops before them in either mode.
+    """
+    report = check_relations(cand, braid, full=False)
     if not report.ok:
         raise NotAnAugmentationError(report)
     return _AugLayout(cand)

@@ -10,7 +10,13 @@ rather than Scalars, and compute on them directly; a Scalar is made only
 where a value leaves through the API.
 
 The wire format is the decimal residue for prime fields and ``num/den``
-for rationals; ``FieldSpec.from_str`` parses it back.
+for rationals.  One parser, ``FieldSpec.parse``, reads it back straight to
+a canonical value: any integer (reduced mod p over F_p) or ``a/b`` (over
+F_p, a times the inverse of b).  ``FieldSpec.from_str`` wraps its value in a
+Scalar, and the checked readers below (``wire_get``, ``wire_rows``,
+``wire_unit``) build every ``from_json`` of the package on it: they check
+keys, types and shapes, ignore unknown keys, and raise ``WireFormatError``
+naming the JSON path of the fault.
 """
 
 from __future__ import annotations
@@ -25,6 +31,15 @@ class MixedFieldError(ValueError):
 
 class NotEnumerableError(ValueError):
     """Raised when asked to enumerate an infinite field."""
+
+
+class WireFormatError(ValueError):
+    """A malformed wire document; the message starts with the JSON path of
+    the fault, such as ``$.R[1][0]``."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"{path}: {problem}")
+        self.path = path
 
 
 def is_prime(p: int) -> bool:
@@ -106,13 +121,30 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.scalar(1)
 
+    def parse(self, text: str) -> int | Fraction:
+        """The canonical value of a scalar string of the wire format.
+
+        Raises ValueError on anything else, including a denominator that
+        vanishes in this field.
+        """
+        if type(text) is not str:
+            raise ValueError(f"expected a scalar string, got {_kind(text)}")
+        p = self.p
+        if "/" not in text:
+            return int(text) % p if p else Fraction(int(text))
+        num, den = text.split("/")
+        if not int(den):
+            raise ValueError(f"zero denominator in {text.strip()!r}")
+        q = Fraction(int(num), int(den))
+        if not p:
+            return q
+        if not q.denominator % p:
+            raise ValueError(f"denominator of {text.strip()!r} is divisible by {p}")
+        return q.numerator * pow(q.denominator, -1, p) % p
+
     def from_str(self, text: str) -> "Scalar":
-        """Parse the wire format: decimal residue, or num/den for rationals."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            return self.scalar(Fraction(int(num), int(den)))
-        return self.scalar(int(text))
+        """Parse the wire format: decimal residue, or num/den."""
+        return Scalar(self, self.parse(text))
 
     def elements(self, nonzero: bool = False) -> Iterator["Scalar"]:
         """All field elements in residue order (prime fields only)."""
@@ -127,8 +159,88 @@ class FieldSpec:
         return {"kind": "rationals"}
 
     @classmethod
-    def from_json(cls, data: dict) -> "FieldSpec":
-        return cls(data["kind"], data.get("p"))
+    def from_json(cls, data: dict, path: str = "$") -> "FieldSpec":
+        kind = wire_get(data, "kind", path, str)
+        if kind == "prime":
+            p = wire_get(data, "p", path, int)
+            if not is_prime(p):
+                raise WireFormatError(f"{path}.p", f"characteristic must be prime, got {p}")
+            return cls.prime(p)
+        if kind != "rationals":
+            raise WireFormatError(f"{path}.kind", f"unknown field kind {kind!r}")
+        if data.get("p") is not None:
+            raise WireFormatError(f"{path}.p", "rationals take no characteristic")
+        return cls.rationals()
+
+
+# -- checked readers of the wire format ---------------------------------------------
+
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+          float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _kind(x) -> str:
+    return _KINDS.get(type(x), type(x).__name__)
+
+
+def wire_get(data, key: str, path: str, kind: type | None = None):
+    """data[key] for the JSON object data at path, checked to be of the
+    given kind (dict, list, str or int) if one is given."""
+    if type(data) is not dict:
+        raise WireFormatError(path, f"expected an object, got {_kind(data)}")
+    if key not in data:
+        raise WireFormatError(path, f"missing key {key!r}")
+    value = data[key]
+    if kind is not None and type(value) is not kind:
+        raise WireFormatError(f"{path}.{key}", f"expected {_KINDS[kind]}, got {_kind(value)}")
+    return value
+
+
+def wire_rows(field: FieldSpec, data, path: str, rows: int | None = None,
+              cols: int | None = None) -> tuple:
+    """The rows of canonical values of a JSON matrix of scalar strings,
+    checked to be rectangular, and rows x cols where those are given."""
+    if type(data) is not list:
+        raise WireFormatError(path, f"expected an array of rows, got {_kind(data)}")
+    if rows is not None and len(data) != rows:
+        raise WireFormatError(path, f"expected {rows} rows, got {len(data)}")
+    if cols is None:
+        cols = len(data[0]) if data and type(data[0]) is list else 0
+    parse = field.parse
+    out = []
+    for i, row in enumerate(data):
+        if type(row) is not list or len(row) != cols:
+            got = f"{len(row)} entries" if type(row) is list else _kind(row)
+            raise WireFormatError(f"{path}[{i}]", f"expected a row of {cols} scalars, got {got}")
+        try:
+            out.append(tuple(map(parse, row)))
+        except ValueError:
+            for j, x in enumerate(row):
+                _value_at(field, x, f"{path}[{i}][{j}]")
+    return tuple(out)
+
+
+def wire_units(field: FieldSpec, data, path: str, count: int) -> list["Scalar"]:
+    """The Scalars of a JSON array of count nonzero scalar strings."""
+    if type(data) is not list or len(data) != count:
+        got = f"{len(data)} entries" if type(data) is list else _kind(data)
+        raise WireFormatError(path, f"expected an array of {count} scalars, got {got}")
+    return [wire_unit(field, x, f"{path}[{k}]") for k, x in enumerate(data)]
+
+
+def wire_unit(field: FieldSpec, text, path: str) -> "Scalar":
+    """The Scalar of a nonzero scalar string."""
+    value = _value_at(field, text, path)
+    if not value:
+        raise WireFormatError(path, "must be a unit, got 0")
+    return Scalar(field, value)
+
+
+def _value_at(field: FieldSpec, text, path: str):
+    try:
+        return field.parse(text)
+    except ValueError as err:
+        raise WireFormatError(path, str(err)) from None
 
 
 def enumerate_scalars(spec: FieldSpec, nonzero: bool = False) -> list["Scalar"]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .field import FieldSpec, MixedFieldError, Scalar
+from .field import FieldSpec, MixedFieldError, Scalar, wire_rows
 
 # -- raw kernels on field values ---------------------------------------------------
 #
@@ -450,11 +450,10 @@ class Matrix:
 
     @classmethod
     def from_json(cls, field: FieldSpec, data: Sequence[Sequence[str]],
-                  rows: int | None = None, cols: int | None = None) -> "Matrix":
-        m = cls(field, [[field.from_str(x) for x in row] for row in data])
-        if rows is not None and (m.rows, m.cols) != (rows, cols):
-            raise ValueError(f"expected {rows}x{cols} matrix, got {m.rows}x{m.cols}")
-        return m
+                  rows: int | None = None, cols: int | None = None,
+                  path: str = "$") -> "Matrix":
+        """Decode a matrix, checked to be rows x cols where those are given."""
+        return cls._from_values(field, wire_rows(field, data, path, rows, cols), cols=cols)
 
 
 class Subspace:
@@ -631,8 +630,7 @@ class Subspace:
 
     @classmethod
     def from_json(cls, field: FieldSpec, ambient_dim: int,
-                  data: Sequence[Sequence[str]]) -> "Subspace":
-        if not data or not data[0]:
-            return cls.zero(field, ambient_dim)
-        mat = Matrix.from_json(field, data)
-        return mat.image()
+                  data: Sequence[Sequence[str]], path: str = "$") -> "Subspace":
+        """The span of the columns of a basis matrix with ambient_dim rows."""
+        rows = wire_rows(field, data, path, ambient_dim)
+        return cls._from_values(field, ambient_dim, _transpose(rows, 0))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .braid import BraidWord, component_map, geometry
+from .braid import BraidWord, BudgetExceededError, component_map, geometry
 from .cordaug import (AugCandidate, canonical_form, degenerate_components,
                       index_sets, passes_fast)
 from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf,
@@ -30,13 +30,6 @@ from .sheafmodel import (SheafData, global_sections, is_reduced, isomorphic,
                          stabilized_space, validate)
 
 DEFAULT_BUDGET = 10 ** 8
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, space: int, budget: int):
-        super().__init__(f"search space of {space} tuples exceeds the budget {budget}")
-        self.space = space
-        self.budget = budget
 
 
 def search_space_size(braid: BraidWord, field: FieldSpec) -> int:
@@ -191,8 +184,9 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
         if not diff.empty:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
 
+    # each orbit representative is itself an enumerated candidate
     for k, orbit in enumerate(report.orbits):
-        sheaf = aug_to_sheaf(orbit.rep, braid)
+        sheaf = _AugLayout(orbit.rep).sheaf(braid)
         vrep = validate(sheaf)
         if not vrep.ok:
             report.fail("invalid-sheaf", f"orbit {k}", vrep.failures[:4])

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cordsheaf.braid import (BraidWord, MeridianWord, NonMonotoneComponentsError,
-                             artin_action, component_map, longitude_word,
+from cordsheaf.braid import (BraidGeometry, BraidWord, BudgetExceededError, MeridianWord,
+                             NonMonotoneComponentsError, artin_action, component_map, longitude_word,
                              permutation, relabel_for_components, segment_word,
                              wirtinger_relations)
 
@@ -203,3 +203,13 @@ def test_meridian_word_reduction():
     assert w == MeridianWord.generator(1)
     assert (w * w.inverse()).is_identity()
     assert MeridianWord.generator(1) ** -3 == MeridianWord([(1, -1)] * 3)
+
+
+def test_geometry_letter_cap():
+    # (s1 s2^-1)^12 expands to 300 099 letters of transported meridians and
+    # 150 048 of segment contributions, under the cap; 32 crossings of it
+    # would hold about 20 million
+    geom = BraidGeometry(BraidWord(3, [1, -2] * 12))
+    assert sum(map(len, geom.transported)) == 300099
+    with pytest.raises(BudgetExceededError, match="letters exceeds the budget"):
+        BraidGeometry(BraidWord(3, [1, -2] * 16))

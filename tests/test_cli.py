@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cordsheaf.cli import main
 
 
@@ -121,3 +123,89 @@ def test_deterministic_output(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# -- malformed documents -----------------------------------------------------------------
+
+# a trefoil candidate over F5 and the reply of its `sheaf` request (N = 2)
+AUG = {"field": {"kind": "prime", "p": 5}, "n": 2, "r": 1, "component_map": [1, 1],
+       "R": [["3", "4"], ["3", "3"]], "lambda": ["3"], "mu": ["3"]}
+TREFOIL = ("--braid", "1 1 1", "--strands", "2")
+
+
+def _sheaf_reply(tmp_path, capsys):
+    aug_file = tmp_path / "aug.json"
+    aug_file.write_text(json.dumps(AUG))
+    code, out = run(capsys, "sheaf", "--aug", str(aug_file), *TREFOIL)
+    assert code == 0
+    return json.loads(out)
+
+
+def _set(keys, value):
+    def change(doc):
+        *outer, last = keys
+        for k in outer:
+            doc = doc[k]
+        doc[last] = value
+    return change
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+MALFORMED = [
+    # (verb, change to the valid document or a replacement, JSON path)
+    ("sheaf", {}, "$"),
+    ("sheaf", [], "$"),
+    ("to-aug", {}, "$"),
+    ("to-aug", [], "$"),
+    ("sheaf", _set(["R", 0, 0], 3), "$.R[0][0]"),
+    ("to-aug", _set(["M", 1, 0, 1], 0), "$.M[1][0][1]"),
+    ("sheaf", _drop("field"), "$"),
+    ("to-aug", _drop("field"), "$"),
+    ("sheaf", _set(["field", "p"], 4), "$.field.p"),
+    ("to-aug", _set(["field", "p"], 4), "$.field.p"),
+    ("sheaf", _set(["R", 1], ["3"]), "$.R[1]"),
+    ("to-aug", _set(["M", 0], [["3", "1"]]), "$.M[0]"),
+    ("to-aug", _set(["M", 0], [["3", "1", "0"], ["0", "1", "0"]]), "$.M[0][0]"),
+    ("to-aug", {"field": {"kind": "prime", "p": 5}, "braid": {"n": 1, "word": []},
+                "N": 0, "M": [[["1", "0"]]], "W": [[]], "deg": []}, "$.M[0]"),
+    ("to-aug", _set(["deg"], [{"component": 1, "alpha": "0"}]), "$.deg[0].alpha"),
+    ("sheaf", _set(["mu", 0], "0"), "$.mu[0]"),
+    ("sheaf", _set(["lambda", 0], "10"), "$.lambda[0]"),
+    ("to-aug", _set(["braid", "word", 1], "1"), "$.braid.word[1]"),
+    ("to-aug", _set(["braid", "word", 0], 1.5), "$.braid.word[0]"),
+]
+
+
+@pytest.mark.parametrize("verb, change, path", MALFORMED)
+def test_malformed_documents_exit_2_with_the_json_path(tmp_path, capsys, verb, change, path):
+    if callable(change):
+        doc = _sheaf_reply(tmp_path, capsys) if verb == "to-aug" else json.loads(json.dumps(AUG))
+        change(doc)
+    else:
+        doc = change
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    if verb == "sheaf":
+        code = main(["sheaf", "--aug", str(doc_file), *TREFOIL])
+    else:
+        code = main(["to-aug", "--sheaf", str(doc_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"input error: {path}: " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_geometry_budget_exit_code(tmp_path, capsys):
+    # 40 crossings would expand to billions of letters; the cap stops the
+    # expansion near a million
+    aug = {"field": {"kind": "prime", "p": 3}, "n": 3, "r": 1, "component_map": [1, 1, 1],
+           "R": [["0", "0", "0"]] * 3, "lambda": ["1"], "mu": ["1"]}
+    aug_file = tmp_path / "aug.json"
+    aug_file.write_text(json.dumps(aug))
+    code = main(["sheaf", "--aug", str(aug_file), "--braid", "1 -2 " * 20, "--strands", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "budget exceeded: braid geometry of" in captured.err

@@ -395,3 +395,25 @@ def test_candidate_json_roundtrip():
     data = GOLDEN.to_json()
     again = AugCandidate.from_json(data)
     assert again == GOLDEN
+
+
+def test_full_and_fast_certificates_report_the_same_failures():
+    # _certified_layout certifies with full=False and reports what it finds
+    from cordsheaf.moduli import enumerate_augs
+    rng = random.Random(11)
+    accepted = rejected = 0
+    for braid in (HOPF, UNLINK3, BraidWord(2, [1, 1, 1]), BraidWord(3, [1, -2, 1, -2]),
+                  BraidWord(2, [1, 1, 1, 1]), BraidWord(3, [1, 1, 2])):
+        for field in (F3, F5):
+            cands = [random_candidate(field, braid, rng, normalize=k % 2 == 0)
+                     for k in range(100)]
+            if field == F3:
+                points = enumerate_augs(braid, field)
+                cands += rng.sample(points, min(20, len(points)))
+            for cand in cands:
+                full = check_relations(cand, braid)
+                fast = check_relations(cand, braid, full=False)
+                assert full.to_json() == fast.to_json()
+                accepted += full.ok
+                rejected += not full.ok
+    assert accepted >= 100 and rejected >= 1000

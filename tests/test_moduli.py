@@ -200,3 +200,15 @@ def test_moduli_report_json():
     assert data["aug_orbit_sizes"] == [1, 1, 1]
     assert data["failures"] == []
     assert len(data["bijection"]) == 3
+
+
+def test_orbit_representatives_are_enumerated_candidates():
+    # verify_bijection builds each representative's sheaf without certifying
+    # it, which relies on this
+    for braid, field in ((UNLINK2, F7), (UNLINK2, F5), (UNLINK3, F2), (TREFOIL, F5),
+                         (HOPF, F5), (BraidWord(2, [1, 1, 1, 1]), F5),
+                         (BraidWord(3, [1, -2, 1, -2]), F3)):
+        pts = enumerate_augs(braid, field)
+        keys = {(c.R, c.lam, c.mu) for c in pts}
+        for orbit in quotient_by_dilation(pts):
+            assert (orbit.rep.R, orbit.rep.lam, orbit.rep.mu) in keys, (braid, field)

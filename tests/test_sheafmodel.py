@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from cordsheaf.braid import BraidWord, component_map
+from cordsheaf.braid import BraidWord, component_map, geometry
 from cordsheaf.cordaug import AugCandidate
 from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
 from cordsheaf.field import FieldSpec
@@ -244,3 +244,42 @@ def test_sheaf_json_roundtrip():
     deg = SheafData(F3, BraidWord(1, []), 0, [Matrix(F3, [])],
                     [Subspace.zero(F3, 0)], [DegenerateSummand(1, F3.scalar(2))])
     assert SheafData.from_json(deg.to_json()) == deg
+
+
+def _compatibility_by_image(sheaf):
+    """The segment check written with the transport matrix: the image of
+    W_tau(i) under the segment's transport must equal W_i."""
+    geom = geometry(sheaf.braid)
+    failures = []
+    for i in range(1, sheaf.braid.n + 1):
+        moved = sheaf.W[geom.tau[i - 1] - 1].apply(sheaf.transport(geom.segments[i]))
+        if moved != sheaf.W[i - 1]:
+            failures.append({"family": "compatibility", "location": f"segment of strand {i}",
+                             "expected": str(sheaf.W[i - 1].to_json()),
+                             "got": str(moved.to_json())})
+    return failures
+
+
+def test_segment_check_matches_the_image_reference():
+    failing = passing = 0
+    for braid, field in ((UNLINK3, F3), (BraidWord(2, [1, 1]), F3), (BraidWord(2, [1, 1, 1]), F5),
+                         (BraidWord(3, [1, -2, 1, -2]), F3), (BraidWord(2, [1, 1, 1, 1]), F5),
+                         (BraidWord(3, [1, 1, 2]), F3)):
+        for cand in _pool(braid, field)[:80]:
+            sheaf = aug_to_sheaf(cand, braid)
+            variants = [sheaf]
+            for a, b in itertools.combinations(range(braid.n), 2):
+                W = list(sheaf.W)
+                W[a], W[b] = W[b], W[a]
+                variants.append(SheafData(field, braid, sheaf.N, sheaf.M, W, sheaf.deg))
+            for obj in variants:
+                report = validate(obj).to_json()
+                assert not any(f["family"] == "invertibility" for f in report["failures"])
+                want = [f for f in report["failures"] if f["family"] != "compatibility"]
+                want += _compatibility_by_image(obj)
+                assert report == {"failures": want, "notes": []}
+                if any(f["family"] == "compatibility" for f in want):
+                    failing += 1
+                else:
+                    passing += 1
+    assert failing >= 50 and passing >= 50

@@ -1,0 +1,121 @@
+"""The wire decoder: one parser from scalar strings to canonical values, and
+round trips of every document type through to_json and from_json."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cordsheaf.braid import BraidWord, component_map
+from cordsheaf.cordaug import AugCandidate
+from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
+from cordsheaf.field import FieldSpec, WireFormatError
+from cordsheaf.linalg import Matrix, Subspace
+from cordsheaf.moduli import enumerate_augs
+from cordsheaf.sheafmodel import SheafData
+
+F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
+QQ = FieldSpec.rationals()
+FIELDS = [F2, F3, F5, F7, QQ]
+
+
+def reference_value(field, text):
+    """The scalar parser as written on Scalars: Fraction arithmetic, then
+    FieldSpec.scalar."""
+    text = text.strip()
+    if "/" in text:
+        num, den = text.split("/")
+        return field.scalar(Fraction(int(num), int(den))).value
+    return field.scalar(int(text)).value
+
+
+TEXTS = ["0", "1", "4", "5", "7", "12", "-1", "-7", "-12", " 3 ", "+2", "1/2", "-3/4",
+         "7/3", "10/4", "6/9", "0/7", "-14/21", "5/5", "3/-6", "1/0", "0/0"]
+NOT_SCALARS = ["", "x", "1.5", "1/2/3", "/", "2/", 1, 1.0, None, True, ["1"], {"v": "1"}]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_parse_matches_the_scalar_reference(field):
+    rng = random.Random(5)
+    texts = TEXTS + [f"{rng.randint(-60, 60)}/{rng.choice([-1, 1]) * rng.randint(1, 30)}"
+                     for _ in range(300)]
+    texts += [str(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(100)]
+    for text in texts:
+        try:
+            want = reference_value(field, text)
+        except ZeroDivisionError:
+            # a denominator vanishing in the field is an input error
+            for parse in (field.parse, field.from_str):
+                with pytest.raises(ValueError):
+                    parse(text)
+            continue
+        got = field.parse(text)
+        assert got == want and type(got) is type(want), text
+        assert field.from_str(text).value == got
+    for text in NOT_SCALARS:
+        with pytest.raises(ValueError):
+            field.parse(text)
+
+
+def _random_value(field, rng):
+    if field.is_prime_field:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def _random_matrix(field, rng, rows, cols):
+    return Matrix._from_values(field, [[_random_value(field, rng) for _ in range(cols)]
+                                       for _ in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_matrix_and_subspace_roundtrip(field):
+    rng = random.Random(7)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        m = _random_matrix(field, rng, rows, cols)
+        assert Matrix.from_json(field, m.to_json(), rows, cols) == m
+        sub = m.image()
+        assert Subspace.from_json(field, rows, sub.to_json()) == sub
+        # any spanning set decodes to its span
+        assert Subspace.from_json(field, rows, m.to_json()) == sub
+    for n in range(4):
+        for sub in (Subspace.zero(field, n), Subspace.full(field, n)):
+            assert Subspace.from_json(field, n, sub.to_json()) == sub
+
+
+def test_candidate_and_sheaf_roundtrip():
+    rng = random.Random(3)
+    for braid, field in ((BraidWord(3, []), F3), (BraidWord(2, [1, 1, 1]), F5),
+                         (BraidWord(2, [1, 1]), F3), (BraidWord(3, [1, -2, 1, -2]), F3)):
+        for cand in enumerate_augs(braid, field):
+            assert AugCandidate.from_json(cand.to_json()) == cand
+            sheaf = aug_to_sheaf(cand, braid)
+            if rng.random() < 0.2:
+                sheaf = extend_by_constant(sheaf, rng.randint(1, 2))
+            assert SheafData.from_json(sheaf.to_json()) == sheaf
+    one = QQ.one()
+    cand = AugCandidate(QQ, component_map(BraidWord(1, [])),
+                        Matrix.from_rows(QQ, [[Fraction(2, 3)]]), [QQ.scalar(Fraction(-5, 2))],
+                        [one - QQ.scalar(Fraction(2, 3))])
+    assert AugCandidate.from_json(cand.to_json()) == cand
+
+
+def test_decoder_reduces_residues_and_ignores_unknown_keys():
+    doc = {"field": {"kind": "prime", "p": 5}, "n": 1, "r": 1, "component_map": [1],
+           "R": [["7"]], "lambda": ["-1"], "mu": ["1/2"], "note": "ignored"}
+    cand = AugCandidate.from_json(doc)
+    assert cand.R.values == ((2,),)
+    assert [x.value for x in cand.lam + cand.mu] == [4, 3]
+
+
+def test_errors_name_the_json_path():
+    doc = {"field": {"kind": "prime", "p": 5}, "n": 2, "component_map": [1, 1],
+           "R": [["1", "0"], ["0", "x"]], "lambda": ["1"], "mu": ["1"]}
+    with pytest.raises(WireFormatError) as err:
+        AugCandidate.from_json(doc)
+    assert err.value.path == "$.R[1][1]"
+    assert str(err.value).startswith("$.R[1][1]: ")
