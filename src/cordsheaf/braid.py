@@ -77,7 +77,8 @@ class MeridianWord:
         return MeridianWord(self.letters + other.letters)
 
     def inverse(self) -> "MeridianWord":
-        return MeridianWord([(s, -e) for s, e in reversed(self.letters)])
+        flip = {letter: (letter[0], -letter[1]) for letter in set(self.letters)}
+        return MeridianWord([flip[letter] for letter in reversed(self.letters)])
 
     def __pow__(self, n: int) -> "MeridianWord":
         base = self if n >= 0 else self.inverse()
@@ -112,14 +113,20 @@ class MeridianWord:
 
 
 def _reduce(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The freely reduced word; equal letters share one tuple object, taken
+    from the input, so a word of any length holds at most 2n of them."""
     out: list[tuple[int, int]] = []
-    for s, e in letters:
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    for letter in letters:
+        s, e = letter
         if e not in (1, -1):
             raise ValueError(f"letter exponent must be +-1, got {e}")
         if out and out[-1][0] == s and out[-1][1] == -e:
             out.pop()
         else:
-            out.append((s, e))
+            if type(letter) is not tuple:
+                letter = (s, e)
+            out.append(shared.setdefault(letter, letter))
     return tuple(out)
 
 

@@ -28,11 +28,11 @@ import itertools
 from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
-from .cordaug import (AugCandidate, check_relations, degenerate_components,
-                      index_sets)
+from .cordaug import (AugCandidate, _degenerate_components, check_relations,
+                      degenerate_components, index_sets)
 from .field import MixedFieldError, Scalar
-from .linalg import (Matrix, Subspace, _axpy, _dot, _inv, _matvec, _one, _rref, _scale,
-                     _solve, _sub, _transpose, _zero)
+from .linalg import (Matrix, Subspace, _axpy, _dot, _inv, _matvec, _one, _right_inverse,
+                     _rref, _scale, _sub, _transpose, _zero)
 from .reports import DiffReport
 from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
                          stabilized_space)
@@ -118,7 +118,8 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     longitude eigenvalue absorbed at the marked base segment), and only
     coherent families induce augmentations.  The base functional is the
     stalk annihilator scaled so its first nonzero entry is 1; right inverses
-    are the deterministic solver's.
+    are e_a / f_a at the functional's first nonzero coordinate a, the
+    deterministic solver's solution.
     """
     field, N = sheaf.field, sheaf.N
     p = field.p
@@ -129,7 +130,7 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     finv: list = [None] * sheaf.braid.n
 
     def right_inverse(fi: list) -> list:
-        sol = _solve(p, [fi], N, [_one(p)])
+        sol = _right_inverse(p, fi)
         if sol is None:
             raise InvalidTrivializationError("functional vanishes identically")
         return sol
@@ -142,9 +143,7 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
         if ann.rows != 1:
             raise InvalidTrivializationError(
                 f"stalk at strand {b} has codimension {ann.rows}, not 1")
-        row = ann.values[0]
-        lead = next(x for x in row if x)
-        fb = _scale(p, _inv(p, lead), row)
+        fb = list(ann.values[0])  # reduced: its first nonzero entry is 1
         f[b - 1] = fb
         finv[b - 1] = right_inverse(fb)
         lam = _dot(p, fb, sheaf._transport_vector(geom.longitudes[s], finv[b - 1]))
@@ -260,10 +259,10 @@ class _AugLayout:
         self.dim_sub = len(pivots)
         self.coords = {t: tuple(red[k][t - 1] for k in range(self.dim_sub))
                        for t in range(1, n + 1)}
-        self.deg_comps = degenerate_components(cand)
+        sets = index_sets(cand)
+        self.deg_comps = _degenerate_components(cand, sets)
         self.deg_strands = {i for i in range(1, n + 1)
                             if cand.components.component(i) in self.deg_comps}
-        sets = index_sets(cand)
         self.zero_rows = sorted(set(sets.I_dprime) - self.deg_strands)
         self.extended = bool(self.zero_rows)
         self.N = self.dim_sub + (1 if self.extended else 0)
@@ -324,12 +323,12 @@ class _AugLayout:
                          self._degenerate_summands())
 
     def sheaf(self, braid: BraidWord) -> SheafData:
-        field, n, N, d = self.cand.field, self.cand.n, self.N, self.dim_sub
+        field, n, N = self.cand.field, self.cand.n, self.N
         zero = _zero(self.p)
         sub_mats = self._sub_meridians()
         mats, stalks = [], []
-        eye = Matrix.identity(field, N)
-        full = Subspace.full(field, N)
+        if self.deg_strands:
+            eye, full = Matrix.identity(field, N), Subspace.full(field, N)
         for i in range(1, n + 1):
             if i in self.deg_strands:
                 mats.append(eye)
@@ -343,11 +342,9 @@ class _AugLayout:
                 mats.append(Matrix._from_values(field, rows))
             else:
                 mats.append(sub_mats[i - 1])
-            if i in self.zero_rows:
-                stalks.append(Subspace._from_values(
-                    field, N, [self._unit(self.sub_index(k)) for k in range(d)]))
-            else:
-                stalks.append(_row_matrix(field, self.functional(i)).kernel())
+            # a zero-row strand's stalk is the span of the pivot columns
+            f_i = self._unit(0) if i in self.zero_rows else self.functional(i)
+            stalks.append(_row_matrix(field, f_i).kernel())
         return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
 
     def trivialization(self) -> LocalTrivialization:
@@ -381,14 +378,8 @@ class _AugLayout:
 
 
 def _certified_layout(cand: AugCandidate, braid: BraidWord) -> _AugLayout:
-    """The layout of cand, after the relation certificate has passed.
-
-    The certificate skips the meridian and skein families (full=False),
-    and the report is the full one all the same: those families hold
-    identically once the diagonal normalization holds, and when the
-    normalization fails the certificate stops before them in either mode.
-    """
-    report = check_relations(cand, braid, full=False)
+    """The layout of cand, after the relation certificate has passed."""
+    report = check_relations(cand, braid)
     if not report.ok:
         raise NotAnAugmentationError(report)
     return _AugLayout(cand)

@@ -165,6 +165,35 @@ def _null_vectors(p: int | None, red: Sequence[Sequence], pivots: Sequence[int],
     return vectors
 
 
+def _hyperplane(p: int | None, phi: Sequence) -> tuple[list, list]:
+    """ker phi for a nonzero row phi, in reduced row echelon form, and its
+    pivots, without elimination.
+
+    The one non-pivot is m, the last coordinate where phi is nonzero: the
+    row of each k < m is e_k - (phi_k / phi_m) e_m, and of each k > m is e_k.
+    """
+    n = len(phi)
+    m = n - 1
+    while not phi[m]:
+        m -= 1
+    rows = _identity(p, n)
+    for row, x in zip(rows, _scale(p, _neg(p, _inv(p, phi[m])), phi[:m])):
+        row[m] = x
+    del rows[m]
+    return rows, [k for k in range(n) if k != m]
+
+
+def _right_inverse(p: int | None, phi: Sequence) -> Optional[list]:
+    """_solve's solution of phi x = 1, without elimination: e_a / phi_a at
+    phi's first nonzero coordinate a, or None for a zero row."""
+    for a, v in enumerate(phi):
+        if v:
+            x = [_zero(p)] * len(phi)
+            x[a] = _inv(p, v)
+            return x
+    return None
+
+
 class Matrix:
     """An exact rows x cols matrix over a fixed field."""
 
@@ -432,8 +461,11 @@ class Matrix:
         return tuple(Scalar(field, v) for v in x)
 
     def kernel(self) -> "Subspace":
-        """The right null space, canonicalized."""
+        """The right null space, canonicalized; a nonzero row's in closed form."""
         p = self.field.p
+        if self.rows == 1 and self.cols > 1 and any(self.values[0]):
+            return Subspace._from_echelon(self.field, self.cols,
+                                          *_hyperplane(p, self.values[0]))
         red, pivots = _rref(p, self.values, self.cols)
         return Subspace._from_values(self.field, self.cols,
                                      _null_vectors(p, red, pivots, self.cols))
@@ -464,7 +496,9 @@ class Subspace:
     basis as rows of values in reduced row echelon form, and ``_pivots``
     their pivot positions, where each vector has a 1 and every other basis
     vector a 0; so the coordinates of a vector of the subspace are its
-    entries at the pivots.
+    entries at the pivots.  Hyperplanes, the stalks of a simple sheaf, take a
+    closed-form path: a nonzero row's kernel (``_hyperplane``) and a
+    hyperplane's annihilator are written down without elimination.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "_vectors", "_pivots")
@@ -591,8 +625,12 @@ class Subspace:
         # phi(basis) = 0  <=>  phi lies in the null space of the basis rows,
         # which are already in reduced row echelon form.
         p, n = self.field.p, self.ambient_dim
-        ker = Subspace._from_values(self.field, n,
-                                    _null_vectors(p, self._vectors, self._pivots, n))
+        null = _null_vectors(p, self._vectors, self._pivots, n)
+        if self.dim == n - 1 and n > 1:
+            (v,) = null  # reduced: scaled so its first nonzero entry is 1
+            lead = next(filter(None, v))
+            return Matrix._from_values(self.field, [_scale(p, _inv(p, lead), v)])
+        ker = Subspace._from_values(self.field, n, null)
         return Matrix._from_values(self.field, ker._vectors, cols=n)
 
     def apply(self, mat: Matrix) -> "Subspace":

@@ -84,9 +84,8 @@ class SheafData:
         return frozenset(d.component for d in self.deg)
 
     def deg_strands(self) -> frozenset[int]:
-        comps = self.components
-        return frozenset(i for i in range(1, self.braid.n + 1)
-                         if comps.component(i) in self.deg_components())
+        comps, deg = self.components, self.deg_components()
+        return frozenset(i for i in range(1, self.braid.n + 1) if comps.component(i) in deg)
 
     def meridian_matrix(self, strand: int, exponent: int = 1) -> Matrix:
         if exponent == 1:
@@ -174,7 +173,7 @@ def validate(sheaf: SheafData) -> ValidationReport:
             report.fail("degenerate", f"component {d.component}", "a distinct component", d.component)
         seen.add(d.component)
 
-    full = Subspace.full(sheaf.field, N)
+    full = Subspace.full(sheaf.field, N) if deg_strands else None
     for i in range(1, n + 1):
         M_i, W_i = sheaf.M[i - 1], sheaf.W[i - 1]
         if not M_i.is_invertible():
@@ -188,10 +187,14 @@ def validate(sheaf: SheafData) -> ValidationReport:
         elif W_i.dim != N - 1:
             report.fail("simpleness", f"W[{i}]", N - 1, W_i.dim)
 
-    # representation of the link group
+    # representation of the link group; a strand whose transported meridian
+    # is its own generator compares M_q with itself
     for q in range(1, n + 1):
+        word = geom.transported[q - 1]
+        if word.letters == ((q, 1),):
+            continue
         lhs = sheaf.M[q - 1]
-        rhs = sheaf.transport(geom.transported[q - 1])
+        rhs = sheaf.transport(word)
         if lhs != rhs:
             report.fail("wirtinger", f"m_{q}", rhs.to_json(), lhs.to_json())
 

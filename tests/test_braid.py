@@ -205,6 +205,18 @@ def test_meridian_word_reduction():
     assert MeridianWord.generator(1) ** -3 == MeridianWord([(1, -1)] * 3)
 
 
+def test_long_words_share_their_letters():
+    # a reduced word holds one tuple object per letter value, at most 2n
+    geom = BraidGeometry(BraidWord(3, [1, -2] * 8))
+    words = [*geom.transported, *geom.segments.values(), *geom.longitudes.values()]
+    assert max(map(len, words)) > 2000
+    for w in words:
+        assert len({id(letter) for letter in w.letters}) <= 2 * 3
+    w = MeridianWord([[1, 1], [2, -1]] * 500)
+    assert w.letters == ((1, 1), (2, -1)) * 500
+    assert len({id(letter) for letter in w.inverse().letters}) == 2
+
+
 def test_geometry_letter_cap():
     # (s1 s2^-1)^12 expands to 300 099 letters of transported meridians and
     # 150 048 of segment contributions, under the cap; 32 crossings of it

@@ -34,13 +34,22 @@ def unlink3_candidate(field, e12, e13, e32, e33):
 GOLDEN = unlink3_candidate(F5, 1, 1, 1, 2)
 
 
+def random_scalar(field, rng):
+    if field.is_prime_field:
+        return field.scalar(rng.randrange(field.p))
+    return field.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
 def random_candidate(field, braid, rng, normalize=True):
     cm = component_map(braid)
     n = braid.n
-    units = list(field.elements(nonzero=True))
+    if field.is_prime_field:
+        units = list(field.elements(nonzero=True))
+    else:
+        units = [field.scalar(Fraction(a, b)) for a in (-3, -1, 1, 2) for b in (1, 2)]
     mu = [rng.choice(units) for _ in range(cm.r)]
     lam = [rng.choice(units) for _ in range(cm.r)]
-    rows = [[field.scalar(rng.randrange(field.p)) for _ in range(n)] for _ in range(n)]
+    rows = [[random_scalar(field, rng) for _ in range(n)] for _ in range(n)]
     if normalize:
         for i in range(n):
             rows[i][i] = field.one() - mu[cm.component(i + 1) - 1]
@@ -172,24 +181,24 @@ def test_eval_broken_cord_examples():
 
 def test_meridian_and_skein_families_are_identities():
     # with the diagonal forced from mu, the meridian and skein families hold
-    # for arbitrary off-diagonal entries; this justifies the enumeration
-    # fast path skipping them
+    # for arbitrary off-diagonal entries; this justifies the certificate not
+    # evaluating them
     rng = random.Random(2)
-    for _ in range(400):
-        cand = random_candidate(F3, UNLINK3, rng)
-        R = cand.R
-        for t in (1, 2, 3):
-            inserted = loop_matrix(cand, MeridianWord.generator(t)) * R
-            for i in range(1, 4):
-                for j in range(1, 4):
-                    want = cand.entry(i, j)
-                    got = inserted[i - 1, j - 1] + cand.entry(i, t) * cand.entry(t, j)
-                    assert want == got
-        for i in range(1, 4):
-            row = loop_matrix(cand, MeridianWord.generator(i)) * R
-            for j in range(1, 4):
-                assert row[i - 1, j - 1] == cand.mu_of_strand(i) * cand.entry(i, j)
-                assert row[j - 1, i - 1] == cand.entry(j, i) * cand.mu_of_strand(i)
+    for field in (F3, F5, QQ):
+        for _ in range(200):
+            cand = random_candidate(field, UNLINK3, rng)
+            R = cand.R
+            for t in (1, 2, 3):
+                inserted = loop_matrix(cand, MeridianWord.generator(t)) * R
+                for i in range(1, 4):
+                    for j in range(1, 4):
+                        # skein
+                        want = cand.entry(i, j)
+                        got = inserted[i - 1, j - 1] + cand.entry(i, t) * cand.entry(t, j)
+                        assert want == got
+                        # meridian relations of m_t, on row t and on column t
+                        assert inserted[t - 1, j - 1] == cand.mu_of_strand(t) * cand.entry(t, j)
+                        assert inserted[i - 1, t - 1] == cand.entry(i, t) * cand.mu_of_strand(t)
 
 
 def test_fast_path_equals_full_check():

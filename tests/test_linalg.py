@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from cordsheaf import linalg
 from cordsheaf.field import FieldSpec, MixedFieldError, Scalar
-from cordsheaf.linalg import Matrix, Subspace
+from cordsheaf.linalg import (Matrix, Subspace, _null_vectors, _one, _right_inverse, _rref,
+                              _solve, _zero)
 
 F5 = FieldSpec.prime(5)
 F3 = FieldSpec.prime(3)
@@ -390,3 +392,73 @@ def test_accessors_return_scalars_of_the_matrix_field():
         assert m[1, 1] == -field.one()
         assert m.row(1) == tuple(m.entries[1])
         assert m.col(2) == (field.zero(), field.scalar(3))
+
+
+def elimination_kernel(field, row):
+    p, n = field.p, len(row)
+    red, pivots = _rref(p, [row], n)
+    return Subspace._from_values(field, n, _null_vectors(p, red, pivots, n))
+
+
+def elimination_annihilator(sub):
+    p, n = sub.field.p, sub.ambient_dim
+    null = _null_vectors(p, sub._vectors, sub._pivots, n)
+    return Matrix._from_values(sub.field, Subspace._from_values(sub.field, n, null)._vectors,
+                               cols=n)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the calls of linalg._rref while a test runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _rref(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    return calls
+
+
+def test_codimension_one_closed_forms_match_elimination(eliminations):
+    rng = random.Random(12)
+    for field in FIELDS:
+        p = field.p
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            row = [x.value for x in rand_rows(field, 1, n, rng)[0]]
+            if not any(row):
+                row[rng.randrange(n)] = _one(p)
+            eliminations.clear()
+            ker = Matrix._from_values(field, [row]).kernel()
+            ann = ker.annihilator()
+            assert not eliminations
+            want = elimination_kernel(field, row)
+            assert (ker._vectors, ker._pivots) == (want._vectors, want._pivots)
+            assert basis(ker) == basis(want)
+            assert scalars(ann) == scalars(elimination_annihilator(ker))
+            assert _right_inverse(p, row) == _solve(p, [row], n, [_one(p)])
+
+            # an (n-1)-dimensional subspace from a random spanning set
+            U = Subspace.from_vectors(field, n, rand_rows(field, n - 1, n, rng))
+            if U.dim == n - 1:
+                eliminations.clear()
+                ann = U.annihilator()
+                assert not eliminations
+                assert scalars(ann) == scalars(elimination_annihilator(U))
+
+
+def test_zero_row_and_one_dimension_take_elimination(eliminations):
+    for field in FIELDS:
+        p = field.p
+        for row in ([_zero(p)] * 3, [field.scalar(-1).value]):
+            n = len(row)
+            eliminations.clear()
+            ker = Matrix._from_values(field, [row]).kernel()
+            assert eliminations
+            assert basis(ker) == basis(elimination_kernel(field, row))
+            eliminations.clear()
+            ann = ker.annihilator()
+            assert eliminations
+            assert scalars(ann) == scalars(elimination_annihilator(ker))
+            assert _right_inverse(p, row) == _solve(p, [row], n, [_one(p)])

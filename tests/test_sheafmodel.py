@@ -283,3 +283,30 @@ def test_segment_check_matches_the_image_reference():
                 else:
                     passing += 1
     assert failing >= 50 and passing >= 50
+
+
+def test_wirtinger_check_matches_every_strand_reference():
+    # validate skips the strands whose transported meridian is m_q itself;
+    # the reference compares M_q with rho(transported word) on every strand
+    failing = 0
+    for braid, field in ((UNLINK3, F3), (BraidWord(2, [1, 1, 1]), F5),
+                         (BraidWord(3, [1, -2, 1, -2]), F3), (BraidWord(3, [1, 1, 2]), F3)):
+        geom = geometry(braid)
+        for cand in _pool(braid, field)[:40]:
+            sheaf = aug_to_sheaf(cand, braid)
+            for a, b in itertools.combinations(range(braid.n), 2):
+                M = list(sheaf.M)
+                M[a], M[b] = M[b], M[a]
+                obj = SheafData(field, braid, sheaf.N, M, sheaf.W, sheaf.deg)
+                want = []
+                for q in range(1, braid.n + 1):
+                    rhs = obj.transport(geom.transported[q - 1])
+                    if rhs != M[q - 1]:
+                        want.append({"family": "wirtinger", "location": f"m_{q}",
+                                     "expected": str(rhs.to_json()),
+                                     "got": str(M[q - 1].to_json())})
+                got = [f for f in validate(obj).to_json()["failures"]
+                       if f["family"] == "wirtinger"]
+                assert got == want
+                failing += bool(want)
+    assert failing >= 20
