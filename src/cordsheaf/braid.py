@@ -184,19 +184,20 @@ class BraidWord:
 
 
 class ComponentMap:
-    """Strand -> component labels for the closure, labels in cycle-min order."""
+    """Strand -> component labels for the closure, labels in cycle-min order;
+    ``strands`` holds each component's strands, in order."""
 
-    __slots__ = ("n", "r", "labels", "base")
+    __slots__ = ("n", "r", "labels", "base", "strands")
 
     def __init__(self, n: int, labels: Sequence[int]):
         self.n = n
         self.labels = tuple(labels)
         self.r = max(labels)
-        base = [None] * self.r
+        strands = [()] * self.r
         for strand, s in enumerate(self.labels, start=1):
-            if base[s - 1] is None:
-                base[s - 1] = strand
-        self.base = tuple(base)
+            strands[s - 1] += (strand,)
+        self.strands = tuple(strands)
+        self.base = tuple([s[0] if s else None for s in strands])
 
     def component(self, strand: int) -> int:
         return self.labels[strand - 1]

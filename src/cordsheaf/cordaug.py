@@ -248,12 +248,8 @@ def degenerate_components(cand: AugCandidate) -> list[int]:
 def _degenerate_components(cand: AugCandidate, s: IndexSets) -> list[int]:
     """degenerate_components, given the candidate's index sets."""
     dead = s.I_dprime & s.J_dprime
-    out = []
-    for comp in range(1, cand.r + 1):
-        strands = cand.components.strands_of(comp)
-        if all(i in dead for i in strands):
-            out.append(comp)
-    return out
+    return [comp for comp, strands in enumerate(cand.components.strands, 1)
+            if dead.issuperset(strands)]
 
 
 def _one_sided_components(cand: AugCandidate, zero: frozenset[int]) -> list[int]:
@@ -280,8 +276,15 @@ def zero_column_components(cand: AugCandidate) -> list[int]:
 # -- the relation certificate ----------------------------------------------------------
 
 
+class Certificate(ValidationReport):
+    """check_relations's report, with the index sets of the candidate it
+    certified, for the caller that builds on them."""
+
+    __slots__ = ("sets",)
+
+
 def check_relations(cand: AugCandidate, braid: BraidWord,
-                    full: bool = True) -> ValidationReport:
+                    full: bool = True) -> Certificate:
     """Verify the finite relation certificate; failures are itemized, not raised.
 
     The meridian and skein families are not evaluated: once the diagonal
@@ -290,13 +293,18 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     R[i][j] - R[i][t] R[t][j] + R[i][t] R[t][j] = R[i][j] and
     (1 - R[i][i]) R[i][j] = mu_i R[i][j].  So both values of ``full``, kept
     for the callers that pass it, itemize the same failures.
+
+    One pass over the candidate's raw values serves the whole certificate:
+    the kernel inputs feed the transport, Wirtinger and longitude families,
+    and the index sets, kept on the report, name the degenerate components.
     """
-    report = ValidationReport()
+    report = Certificate()
     geom = geometry(braid)
     if geom.components != cand.components:
         raise ValueError("candidate component map does not match the braid")
     n = cand.n
-    p, rows, cols, minv = _kernel_inputs(cand)
+    inputs = p, rows, cols, minv = _kernel_inputs(cand)
+    report.sets = sets = index_sets(cand)
     mu = [cand.mu[s - 1].value for s in cand.components.labels]
 
     # (a) diagonal normalization
@@ -309,24 +317,27 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
         return report  # everything below assumes the normalization
 
     # (e)-(f) transport identities and Wirtinger consistency
-    for describe in _transport_failures(cand, geom):
+    for describe in _transport_failures(cand, geom, inputs):
         report.fail(*describe())
 
-    # (c) longitude relations at the base strands, both sides
+    # (c) longitude relations at the base strands, both sides.  A one-strand
+    # component's longitude is its base segment, so these are then the base
+    # strand's transport identities, already checked when none failed.
+    transport_ok = report.ok
     for s in range(1, cand.r + 1):
         b = cand.components.base_strand(s)
+        if transport_ok and geom.tau[b - 1] == b:
+            continue
         lam = cand.lam[s - 1].value
         ell_R = _loop_rows(p, cols, minv, geom.longitudes[s].letters, rows)
-        for j in range(1, n + 1):
-            want = _mul(p, lam, rows[b - 1][j - 1])
-            if ell_R[b - 1][j - 1] != want:
-                report.fail("longitude-left", f"(l_{s}; {b},{j})", want, ell_R[b - 1][j - 1])
-        for i in range(1, n + 1):
-            want = _mul(p, rows[i - 1][b - 1], lam)
-            if ell_R[i - 1][b - 1] != want:
-                report.fail("longitude-right", f"({i},{b}; l_{s})", want, ell_R[i - 1][b - 1])
+        for j, (want, got) in enumerate(zip(_scale(p, lam, rows[b - 1]), ell_R[b - 1]), 1):
+            if want != got:
+                report.fail("longitude-left", f"(l_{s}; {b},{j})", want, got)
+        for i, (want, row) in enumerate(zip(_scale(p, lam, cols[b - 1]), ell_R), 1):
+            if want != row[b - 1]:
+                report.fail("longitude-right", f"({i},{b}; l_{s})", want, row[b - 1])
 
-    for s in degenerate_components(cand):
+    for s in _degenerate_components(cand, sets):
         report.note(
             f"component {s} is degenerate (zero rows and columns); its meridian "
             f"unit is 1 by the normalization, and lambda_{s} parametrizes the split-off "
@@ -335,7 +346,7 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     return report
 
 
-def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
+def _transport_failures(cand: AugCandidate, geom: BraidGeometry, inputs: tuple):
     """Yield one item per broken transport or Wirtinger identity, transport
     first, strand by strand.
 
@@ -343,7 +354,8 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
     the generator's current state, so it is called before the generator
     resumes; the fast path, which stops at the first item, never calls it and
     so never pays for formatting a report.  The checks compare raw field
-    values; only an item builds Scalars, for its report.
+    values, the candidate's _kernel_inputs; only an item builds Scalars, for
+    its report.
 
     Each strand's longitude segment carries row i to row tau(i) and column
     tau(i) to column i, with the lambda unit appearing exactly on the marked
@@ -351,7 +363,7 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry):
     its transport on the column span; strands whose transported meridian is
     the generator itself hold trivially and are skipped.
     """
-    p, rows, cols, minv = _kernel_inputs(cand)
+    p, rows, cols, minv = inputs
     field, n, comps = cand.field, cand.n, cand.components
     tau = geom.tau
     for i in range(1, n + 1):
@@ -392,7 +404,7 @@ def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
     full-longitude family (which chains from the per-segment transport
     identities).  A test pins the two modes to the same candidate set.
     """
-    return next(_transport_failures(cand, geom), None) is None
+    return next(_transport_failures(cand, geom, _kernel_inputs(cand)), None) is None
 
 
 # -- dilations ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ import itertools
 from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
-from .cordaug import (AugCandidate, _degenerate_components, check_relations,
+from .cordaug import (AugCandidate, IndexSets, _degenerate_components, check_relations,
                       degenerate_components, index_sets)
 from .field import MixedFieldError, Scalar
-from .linalg import (Matrix, Subspace, _axpy, _dot, _inv, _matvec, _one, _right_inverse,
-                     _rref, _scale, _sub, _transpose, _zero)
+from .linalg import (Matrix, Subspace, _axpy, _dot, _hyperplane, _identity, _inv, _matvec,
+                     _neg, _one, _right_inverse, _rref, _scale, _sub, _transpose, _zero)
 from .reports import DiffReport
 from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
                          stabilized_space)
@@ -81,16 +81,21 @@ def _column_matrix(field, col) -> Matrix:
     return Matrix._from_values(field, [(x,) for x in col], cols=1)
 
 
-def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> None:
+def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> tuple[list, list]:
+    """Check triv on sheaf; its functionals and right inverses as rows of
+    values, None at the degenerate strands."""
     field, N = sheaf.field, sheaf.N
     p = field.p
     deg_strands = sheaf.deg_strands()
+    f, x = [], []
     for i in range(1, sheaf.braid.n + 1):
         f_i, finv_i = triv.f[i - 1], triv.finv[i - 1]
         if i in deg_strands:
             if f_i is not None or finv_i is not None:
                 raise InvalidTrivializationError(
                     f"strand {i} is degenerate and admits no trivialization")
+            f.append(None)
+            x.append(None)
             continue
         if f_i is None or finv_i is None:
             raise InvalidTrivializationError(f"strand {i} needs a functional")
@@ -101,12 +106,15 @@ def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> None:
                 f"f[{i}] must be 1x{N} and finv[{i}] {N}x1")
         if f_i.is_zero():
             raise InvalidTrivializationError(f"f[{i}] vanishes")
-        f_row = f_i.values[0]
+        f_row, x_i = f_i.values[0], _column_values(finv_i)
         for w in sheaf.W[i - 1]._vectors:
             if _dot(p, f_row, w):
                 raise InvalidTrivializationError(f"f[{i}] does not kill W[{i}]")
-        if _dot(p, f_row, _column_values(finv_i)) != 1:
+        if _dot(p, f_row, x_i) != 1:
             raise InvalidTrivializationError(f"finv[{i}] is not a right inverse")
+        f.append(f_row)
+        x.append(x_i)
+    return f, x
 
 
 def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
@@ -120,11 +128,15 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     stalk annihilator scaled so its first nonzero entry is 1; right inverses
     are e_a / f_a at the functional's first nonzero coordinate a, the
     deterministic solver's solution.
+
+    Each functional is carried through its segment's letters as a row
+    vector, f <- f M, at O(N^2) per letter; functionals and right inverses
+    stay field values until the LocalTrivialization is built.
     """
-    field, N = sheaf.field, sheaf.N
+    field = sheaf.field
     p = field.p
     geom = geometry(sheaf.braid)
-    comps = sheaf.components
+    comps = geom.components
     deg_strands = sheaf.deg_strands()
     f: list = [None] * sheaf.braid.n
     finv: list = [None] * sheaf.braid.n
@@ -153,8 +165,7 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
         i = b
         while geom.tau[i - 1] != b:
             nxt = geom.tau[i - 1]
-            T = sheaf.transport(geom.segments[i]).values
-            fi = _matvec(p, _transpose(T, N), f[i - 1])
+            fi = sheaf._transport_row(geom.segments[i], f[i - 1])
             if i == b:
                 fi = _scale(p, _inv(p, lam), fi)
             f[nxt - 1] = fi
@@ -167,26 +178,18 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
 
 def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
     """Read off the augmentation; degenerate summands give lambda = alpha."""
-    _check_trivialization(sheaf, triv)
     field = sheaf.field
     p = field.p
-    comps = sheaf.components
-    n = sheaf.braid.n
     geom = geometry(sheaf.braid)
-    deg_strands = sheaf.deg_strands()
+    comps = geom.components
+    f, x = _check_trivialization(sheaf, triv)
     zero = _zero(p)
-    f = [None if i in deg_strands else triv.f[i - 1].values[0] for i in range(1, n + 1)]
-    x = [None if j in deg_strands else _column_values(triv.finv[j - 1])
-         for j in range(1, n + 1)]
 
-    # (Id - M_j) finv_j
-    displaced = {j: _axpy(p, x[j - 1], -1, _matvec(p, sheaf.M[j - 1].values, x[j - 1]))
-                 for j in range(1, n + 1) if j not in deg_strands}
-    rows = []
-    for i in range(1, n + 1):
-        rows.append([zero if i in deg_strands or j in deg_strands
-                     else _dot(p, f[i - 1], displaced[j]) for j in range(1, n + 1)])
-    R = Matrix._from_values(field, rows)
+    # (Id - M_j) finv_j, None at the degenerate strands
+    displaced = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
+                 for M_j, x_j in zip(sheaf.M, x)]
+    R = Matrix._from_values(field, [[zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
+                                     for d_j in displaced] for f_i in f])
 
     deg_alpha = {d.component: d.alpha for d in sheaf.deg}
     lam, mu = [], []
@@ -198,7 +201,7 @@ def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
         b = comps.base_strand(s)
         moved = sheaf._transport_vector(geom.longitudes[s], x[b - 1])
         lam.append(Scalar(field, _dot(p, f[b - 1], moved)))
-        mu.append(Scalar(field, _sub(p, _one(p), _dot(p, f[b - 1], displaced[b]))))
+        mu.append(Scalar(field, _sub(p, _one(p), _dot(p, f[b - 1], displaced[b - 1]))))
     return AugCandidate(field, comps, R, lam, mu)
 
 
@@ -236,153 +239,120 @@ def pure_cord_trace(sheaf: SheafData, component: int,
 # -- augmentation to sheaf ----------------------------------------------------------
 
 
+def _minus_outer(p: int | None, col: Sequence, row: Sequence) -> list:
+    """The rows of Id - col row, for vectors of field values."""
+    return [_axpy(p, e, -x, row) if x else e for e, x in zip(_identity(p, len(col)), col)]
+
+
 class _AugLayout:
     """Shared coordinates for the subsheaf, sheaf and trivialization of one
     candidate, as field values.
 
     The pivot columns of the RREF of R are the columns outside the span of
     the columns before them; they base the subsheaf space, and the RREF
-    column of R_t holds its coordinates in that basis.  When non-degenerate
-    zero-row strands exist, the ambient space is extended by R_0 at
-    coordinate 0, ahead of the pivot coordinates.
+    column of R_t, ``coords[t - 1]``, holds its coordinates in that basis.
+    When non-degenerate zero-row strands exist, the ambient space is
+    extended by R_0 at coordinate 0, ahead of the pivot coordinates.  The
+    index sets are the candidate's, as the relation certificate found them.
+
+    Every meridian is a rank-one update, rho(m_t) = Id - R_t g_t, where g_t
+    is strand t's functional of the canonical trivialization: row t of R on
+    the pivot columns, or -1 on R_0 at a zero-row strand, so that
+    M_t(R_0) = R_0 + R_t there.  The stalk at t is ker g_t.
     """
 
     __slots__ = ("cand", "p", "pivots", "dim_sub", "coords", "deg_comps", "deg_strands",
                  "zero_rows", "extended", "N")
 
-    def __init__(self, cand: AugCandidate):
+    def __init__(self, cand: AugCandidate, sets: IndexSets):
         self.cand = cand
         n = cand.n
         self.p = cand.field.p
         red, pivots = _rref(self.p, cand.R.values, n)
         self.pivots = [c + 1 for c in pivots]
         self.dim_sub = len(pivots)
-        self.coords = {t: tuple(red[k][t - 1] for k in range(self.dim_sub))
-                       for t in range(1, n + 1)}
-        sets = index_sets(cand)
+        self.coords = _transpose(red[:self.dim_sub], n)
         self.deg_comps = _degenerate_components(cand, sets)
-        self.deg_strands = {i for i in range(1, n + 1)
-                            if cand.components.component(i) in self.deg_comps}
-        self.zero_rows = sorted(set(sets.I_dprime) - self.deg_strands)
+        self.deg_strands = {i for s in self.deg_comps for i in cand.components.strands[s - 1]}
+        self.zero_rows = sets.I_dprime - self.deg_strands
         self.extended = bool(self.zero_rows)
         self.N = self.dim_sub + (1 if self.extended else 0)
 
-    def sub_index(self, k: int) -> int:
-        """Ambient coordinate of the k-th pivot column (0-based k)."""
-        return k + (1 if self.extended else 0)
+    def _row(self, t: int) -> list:
+        """Row t of R on the pivot columns."""
+        R_t = self.cand.R.values[t - 1]
+        return [R_t[j - 1] for j in self.pivots]
 
-    def _unit(self, a: int) -> list:
-        vec = [_zero(self.p)] * self.N
-        vec[a] = _one(self.p)
-        return vec
-
-    def embed_column(self, t: int) -> list:
-        """Coordinates of column R_t inside the (possibly extended) space."""
-        vec = [_zero(self.p)] * self.N
-        for k, c in enumerate(self.coords[t]):
-            vec[self.sub_index(k)] = c
-        return vec
-
-    def functional(self, i: int) -> list:
-        """Row functional of strand i in the ambient coordinates (zero on R_0)."""
-        R = self.cand.R.values
-        row = [_zero(self.p)] * self.N
-        for k, j in enumerate(self.pivots):
-            row[self.sub_index(k)] = R[i - 1][j - 1]
-        return row
-
-    def _sub_meridians(self) -> list[Matrix]:
-        """rho(m_t) R_j = R_j - R[t][j] R_t in subspace coordinates."""
-        cand, coords, p = self.cand, self.coords, self.p
-        R = cand.R.values
-        mats = []
-        for t in range(1, cand.n + 1):
-            cols = []
-            for j in self.pivots:
-                factor = R[t - 1][j - 1]
-                cols.append(_axpy(p, coords[j], -factor, coords[t]) if factor else coords[j])
-            mats.append(Matrix._from_values(cand.field, _transpose(cols, self.dim_sub),
-                                            cols=self.dim_sub))
-        return mats
+    def functional(self, t: int) -> list:
+        """g_t in the ambient coordinates."""
+        p = self.p
+        if t in self.zero_rows:
+            return [_neg(p, _one(p))] + [_zero(p)] * self.dim_sub
+        return [_zero(p)] + self._row(t) if self.extended else self._row(t)
 
     def _degenerate_summands(self) -> list[DegenerateSummand]:
         return [DegenerateSummand(s, self.cand.lam[s - 1]) for s in self.deg_comps]
 
     def subsheaf(self, braid: BraidWord) -> SheafData:
-        cand = self.cand
-        field, n, d = cand.field, cand.n, self.dim_sub
-        R = cand.R.values
-        stalks = []
-        for i in range(1, n + 1):
-            if d == 0:
-                stalks.append(Subspace.zero(field, 0))
-                continue
-            functional = [R[i - 1][j - 1] for j in self.pivots]
-            stalks.append(_row_matrix(field, functional).kernel())
-        return SheafData(field, braid, d, self._sub_meridians(), stalks,
-                         self._degenerate_summands())
+        field, n, d, p = self.cand.field, self.cand.n, self.dim_sub, self.p
+        mats, stalks = [], []
+        for t in range(1, n + 1):
+            row = self._row(t)
+            mats.append(Matrix._from_values(field, _minus_outer(p, self.coords[t - 1], row),
+                                            cols=d))
+            stalks.append(_row_matrix(field, row).kernel() if d else Subspace.zero(field, 0))
+        return SheafData(field, braid, d, mats, stalks, self._degenerate_summands())
 
     def sheaf(self, braid: BraidWord) -> SheafData:
-        field, n, N = self.cand.field, self.cand.n, self.N
-        zero = _zero(self.p)
-        sub_mats = self._sub_meridians()
+        """The sheaf, written straight from the coordinates: each meridian as
+        the rank-one update Id - R_t g_t, and each stalk as ker g_t in closed
+        form (linalg._hyperplane), already reduced."""
+        field, n, N, p = self.cand.field, self.cand.n, self.N, self.p
         mats, stalks = [], []
         if self.deg_strands:
             eye, full = Matrix.identity(field, N), Subspace.full(field, N)
-        for i in range(1, n + 1):
-            if i in self.deg_strands:
+        for t in range(1, n + 1):
+            if t in self.deg_strands:
                 mats.append(eye)
                 stalks.append(full)
                 continue
+            g = self.functional(t)
+            col = list(self.coords[t - 1])
             if self.extended:
-                # R_0 is fixed, except at zero-row strands: M_i(R_0) = R_0 + R_i
-                col = self.embed_column(i) if i in self.zero_rows else [zero] * N
-                rows = [self._unit(0)]
-                rows += [(col[a + 1],) + row for a, row in enumerate(sub_mats[i - 1].values)]
-                mats.append(Matrix._from_values(field, rows))
-            else:
-                mats.append(sub_mats[i - 1])
-            # a zero-row strand's stalk is the span of the pivot columns
-            f_i = self._unit(0) if i in self.zero_rows else self.functional(i)
-            stalks.append(_row_matrix(field, f_i).kernel())
+                col.insert(0, _zero(p))
+            mats.append(Matrix._from_values(field, _minus_outer(p, col, g), cols=N))
+            stalks.append(Subspace._from_echelon(field, N, *_hyperplane(p, g)))
         return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
 
     def trivialization(self) -> LocalTrivialization:
+        """The functionals g_t with right inverses e_a / g_t[a] at the last
+        coordinate a where g_t is nonzero: R_{j_a} / R[t][j_a] on a pivot
+        column (a nonzero row is nonzero on some pivot column), -R_0 at a
+        zero-row strand.  Pivot columns are basis vectors, so
+        (Id - M_t) finv_t = R_t falls out for every strand."""
         field, p = self.cand.field, self.p
         f, finv = [], []
-        for i in range(1, self.cand.n + 1):
-            if i in self.deg_strands:
+        for t in range(1, self.cand.n + 1):
+            if t in self.deg_strands:
                 f.append(None)
                 finv.append(None)
                 continue
-            if i in self.zero_rows:
-                minus_r0 = _scale(p, -1, self._unit(0))
-                f.append(_row_matrix(field, minus_r0))
-                finv.append(_column_matrix(field, minus_r0))
-                continue
-            fi = self.functional(i)
-            f.append(_row_matrix(field, fi))
-            last = None
-            for k in range(self.dim_sub - 1, -1, -1):
-                if fi[self.sub_index(k)]:
-                    last = k
-                    break
-            if last is None:
-                raise AssertionError("nonzero row vanishing on all pivot columns")
-            # finv = R_{j_last} / R[i][j_last]; pivot columns are basis vectors,
-            # and (Id - M_j) finv_j = R_j falls out for every strand.
+            g = self.functional(t)
+            last = max(a for a, v in enumerate(g) if v)
             col = [_zero(p)] * self.N
-            col[self.sub_index(last)] = _inv(p, fi[self.sub_index(last)])
+            col[last] = _inv(p, g[last])
+            f.append(_row_matrix(field, g))
             finv.append(_column_matrix(field, col))
         return LocalTrivialization(f, finv)
 
 
 def _certified_layout(cand: AugCandidate, braid: BraidWord) -> _AugLayout:
-    """The layout of cand, after the relation certificate has passed."""
+    """The layout of cand, after the relation certificate has passed, on
+    the index sets the certificate computed."""
     report = check_relations(cand, braid)
     if not report.ok:
         raise NotAnAugmentationError(report)
-    return _AugLayout(cand)
+    return _AugLayout(cand, report.sets)
 
 
 def aug_to_subsheaf(cand: AugCandidate, braid: BraidWord) -> SheafData:
@@ -404,7 +374,7 @@ def canonical_trivialization(cand: AugCandidate) -> LocalTrivialization:
     """Row functionals as trivializations, with right inverses supported on
     the last pivot column where the row is nonzero; zero-row strands use the
     R_0 functional normalized to f(R_0) = -1, finv = -R_0 (see module doc)."""
-    return _AugLayout(cand).trivialization()
+    return _AugLayout(cand, index_sets(cand)).trivialization()
 
 
 # -- round trips ----------------------------------------------------------------------

@@ -104,7 +104,10 @@ def _transpose(rows: Sequence[Sequence], cols: int) -> list:
 
 def _identity(p: int | None, n: int) -> list:
     zero, one = _zero(p), _one(p)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    rows = [[zero] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = one
+    return rows
 
 
 def _rref(p: int | None, rows: Sequence[Sequence], cols: int) -> tuple[list, list]:
@@ -126,7 +129,9 @@ def _rref(p: int | None, rows: Sequence[Sequence], cols: int) -> tuple[list, lis
         else:
             continue
         m[r], m[i] = m[i], m[r]
-        row_r = m[r] = _scale(p, _inv(p, m[r][c]), m[r])
+        if m[r][c] != 1:
+            m[r] = _scale(p, _inv(p, m[r][c]), m[r])
+        row_r = m[r]
         for i in range(n):
             f = m[i][c]
             if f and i != r:
@@ -163,6 +168,29 @@ def _null_vectors(p: int | None, red: Sequence[Sequence], pivots: Sequence[int],
             v[pc] = _neg(p, red[r][fc])
         vectors.append(v)
     return vectors
+
+
+def _det(p: int | None, rows: Sequence[Sequence]):
+    """The determinant of a square matrix of values, by elimination."""
+    m = list(rows)
+    n = len(m)
+    det = _one(p)
+    for c in range(n):
+        for i in range(c, n):
+            if m[i][c]:
+                break
+        else:
+            return _zero(p)
+        if i != c:
+            m[c], m[i] = m[i], m[c]
+            det = _neg(p, det)
+        det = _mul(p, det, m[c][c])
+        if c + 1 < n:
+            inv = _inv(p, m[c][c])
+            for k in range(c + 1, n):
+                if m[k][c]:
+                    m[k] = _axpy(p, m[k], -m[k][c] * inv, m[c])
+    return det
 
 
 def _hyperplane(p: int | None, phi: Sequence) -> tuple[list, list]:
@@ -372,28 +400,10 @@ class Matrix:
     def det(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        p = self.field.p
-        m = list(self.values)
-        n = self.rows
-        det = _one(p)
-        for c in range(n):
-            for i in range(c, n):
-                if m[i][c]:
-                    break
-            else:
-                return Scalar(self.field, _zero(p))
-            if i != c:
-                m[c], m[i] = m[i], m[c]
-                det = _neg(p, det)
-            det = _mul(p, det, m[c][c])
-            inv = _inv(p, m[c][c])
-            for k in range(c + 1, n):
-                if m[k][c]:
-                    m[k] = _axpy(p, m[k], -_mul(p, m[k][c], inv), m[c])
-        return Scalar(self.field, det)
+        return Scalar(self.field, _det(self.field.p, self.values))
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and not self.det().is_zero()
+        return self.rows == self.cols and bool(_det(self.field.p, self.values))
 
     def charpoly(self) -> tuple[Scalar, ...]:
         """Coefficients of det(xI - M) from degree 0 up to degree n.
@@ -504,12 +514,13 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "_vectors", "_pivots")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix):
-        # basis is trusted to be canonical; build through from_vectors.
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self._vectors = tuple(_transpose(basis.values, basis.cols)) if ambient_dim else ()
-        self._pivots = tuple(next(k for k, x in enumerate(v) if x) for v in self._vectors)
+        """The span of the columns of basis, a matrix over field with
+        ambient_dim rows, stored in canonical form."""
+        if basis.field != field or basis.rows != ambient_dim:
+            raise ValueError(f"basis must be a matrix over {field} with {ambient_dim} rows")
+        canon = Subspace._from_values(field, ambient_dim, _transpose(basis.values, basis.cols))
+        for name in Subspace.__slots__:
+            setattr(self, name, getattr(canon, name))
 
     @classmethod
     def _from_values(cls, field: FieldSpec, ambient_dim: int,

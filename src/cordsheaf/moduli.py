@@ -180,13 +180,13 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
 
     # enumerate_augs kept only candidates passing the relation certificate
     for idx, cand in enumerate(report.aug_points):
-        diff = _roundtrip_layout(_AugLayout(cand), braid)
+        diff = _roundtrip_layout(_AugLayout(cand, index_sets(cand)), braid)
         if not diff.empty:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
 
     # each orbit representative is itself an enumerated candidate
     for k, orbit in enumerate(report.orbits):
-        sheaf = _AugLayout(orbit.rep).sheaf(braid)
+        sheaf = _AugLayout(orbit.rep, index_sets(orbit.rep)).sheaf(braid)
         vrep = validate(sheaf)
         if not vrep.ok:
             report.fail("invalid-sheaf", f"orbit {k}", vrep.failures[:4])

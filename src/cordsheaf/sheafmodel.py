@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
 from .field import FieldSpec, Scalar, WireFormatError, wire_get, wire_unit
-from .linalg import Matrix, Subspace, _identity, _matmul, _matvec
+from .linalg import Matrix, Subspace, _dot, _identity, _matmul, _matvec
 from .reports import ValidationReport
 
 
@@ -84,6 +84,8 @@ class SheafData:
         return frozenset(d.component for d in self.deg)
 
     def deg_strands(self) -> frozenset[int]:
+        if not self.deg:
+            return frozenset()
         comps, deg = self.components, self.deg_components()
         return frozenset(i for i in range(1, self.braid.n + 1) if comps.component(i) in deg)
 
@@ -109,6 +111,13 @@ class SheafData:
         for s, e in reversed(word.letters):
             vec = _matvec(self.field.p, self.meridian_matrix(s, e).values, vec)
         return list(vec)
+
+    def _transport_row(self, word: MeridianWord, row) -> list:
+        """A row vector of field values times rho(word), letter by letter."""
+        p = self.field.p
+        for s, e in word.letters:
+            row = [_dot(p, row, col) for col in zip(*self.meridian_matrix(s, e).values)]
+        return list(row)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SheafData)
@@ -159,14 +168,16 @@ def validate(sheaf: SheafData) -> ValidationReport:
     when the dimensions agree and A carries each basis vector of W_tau(i)
     into W_i.  The vectors are carried letter by letter and their
     coordinates read off W_i's pivots; only a failing strand builds A and
-    the image A(W_tau(i)) for its report.
+    the image A(W_tau(i)) for its report.  Invertibility is decided on the
+    meridians' values (Matrix.is_invertible builds no Scalar), and the
+    braid's components and the degenerate strands are looked up once.
     """
     report = ValidationReport()
     geom = geometry(sheaf.braid)
-    n, N = sheaf.braid.n, sheaf.N
+    n, N, p = sheaf.braid.n, sheaf.N, sheaf.field.p
+    comps = geom.components
     deg_strands = sheaf.deg_strands()
 
-    comps = sheaf.components
     seen = set()
     for d in sheaf.deg:
         if not (1 <= d.component <= comps.r) or d.component in seen:
@@ -199,7 +210,6 @@ def validate(sheaf: SheafData) -> ValidationReport:
             report.fail("wirtinger", f"m_{q}", rhs.to_json(), lhs.to_json())
 
     # meridians act trivially on their own stalk
-    p = sheaf.field.p
     for i in range(1, n + 1):
         M_i = sheaf.M[i - 1]
         for w in sheaf.W[i - 1]._vectors:
@@ -209,13 +219,18 @@ def validate(sheaf: SheafData) -> ValidationReport:
                             list(map(str, w)), [[str(x)] for x in got])
                 break
 
-    # longitude segments carry stalk subspaces into each other (by containment)
+    # longitude segments carry stalk subspaces into each other (by
+    # containment; an empty segment carries W_tau(i) to itself)
     tau = geom.tau
     for i in range(1, n + 1):
         seg, src, dst = geom.segments[i], sheaf.W[tau[i - 1] - 1], sheaf.W[i - 1]
-        if src.dim == dst.dim and all(
+        if not seg.letters:
+            carried = src == dst
+        else:
+            carried = src.dim == dst.dim and all(
                 dst._coordinates(sheaf._transport_vector(seg, v)) is not None
-                for v in src._vectors):
+                for v in src._vectors)
+        if carried:
             continue
         report.fail("compatibility", f"segment of strand {i}",
                     dst.to_json(), src.apply(sheaf.transport(seg)).to_json())

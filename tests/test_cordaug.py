@@ -426,3 +426,43 @@ def test_full_and_fast_certificates_report_the_same_failures():
                 accepted += full.ok
                 rejected += not full.ok
     assert accepted >= 100 and rejected >= 1000
+
+
+def _longitude_reference(cand, braid):
+    """The longitude families on every component, in Scalars."""
+    geom = geometry(braid)
+    out = []
+    for s in range(1, cand.r + 1):
+        b, lam = cand.components.base_strand(s), cand.lam[s - 1]
+        ell = apply_loop(cand, geom.longitudes[s], cand.R)
+        for j in range(1, cand.n + 1):
+            if ell[b - 1, j - 1] != lam * cand.entry(b, j):
+                out.append(("longitude-left", f"(l_{s}; {b},{j})", lam * cand.entry(b, j),
+                            ell[b - 1, j - 1]))
+        for i in range(1, cand.n + 1):
+            if ell[i - 1, b - 1] != cand.entry(i, b) * lam:
+                out.append(("longitude-right", f"({i},{b}; l_{s})", cand.entry(i, b) * lam,
+                            ell[i - 1, b - 1]))
+    return [{"family": f, "location": loc, "expected": str(want), "got": str(got)}
+            for f, loc, want, got in out]
+
+
+def test_longitude_families_match_the_reference_on_every_component():
+    # check_relations skips a one-strand component's longitude, its base
+    # segment, when every transport identity holds; the reference never does
+    from cordsheaf.moduli import enumerate_augs
+    rng = random.Random(13)
+    accepted = rejected = itemized = 0
+    for braid, field in ((UNLINK3, F2), (BraidWord(2, []), F5), (BraidWord(3, [1, 1, 2]), F3),
+                         (BraidWord(2, [1, 1, 1]), F5), (HOPF, F3), (BraidWord(3, [1, -2, 1, -2]), F3)):
+        cands = [random_candidate(field, braid, rng) for _ in range(60)]
+        points = enumerate_augs(braid, field)
+        cands += rng.sample(points, min(15, len(points)))
+        for cand in cands:
+            report = check_relations(cand, braid)
+            got = [f for f in report.failures if f["family"].startswith("longitude")]
+            assert got == _longitude_reference(cand, braid)
+            accepted += report.ok
+            rejected += not report.ok
+            itemized += bool(got)
+    assert accepted >= 80 and rejected >= 200 and itemized >= 100

@@ -4,7 +4,7 @@ import pytest
 
 from cordsheaf.braid import BraidWord, MeridianWord, component_map, geometry
 from cordsheaf.cordaug import (AugCandidate, canonical_form, check_relations,
-                               degenerate_components)
+                               degenerate_components, index_sets)
 from cordsheaf.correspondence import (InvalidTrivializationError,
                                       LocalTrivialization, NotAnAugmentationError,
                                       aug_to_sheaf, aug_to_subsheaf,
@@ -124,7 +124,7 @@ def test_layout_pivots_match_greedy_definition():
                 cand = AugCandidate(field, component_map(BraidWord(n, [])),
                                     Matrix(field, rows), [field.one()] * n,
                                     [field.one()] * n)
-                lay = _AugLayout(cand)
+                lay = _AugLayout(cand, index_sets(cand))
                 cols = [cand.R.col(j - 1) for j in range(1, n + 1)]
                 for j in range(1, n + 1):
                     earlier = Subspace.from_vectors(field, n, cols[:j - 1])
@@ -136,7 +136,7 @@ def test_layout_pivots_match_greedy_definition():
                     # the coordinates (field values) rebuild the column from
                     # the pivot columns
                     rebuilt = [field.zero()] * n
-                    for c, p in zip(lay.coords[j], lay.pivots):
+                    for c, p in zip(lay.coords[j - 1], lay.pivots):
                         rebuilt = [a + field.scalar(c) * b for a, b in zip(rebuilt, cols[p - 1])]
                     assert tuple(rebuilt) == cols[j - 1]
 
@@ -321,7 +321,6 @@ def test_dilation_functoriality_of_subsheaf():
 def test_stable_sheaves_induce_nonzero_rows():
     # stability forces every row functional of the induced augmentation to
     # be nonzero
-    from cordsheaf.cordaug import index_sets
     from cordsheaf.sheafmodel import is_stable
     rng = random.Random(9)
     stable_seen = 0

@@ -78,6 +78,19 @@ def test_canonical_subspace_equality():
         assert hash(U) == hash(V)
 
 
+def test_public_subspace_constructor_canonicalizes_its_basis():
+    U = Subspace(F3, 2, Matrix.from_rows(F3, [[2], [0]]))
+    assert U.contains([F3.one(), F3.zero()])
+    assert U == Subspace.from_vectors(F3, 2, [[F3.one(), F3.zero()]])
+    assert hash(U) == hash(Subspace.from_vectors(F3, 2, [[F3.one(), F3.zero()]]))
+    rng = random.Random(5)
+    for _ in range(100):
+        basis = rand_matrix(F3, 3, rng.randint(0, 3), rng)
+        assert Subspace(F3, 3, basis) == basis.image()
+    with pytest.raises(ValueError):
+        Subspace(F3, 3, Matrix.from_rows(F3, [[1], [0]]))
+
+
 def test_solve_examples_and_property():
     eye = Matrix.identity(F5, 3)
     b = Matrix.column(F5, [F5.scalar(2), F5.scalar(0), F5.scalar(4)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 from cordsheaf.braid import BraidWord, component_map, geometry
 from cordsheaf.cordaug import AugCandidate
@@ -13,6 +14,8 @@ from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, global_sections,
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
+QQ = FieldSpec.rationals()
 
 UNLINK2 = BraidWord(2, [])
 UNLINK3 = BraidWord(3, [])
@@ -310,3 +313,82 @@ def test_wirtinger_check_matches_every_strand_reference():
                 assert got == want
                 failing += bool(want)
     assert failing >= 20
+
+
+# -- value paths against Scalar references -------------------------------------------
+
+FIGURE_EIGHT = BraidWord(3, [1, -2, 1, -2])
+INVERSE_BRAIDS = (FIGURE_EIGHT, BraidWord(2, [1, 1, 1]), BraidWord(3, [1, 1, 2]),
+                  BraidWord(3, [-1, 2, -1, -2]), BraidWord(3, [2, -1, -1]))
+
+
+def _rand_value(field, rng):
+    if field.is_prime_field:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+
+
+def _rand_matrix(field, N, rng, invertible):
+    while True:
+        mat = Matrix.from_rows(field, [[_rand_value(field, rng) for _ in range(N)]
+                                       for _ in range(N)])
+        if not invertible or not _ref_det(mat).is_zero():
+            return mat
+
+
+def _random_sheaf(braid, field, rng, invertible=True):
+    """Random meridians and stalks: a SheafData that need not be valid."""
+    N = rng.randint(1, 3)
+    M = [_rand_matrix(field, N, rng, invertible) for _ in range(braid.n)]
+    W = [Subspace.from_vectors(field, N, [[field.scalar(_rand_value(field, rng))
+                                           for _ in range(N)] for _ in range(rng.randint(0, N))])
+         for _ in range(braid.n)]
+    return SheafData(field, braid, N, M, W)
+
+
+def _ref_det(mat):
+    """The determinant by permutation expansion, in Scalars."""
+    field, n, total = mat.field, mat.rows, mat.field.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = -field.one() if inversions % 2 else field.one()
+        for i in range(n):
+            term = term * mat[i, perm[i]]
+        total = total + term
+    return total
+
+
+def test_row_transport_matches_the_transposed_transport_matrix():
+    # a functional carried through a word's letters as a row vector, f <- f M,
+    # equals transpose(rho(word)) f with rho(word) multiplied out
+    rng = random.Random(21)
+    for field in (F2, F3, F5, F7, QQ):
+        for braid in INVERSE_BRAIDS:
+            geom = geometry(braid)
+            words = list(geom.segments.values()) + list(geom.longitudes.values())
+            assert any(e == -1 for word in words for _, e in word.letters)
+            for _ in range(4):
+                sheaf = _random_sheaf(braid, field, rng)
+                for word in words:
+                    f = [field.scalar(_rand_value(field, rng)) for _ in range(sheaf.N)]
+                    want = sheaf.transport(word).transpose() * Matrix.column(field, f)
+                    got = sheaf._transport_row(word, [x.value for x in f])
+                    assert got == [x.value for x in want.col(0)]
+
+
+def test_invertibility_on_values_matches_the_determinant():
+    rng = random.Random(22)
+    singular_seen = 0
+    for field in (F2, F3, F5, F7, QQ):
+        for braid in (UNLINK3,) + INVERSE_BRAIDS:
+            for _ in range(6):
+                sheaf = _random_sheaf(braid, field, rng, invertible=False)
+                singular = [_ref_det(mat).is_zero() for mat in sheaf.M]
+                assert [not mat.is_invertible() for mat in sheaf.M] == singular
+                assert [mat.det() for mat in sheaf.M] == [_ref_det(mat) for mat in sheaf.M]
+                want = [{"family": "invertibility", "location": f"M[{singular.index(True) + 1}]",
+                         "expected": "invertible", "got": "singular"}] if any(singular) else []
+                got = [f for f in validate(sheaf).failures if f["family"] == "invertibility"]
+                assert got == want
+                singular_seen += any(singular)
+    assert singular_seen >= 20
