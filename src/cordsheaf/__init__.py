@@ -12,8 +12,7 @@ from .cordaug import (AugCandidate, DilationParam, IndexSets, apply_dilation,
                       meridian_operator, zero_column_components,
                       zero_row_components)
 from .correspondence import (InvalidTrivializationError, LocalTrivialization,
-                             NoTransverseVectorError, NotAnAugmentationError,
-                             aug_to_sheaf, aug_to_subsheaf,
+                             NotAnAugmentationError, aug_to_sheaf, aug_to_subsheaf,
                              canonical_trivialization, choose_trivialization,
                              extend_by_constant, pure_cord_trace, roundtrip_aug,
                              roundtrip_sheaf, sheaf_to_aug)

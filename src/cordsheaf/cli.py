@@ -262,9 +262,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except InputError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR

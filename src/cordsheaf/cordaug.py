@@ -69,9 +69,6 @@ class AugCandidate:
     def mu_of_strand(self, i: int) -> Scalar:
         return self.mu[self.components.component(i) - 1]
 
-    def lam_of_strand(self, i: int) -> Scalar:
-        return self.lam[self.components.component(i) - 1]
-
     def entry(self, i: int, j: int) -> Scalar:
         """R value on the standard cord from strand i to strand j (1-based)."""
         return self.R[i - 1, j - 1]

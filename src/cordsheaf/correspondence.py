@@ -24,7 +24,6 @@ equivalence.)
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
@@ -46,10 +45,6 @@ class NotAnAugmentationError(ValueError):
 
 class InvalidTrivializationError(ValueError):
     pass
-
-
-class NoTransverseVectorError(RuntimeError):
-    """No vector avoids every stalk subspace (field too small for this n)."""
 
 
 class LocalTrivialization:
@@ -258,7 +253,11 @@ class _AugLayout:
     Every meridian is a rank-one update, rho(m_t) = Id - R_t g_t, where g_t
     is strand t's functional of the canonical trivialization: row t of R on
     the pivot columns, or -1 on R_0 at a zero-row strand, so that
-    M_t(R_0) = R_0 + R_t there.  The stalk at t is ker g_t.
+    M_t(R_0) = R_0 + R_t there.  The stalk at t is ker g_t.  One builder
+    writes both the sheaf and the subsheaf: the subsheaf is the sheaf
+    without the R_0 coordinate, where a zero row is a zero functional, so
+    its meridian is the identity and its stalk the full space, as on a
+    degenerate strand.
     """
 
     __slots__ = ("cand", "p", "pivots", "dim_sub", "coords", "deg_comps", "deg_strands",
@@ -294,33 +293,31 @@ class _AugLayout:
         return [DegenerateSummand(s, self.cand.lam[s - 1]) for s in self.deg_comps]
 
     def subsheaf(self, braid: BraidWord) -> SheafData:
-        field, n, d, p = self.cand.field, self.cand.n, self.dim_sub, self.p
-        mats, stalks = [], []
-        for t in range(1, n + 1):
-            row = self._row(t)
-            mats.append(Matrix._from_values(field, _minus_outer(p, self.coords[t - 1], row),
-                                            cols=d))
-            stalks.append(_row_matrix(field, row).kernel() if d else Subspace.zero(field, 0))
-        return SheafData(field, braid, d, mats, stalks, self._degenerate_summands())
+        return self._build(braid, extended=False)
 
     def sheaf(self, braid: BraidWord) -> SheafData:
-        """The sheaf, written straight from the coordinates: each meridian as
-        the rank-one update Id - R_t g_t, and each stalk as ker g_t in closed
-        form (linalg._hyperplane), already reduced."""
-        field, n, N, p = self.cand.field, self.cand.n, self.N, self.p
+        return self._build(braid, self.extended)
+
+    def _build(self, braid: BraidWord, extended: bool) -> SheafData:
+        """The sheaf on the pivot coordinates, with R_0 ahead of them when
+        extended, written straight from the coordinates.  A strand with a
+        nonzero functional g gets the rank-one update Id - R_t g and the
+        stalk ker g in closed form (linalg._hyperplane), already reduced; a
+        zero functional (a degenerate strand, or a zero row without R_0)
+        gets the shared identity and the full space."""
+        field, p = self.cand.field, self.p
+        N = self.dim_sub + extended
+        eye, full = Matrix.identity(field, N), Subspace.full(field, N)
+        lead = (_zero(p),) if extended else ()
         mats, stalks = [], []
-        if self.deg_strands:
-            eye, full = Matrix.identity(field, N), Subspace.full(field, N)
-        for t in range(1, n + 1):
-            if t in self.deg_strands:
+        for t in range(1, self.cand.n + 1):
+            g = self.functional(t) if extended else self._row(t)
+            if not any(g):
                 mats.append(eye)
                 stalks.append(full)
                 continue
-            g = self.functional(t)
-            col = list(self.coords[t - 1])
-            if self.extended:
-                col.insert(0, _zero(p))
-            mats.append(Matrix._from_values(field, _minus_outer(p, col, g), cols=N))
+            mats.append(Matrix._from_values(
+                field, _minus_outer(p, lead + self.coords[t - 1], g), cols=N))
             stalks.append(Subspace._from_echelon(field, N, *_hyperplane(p, g)))
         return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
 
@@ -410,45 +407,19 @@ def _roundtrip_layout(lay: _AugLayout, braid: BraidWord) -> DiffReport:
     return diff_candidates(lay.cand, recovered)
 
 
-def _transverse_vector(sheaf: SheafData) -> list:
-    """A deterministic vector of values outside every non-degenerate stalk
-    subspace."""
-    field, N = sheaf.field, sheaf.N
-    walls = [sheaf.W[i - 1] for i in range(1, sheaf.braid.n + 1)
-             if i not in sheaf.deg_strands()]
-    zero, one = _zero(field.p), _one(field.p)
-
-    def outside_all(vec) -> bool:
-        return all(wall._coordinates(vec) is None for wall in walls)
-
-    for a in range(N):
-        vec = [one if k == a else zero for k in range(N)]
-        if outside_all(vec):
-            return vec
-    for a in range(N):
-        for b in range(a + 1, N):
-            vec = [one if k in (a, b) else zero for k in range(N)]
-            if outside_all(vec):
-                return vec
-    if field.is_prime_field:
-        for tup in itertools.product(range(field.p), repeat=N):
-            if outside_all(list(tup)):
-                return list(tup)
-        raise NoTransverseVectorError(
-            f"every vector of F_{field.p}^{N} lies on one of {len(walls)} stalks")
-    for tup in itertools.product([field.scalar(v).value for v in range(-2, 3)], repeat=N):
-        if outside_all(list(tup)):
-            return list(tup)
-    raise NoTransverseVectorError("no small transverse vector found")
-
-
 def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
     """Verify the object is recovered from its own augmentation.
 
-    Constructs the comparison map R_i -> v_i / f_i(v) for a vector v avoiding
-    all stalks, and checks it is an isomorphism from the subsheaf of the
-    induced augmentation onto the once-stabilized subobject, matching
-    meridian actions, stalks, extension bookkeeping, and degenerate data.
+    The comparison map from the subsheaf of the induced augmentation onto
+    V_0 is the one its read-off formula R[i][j] = f_i (Id - M_j) finv_j
+    names: R_j -> (Id - M_j) finv_j at the pivot strands j.  It is checked
+    to be an isomorphism onto the once-stabilized subobject, matching
+    meridian actions, stalks, extension bookkeeping, and degenerate data, on
+    every field.  The map is the vector-free form of R_j -> v_j / f_j(v) for
+    a v off every stalk exactly when each non-degenerate meridian is the
+    rank-one update M_j = Id - (Id - M_j) finv_j f_j, which every valid sheaf
+    satisfies (M_j fixes ker f_j pointwise); strands where it fails are
+    one more entry of the report.
     """
     return _roundtrip_sheaf(sheaf)[0]
 
@@ -464,6 +435,16 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
         return report, None
     triv = choose_trivialization(sheaf)
     eps = sheaf_to_aug(sheaf, triv)
+
+    # f_j and d_j = (Id - M_j) finv_j as values, None at the degenerate strands
+    p = field.p
+    f, x = _check_trivialization(sheaf, triv)
+    disp = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
+            for M_j, x_j in zip(sheaf.M, x)]
+    bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf.M, f, disp), 1)
+            if d_t is not None and M_t.values != tuple(map(tuple, _minus_outer(p, d_t, f_t)))]
+    if bent:
+        report.add("rank-one meridians", "M[j] = Id - d_j f_j", f"fails at strands {bent}")
 
     expected_deg = [(d.component, d.alpha) for d in sheaf.deg]
     got_deg = [(s, eps.lam[s - 1]) for s in degenerate_components(eps)]
@@ -483,21 +464,7 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
     if sub.N == 0:
         return report, eps
 
-    try:
-        v = _transverse_vector(sheaf)
-    except NoTransverseVectorError as err:
-        # Field too small for the comparison vector; not a failure of the
-        # correspondence, so reported as a note.
-        report.note(f"comparison map skipped: {err}")
-        return report, eps
-    p = field.p
-    cols = []
-    for j in lay.pivots:
-        fj_v = _dot(p, triv.f[j - 1].values[0], v)
-        vj = _axpy(p, v, -1, _matvec(p, sheaf.M[j - 1].values, v))
-        cols.append(_scale(p, _inv(p, fj_v), vj))
-    Phi = Matrix._from_values(field, _transpose(cols, sheaf.N))
-
+    Phi = Matrix._from_values(field, _transpose([disp[j - 1] for j in lay.pivots], sheaf.N))
     if Phi.rank() != sub.N:
         report.add("comparison rank", sub.N, Phi.rank())
         return report, eps

@@ -14,11 +14,11 @@ of field apart: they take the characteristic p (None for the rationals)
 and reduce mod p after every operation, or leave exact Fractions as they
 are.  Other modules of the package share them for their own raw loops.
 
-Subspaces are stored by a basis matrix in reduced column echelon form, which
-is unique, so two equal subspaces have bit-identical bases; this is what
-lets the moduli code deduplicate by syntactic comparison.  The basis vectors
-also sit row-wise in reduced row echelon form, with their pivot positions,
-so membership and coordinates are read off without elimination.
+Subspaces are stored by their basis vectors in reduced row echelon form,
+with their pivot positions.  That basis is unique, so two equal subspaces
+have bit-identical bases; this is what lets the moduli code deduplicate by
+syntactic comparison.  Membership and coordinates are read off the pivots
+without elimination.
 
 Dimensions in this project stay below ~10, so everything is plain Gaussian
 elimination with no pivoting heuristics.
@@ -235,12 +235,16 @@ class Matrix:
         # The column count cannot be inferred from an empty row list, so
         # degenerate shapes carry it explicitly.
         self.cols = len(rows[0]) if rows else (cols or 0)
-        for row in rows:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-            for x in row:
-                if x.field is not field and x.field != field:
-                    raise MixedFieldError("matrix entry from a different field")
+        try:
+            for row in rows:
+                if len(row) != self.cols:
+                    raise ValueError("ragged rows")
+                for x in row:
+                    if x.field is not field and x.field != field:
+                        raise MixedFieldError("matrix entry from a different field")
+        except AttributeError:
+            raise TypeError("matrix entries must be Scalars; Matrix.from_rows takes "
+                            "plain values") from None
         self.values = tuple(tuple(x.value for x in row) for row in rows)
 
     # -- constructors ----------------------------------------------------------
@@ -471,11 +475,8 @@ class Matrix:
         return tuple(Scalar(field, v) for v in x)
 
     def kernel(self) -> "Subspace":
-        """The right null space, canonicalized; a nonzero row's in closed form."""
+        """The right null space, canonicalized."""
         p = self.field.p
-        if self.rows == 1 and self.cols > 1 and any(self.values[0]):
-            return Subspace._from_echelon(self.field, self.cols,
-                                          *_hyperplane(p, self.values[0]))
         red, pivots = _rref(p, self.values, self.cols)
         return Subspace._from_values(self.field, self.cols,
                                      _null_vectors(p, red, pivots, self.cols))
@@ -499,19 +500,21 @@ class Matrix:
 
 
 class Subspace:
-    """A subspace of k^n, stored by a reduced-column-echelon basis matrix.
+    """A subspace of k^n, stored by its canonical basis.
 
-    The canonical basis makes equality syntactic: two Subspace objects are
-    equal iff they describe the same subspace.  ``_vectors`` holds the same
-    basis as rows of values in reduced row echelon form, and ``_pivots``
-    their pivot positions, where each vector has a 1 and every other basis
-    vector a 0; so the coordinates of a vector of the subspace are its
-    entries at the pivots.  Hyperplanes, the stalks of a simple sheaf, take a
-    closed-form path: a nonzero row's kernel (``_hyperplane``) and a
-    hyperplane's annihilator are written down without elimination.
+    ``_vectors`` holds the basis as rows of values in reduced row echelon
+    form, which is unique, and ``_pivots`` their pivot positions, where each
+    vector has a 1 and every other basis vector a 0; so the coordinates of a
+    vector of the subspace are its entries at the pivots.  The canonical
+    basis makes equality syntactic: two Subspace objects are equal iff they
+    describe the same subspace.  ``basis`` is the same basis as the columns
+    of a matrix (reduced column echelon form), built on demand.  Hyperplanes,
+    the stalks of a simple sheaf, have closed forms: the sheaf builder writes
+    a nonzero row's kernel down with ``_hyperplane``, and a hyperplane's
+    annihilator is read off without elimination.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "_vectors", "_pivots")
+    __slots__ = ("field", "ambient_dim", "_vectors", "_pivots")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix):
         """The span of the columns of basis, a matrix over field with
@@ -538,10 +541,6 @@ class Subspace:
         sub.ambient_dim = ambient_dim
         sub._vectors = tuple(map(tuple, rows))
         sub._pivots = tuple(pivots)
-        # Store spanning vectors as columns; RREF of the generators is the
-        # canonical form, transposed into column convention.
-        sub.basis = Matrix._from_values(field, _transpose(sub._vectors, ambient_dim),
-                                        cols=len(pivots))
         return sub
 
     @classmethod
@@ -565,7 +564,13 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self._pivots)
+
+    @property
+    def basis(self) -> Matrix:
+        """The basis vectors as the columns of an ambient_dim x dim matrix."""
+        return Matrix._from_values(self.field, _transpose(self._vectors, self.ambient_dim),
+                                   cols=self.dim)
 
     def basis_columns(self) -> list[tuple[Scalar, ...]]:
         field = self.field
@@ -665,11 +670,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._vectors == other._vectors
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self._vectors))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"

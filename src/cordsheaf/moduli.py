@@ -26,8 +26,7 @@ from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf,
                              sheaf_to_aug)
 from .field import FieldSpec
 from .linalg import Matrix, Subspace, _sub
-from .sheafmodel import (SheafData, global_sections, is_reduced, isomorphic,
-                         stabilized_space, validate)
+from .sheafmodel import SheafData, global_sections, is_reduced, isomorphic, validate
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -99,22 +98,12 @@ def equivalent_in_moduli(F: SheafData, G: SheafData) -> bool:
 
     Representatives carry no constant fat, so the local-system quotient is
     detected by matching degenerate data and a genuine isomorphism of the
-    remaining data.  (Comparing only once-stabilized subobjects is too
-    coarse: distinct extensions over the zero-row strands share a
-    stabilization but are inequivalent. A test pins a concrete pair.)
+    remaining data, which isomorphic checks together.  (Comparing only
+    once-stabilized subobjects is too coarse: distinct extensions over the
+    zero-row strands share a stabilization but are inequivalent. A test pins
+    a concrete pair.)
     """
-    if [(d.component, d.alpha) for d in F.deg] != [(d.component, d.alpha) for d in G.deg]:
-        return False
     return isomorphic(F, G) is not None
-
-
-def _equivalence_invariants(sheaf: SheafData) -> tuple:
-    """Conjugation-invariant data separating inequivalent objects cheaply."""
-    V0 = stabilized_space(sheaf)
-    deg = tuple((d.component, str(d.alpha)) for d in sheaf.deg)
-    chars = tuple(sorted(tuple(str(c) for c in m.charpoly()) for m in sheaf.M))
-    wdims = tuple(sorted(w.dim for w in sheaf.W))
-    return (sheaf.N, V0.dim, deg, chars, wdims)
 
 
 def enumerate_sheaf_moduli(braid: BraidWord, field: FieldSpec,
@@ -163,8 +152,7 @@ class ModuliReport:
 
 
 def verify_bijection(braid: BraidWord, field: FieldSpec,
-                     budget: int = DEFAULT_BUDGET,
-                     full_collision_scan: bool = False) -> ModuliReport:
+                     budget: int = DEFAULT_BUDGET) -> ModuliReport:
     """Enumerate both sides and check they are in bijection.
 
     Every candidate, not only each orbit representative, must survive the
@@ -215,14 +203,7 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     # Injectivity: isomorphic sheaves induce dilation-equivalent augmentations,
     # so distinct induced canonical forms separate the representatives; only
     # canonical-form duplicates need the intertwiner search.
-    if full_collision_scan:
-        groups: dict = {}
-        for k, sheaf in enumerate(report.sheaf_reps):
-            groups.setdefault(_equivalence_invariants(sheaf), []).append(k)
-        candidates = groups.values()
-    else:
-        candidates = induced_keys.values()
-    for group in candidates:
+    for group in induced_keys.values():
         for pos, a in enumerate(group):
             for b in group[pos + 1:]:
                 if equivalent_in_moduli(report.sheaf_reps[a], report.sheaf_reps[b]):

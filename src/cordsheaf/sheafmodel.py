@@ -403,8 +403,11 @@ def _intertwiner_space(F: SheafData, G: SheafData) -> list[Matrix]:
     return out
 
 
-def isomorphic(F: SheafData, G: SheafData, samples: int = 800,
-               seed: int = 0) -> Optional[Matrix]:
+# random combinations tried over the rationals, from a fixed seed
+_SAMPLES, _SEED = 800, 0
+
+
+def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
     """An invertible intertwiner matching meridians, stalks, and degenerate
     data, or None.
 
@@ -435,13 +438,13 @@ def isomorphic(F: SheafData, G: SheafData, samples: int = 800,
             if P.is_invertible() and _stalks_match(F, G, P):
                 return P
         return None
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     pool = ([field.scalar(v) for v in range(-3, 4)] if not field.is_prime_field
             else list(field.elements()))
     for B in basis:
         if B.is_invertible() and _stalks_match(F, G, B):
             return B
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         P = Matrix.zeros(field, F.N, F.N)
         for B in basis:
             P = P + B.scaled(rng.choice(pool))

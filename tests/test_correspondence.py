@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,9 +16,9 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       sheaf_to_aug)
 from cordsheaf.correspondence import _AugLayout
 from cordsheaf.field import FieldSpec
-from cordsheaf.linalg import Matrix, Subspace
-from cordsheaf.moduli import enumerate_augs, quotient_by_dilation
-from cordsheaf.sheafmodel import SheafData, validate
+from cordsheaf.linalg import Matrix, Subspace, _null_vectors, _rref
+from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
+from cordsheaf.sheafmodel import DegenerateSummand, SheafData, validate
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -361,3 +362,90 @@ def test_mixed_degenerate_and_visible_components():
     assert [(d.component, d.alpha.value) for d in sheaf.deg] == [(1, 2)]
     assert roundtrip_aug(cand, UNLINK3).empty
     assert roundtrip_sheaf(sheaf).empty
+
+
+# -- the sheaf round trip's comparison map -------------------------------------------
+
+
+def _transverse_vector(sheaf):
+    """A vector of values outside every non-degenerate stalk, or None."""
+    field = sheaf.field
+    walls = [sheaf.W[i - 1] for i in range(1, sheaf.braid.n + 1)
+             if i not in sheaf.deg_strands()]
+    for tup in itertools.product(range(field.p), repeat=sheaf.N):
+        if all(wall._coordinates(list(tup)) is None for wall in walls):
+            return list(tup)
+    return None
+
+
+def test_comparison_map_is_the_transverse_vector_map():
+    # R_j -> (Id - M_j) finv_j, at the pivots of the induced augmentation,
+    # is R_j -> v_j / f_j(v) with v_j = (Id - M_j) v, for any v off every
+    # stalk: the meridians are the rank-one updates Id - (Id - M_j) finv_j f_j
+    compared = 0
+    for _, sheaf in _suite_sheaves(random.Random(10), max_items=None):
+        v = _transverse_vector(sheaf)
+        if v is None:
+            continue
+        field = sheaf.field
+        triv = choose_trivialization(sheaf)
+        eps = sheaf_to_aug(sheaf, triv)
+        eye = Matrix.identity(field, sheaf.N)
+        vec = Matrix._from_values(field, [(x,) for x in v], cols=1)
+        for j in _AugLayout(eps, index_sets(eps)).pivots:
+            displaced = eye - sheaf.M[j - 1]
+            want = (displaced * vec).scaled((triv.f[j - 1] * vec)[0, 0].inv())
+            assert displaced * triv.finv[j - 1] == want
+            compared += 1
+        assert roundtrip_sheaf(sheaf).empty
+    assert compared > 1000
+
+
+def test_unlink_over_f2_runs_every_comparison():
+    # no vector of F_2^2 avoids the three stalks of four representatives;
+    # the comparison map needs none
+    report = verify_bijection(UNLINK3, F2)
+    assert report.ok
+    assert report.notes == [f"{len(report.aug_points)} candidates, "
+                            f"{len(report.orbits)} dilation orbits"]
+
+
+def test_corrupted_meridian_is_itemized():
+    sheaf = aug_to_sheaf(golden_candidate(), UNLINK3)
+    M = list(sheaf.M)
+    M[2] = M[2].scaled(F5.scalar(2))
+    bad = SheafData(F5, UNLINK3, sheaf.N, M, sheaf.W, sheaf.deg)
+    assert not validate(bad).ok
+    entries = roundtrip_sheaf(bad).entries
+    assert {"location": "rank-one meridians", "expected": "M[j] = Id - d_j f_j",
+            "got": "fails at strands [3]"} in entries
+
+
+def _elimination_subsheaf(cand, braid):
+    """The subsheaf from its definition: the pivot columns of R base the
+    space, M_t = Id - (coordinates of R_t) (row t on the pivots), and W_t is
+    the kernel of that row, by elimination."""
+    field, p, n = cand.field, cand.field.p, cand.n
+    pivots = cand.R.rref()[1]
+    d = len(pivots)
+    basis = Matrix.from_rows(field, [[cand.R[i, j].value for j in pivots] for i in range(n)])
+    mats, stalks = [], []
+    for t in range(n):
+        row = Matrix._from_values(field, [[cand.R.values[t][j] for j in pivots]], cols=d)
+        coords = Matrix.column(field, basis.solve(cand.R.column_matrix(t)))
+        mats.append(Matrix.identity(field, d) - coords * row)
+        red, piv = _rref(p, row.values, d)
+        stalks.append(Subspace._from_values(field, d, _null_vectors(p, red, piv, d)))
+    deg = [DegenerateSummand(s, cand.lam[s - 1]) for s in degenerate_components(cand)]
+    return SheafData(field, braid, d, mats, stalks, deg)
+
+
+def test_subsheaf_matches_the_elimination_reference():
+    hopf = BraidWord(2, [1, 1])
+    for braid, field, kind in ((hopf, F3, "extended"), (UNLINK3, F2, "degenerate")):
+        seen = False
+        for cand in enumerate_augs(braid, field):
+            lay = _AugLayout(cand, index_sets(cand))
+            seen |= lay.extended if kind == "extended" else bool(lay.deg_strands)
+            assert lay.subsheaf(braid) == _elimination_subsheaf(cand, braid), cand
+        assert seen, kind

@@ -6,8 +6,8 @@ import pytest
 
 from cordsheaf import linalg
 from cordsheaf.field import FieldSpec, MixedFieldError, Scalar
-from cordsheaf.linalg import (Matrix, Subspace, _null_vectors, _one, _right_inverse, _rref,
-                              _solve, _zero)
+from cordsheaf.linalg import (Matrix, Subspace, _hyperplane, _null_vectors, _one,
+                              _right_inverse, _rref, _solve, _zero)
 
 F5 = FieldSpec.prime(5)
 F3 = FieldSpec.prime(3)
@@ -397,6 +397,15 @@ def test_mixed_fields_rejected_at_the_boundary():
             op()
 
 
+def test_plain_values_rejected_with_a_type_error():
+    for build in (lambda: Matrix(F3, [[1, 2]]),
+                  lambda: Matrix(F3, [[F3.one(), 2]]),
+                  lambda: Subspace.from_vectors(F3, 2, [[1, 0]])):
+        with pytest.raises(TypeError, match="Scalars; Matrix.from_rows"):
+            build()
+    assert Matrix.from_rows(F3, [[1, 2]]) == Matrix(F3, [[F3.one(), F3.scalar(2)]])
+
+
 def test_accessors_return_scalars_of_the_matrix_field():
     for field in FIELDS:
         m = Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3]])
@@ -443,7 +452,7 @@ def test_codimension_one_closed_forms_match_elimination(eliminations):
             if not any(row):
                 row[rng.randrange(n)] = _one(p)
             eliminations.clear()
-            ker = Matrix._from_values(field, [row]).kernel()
+            ker = Subspace._from_echelon(field, n, *_hyperplane(p, row))
             ann = ker.annihilator()
             assert not eliminations
             want = elimination_kernel(field, row)

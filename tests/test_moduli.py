@@ -9,8 +9,10 @@ from cordsheaf.correspondence import aug_to_sheaf
 from cordsheaf.field import FieldSpec
 from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
                               enumerate_sheaf_moduli, enumerate_sheaves_direct,
-                              markov_compare, quotient_by_dilation,
-                              search_space_size, verify_bijection)
+                              equivalent_in_moduli, markov_compare,
+                              quotient_by_dilation, search_space_size,
+                              verify_bijection)
+from cordsheaf.sheafmodel import stabilized_space
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -104,12 +106,30 @@ def test_enumerated_candidates_pass_the_full_certificate():
             assert report.ok, (braid, field, cand, report.failures[:3])
 
 
+def _equivalence_invariants(sheaf):
+    """Conjugation-invariant data separating inequivalent objects cheaply."""
+    deg = tuple((d.component, str(d.alpha)) for d in sheaf.deg)
+    chars = tuple(sorted(tuple(str(c) for c in m.charpoly()) for m in sheaf.M))
+    wdims = tuple(sorted(w.dim for w in sheaf.W))
+    return (sheaf.N, stabilized_space(sheaf).dim, deg, chars, wdims)
+
+
 def test_verify_bijection_clean_cases():
     for braid, field in ((UNKNOT, F2), (UNKNOT, F3), (UNLINK2, F2), (UNLINK2, F3),
                          (TREFOIL, F2), (TREFOIL, F3), (UNLINK3, F2)):
-        report = verify_bijection(braid, field, full_collision_scan=True)
+        report = verify_bijection(braid, field)
         assert report.ok, (braid, field, report.failures[:3])
         assert len(report.orbits) == len(report.sheaf_reps)
+        # verify_bijection searches for collisions only among representatives
+        # inducing the same canonical form; here every pair the invariants
+        # cannot separate is searched
+        groups: dict = {}
+        for k, sheaf in enumerate(report.sheaf_reps):
+            groups.setdefault(_equivalence_invariants(sheaf), []).append(k)
+        for group in groups.values():
+            for a, b in itertools.combinations(group, 2):
+                assert not equivalent_in_moduli(report.sheaf_reps[a], report.sheaf_reps[b]), \
+                    (braid, field, a, b)
 
 
 def test_hopf_phantom_augmentations():
