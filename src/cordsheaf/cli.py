@@ -73,21 +73,14 @@ def cmd_augs(args) -> int:
     field = _field(args.field)
     braid = _braid(args.braid, args.strands)
     candidates = enumerate_augs(braid, field, budget=args.budget)
+    payload = {"braid": braid.to_json(), "field": field.to_json()}
     if args.modulo_dilation:
         orbits = quotient_by_dilation(candidates)
-        payload = {
-            "braid": braid.to_json(),
-            "field": field.to_json(),
-            "orbit_count": len(orbits),
-            "orbits": [{"size": o.size, "representative": o.rep.to_json()} for o in orbits],
-        }
+        payload["orbit_count"] = len(orbits)
+        payload["orbits"] = [{"size": o.size, "representative": o.rep.to_json()} for o in orbits]
     else:
-        payload = {
-            "braid": braid.to_json(),
-            "field": field.to_json(),
-            "count": len(candidates),
-            "candidates": [c.to_json() for c in candidates],
-        }
+        payload["count"] = len(candidates)
+        payload["candidates"] = [c.to_json() for c in candidates]
     _emit(payload)
     return EXIT_OK
 

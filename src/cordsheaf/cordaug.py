@@ -165,11 +165,9 @@ def meridian_operator(cand: AugCandidate, t: int, exponent: int = 1) -> Matrix:
         coeff = _inv(p, cand.mu_of_strand(t).value)
     else:
         raise ValueError("exponent must be +-1")
-    rows = _identity(p, cand.n)
-    col = _axpy(p, [row[t - 1] for row in rows], coeff, [row[t - 1] for row in cand.R.values])
-    for row, x in zip(rows, col):
-        row[t - 1] = x
-    return Matrix._from_values(cand.field, rows)
+    units = _identity(p, cand.n)
+    col = _axpy(p, units[t - 1], coeff, [row[t - 1] for row in cand.R.values])
+    return Matrix._from_values(cand.field, [e[:t - 1] + (x,) + e[t:] for e, x in zip(units, col)])
 
 
 def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> list:

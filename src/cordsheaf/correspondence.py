@@ -51,40 +51,55 @@ class LocalTrivialization:
     """Per-strand functionals f_i (vanishing on W_i) with right inverses.
 
     Strands of degenerate components have no stalk drop and carry None.
+    This module builds them from vectors of field values (``_from_values``),
+    which the read-off uses as they are; the 1 x N and N x 1 matrices ``f``
+    and ``finv`` are then made when asked for.
     """
 
-    __slots__ = ("f", "finv")
+    __slots__ = ("_f", "_finv", "_values")
 
     def __init__(self, f: Sequence[Optional[Matrix]], finv: Sequence[Optional[Matrix]]):
-        self.f = tuple(f)
-        self.finv = tuple(finv)
+        self._f, self._finv, self._values = tuple(f), tuple(finv), None
+
+    @classmethod
+    def _from_values(cls, field, f: Sequence, finv: Sequence) -> "LocalTrivialization":
+        triv = object.__new__(cls)
+        triv._values = field, f, finv
+        return triv
+
+    @property
+    def f(self) -> tuple[Optional[Matrix], ...]:
+        if self._values is None:
+            return self._f
+        field, f, _ = self._values
+        return tuple(None if v is None else Matrix._from_values(field, [v], len(v)) for v in f)
+
+    @property
+    def finv(self) -> tuple[Optional[Matrix], ...]:
+        if self._values is None:
+            return self._finv
+        field, _, x = self._values
+        return tuple(None if v is None else Matrix._from_values(field, [(a,) for a in v], 1)
+                     for v in x)
 
     def __repr__(self) -> str:
         parts = [m.to_json() if m is not None else None for m in self.f]
         return f"LocalTrivialization(f={parts})"
 
 
-def _column_values(col: Matrix) -> list:
-    return [row[0] for row in col.values]
-
-
-def _row_matrix(field, row) -> Matrix:
-    return Matrix._from_values(field, [row])
-
-
-def _column_matrix(field, col) -> Matrix:
-    return Matrix._from_values(field, [(x,) for x in col], cols=1)
-
-
 def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> tuple[list, list]:
-    """Check triv on sheaf; its functionals and right inverses as rows of
+    """Check triv on sheaf; its functionals and right inverses as vectors of
     values, None at the degenerate strands."""
     field, N = sheaf.field, sheaf.N
     p = field.p
     deg_strands = sheaf.deg_strands()
+    if triv._values is not None and triv._values[0] == field:
+        fs, xs, mats = triv._values[1], triv._values[2], False
+    else:
+        fs, xs, mats = triv.f, triv.finv, True
     f, x = [], []
     for i in range(1, sheaf.braid.n + 1):
-        f_i, finv_i = triv.f[i - 1], triv.finv[i - 1]
+        f_i, finv_i = fs[i - 1], xs[i - 1]
         if i in deg_strands:
             if f_i is not None or finv_i is not None:
                 raise InvalidTrivializationError(
@@ -94,14 +109,15 @@ def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> tuple[
             continue
         if f_i is None or finv_i is None:
             raise InvalidTrivializationError(f"strand {i} needs a functional")
-        if f_i.field != field or finv_i.field != field:
+        if mats and (f_i.field != field or finv_i.field != field):
             raise MixedFieldError(f"trivialization at strand {i} is not over {field}")
-        if (f_i.rows, f_i.cols, finv_i.rows, finv_i.cols) != (1, N, N, 1):
+        if ((f_i.rows, f_i.cols, finv_i.rows, finv_i.cols) if mats
+                else (1, len(f_i), len(finv_i), 1)) != (1, N, N, 1):
             raise InvalidTrivializationError(
                 f"f[{i}] must be 1x{N} and finv[{i}] {N}x1")
-        if f_i.is_zero():
+        f_row, x_i = (f_i.values[0], [r[0] for r in finv_i.values]) if mats else (f_i, finv_i)
+        if not any(f_row):
             raise InvalidTrivializationError(f"f[{i}] vanishes")
-        f_row, x_i = f_i.values[0], _column_values(finv_i)
         for w in sheaf.W[i - 1]._vectors:
             if _dot(p, f_row, w):
                 raise InvalidTrivializationError(f"f[{i}] does not kill W[{i}]")
@@ -125,8 +141,9 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     deterministic solver's solution.
 
     Each functional is carried through its segment's letters as a row
-    vector, f <- f M, at O(N^2) per letter; functionals and right inverses
-    stay field values until the LocalTrivialization is built.
+    vector, f <- f M, at O(N^2) per letter, and stays a vector of field
+    values.  A sheaf that admits no such family raises
+    InvalidTrivializationError, naming the strand or component.
     """
     field = sheaf.field
     p = field.p
@@ -136,49 +153,64 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     f: list = [None] * sheaf.braid.n
     finv: list = [None] * sheaf.braid.n
 
-    def right_inverse(fi: list) -> list:
+    def right_inverse(fi: list, strand: int) -> list:
         sol = _right_inverse(p, fi)
         if sol is None:
-            raise InvalidTrivializationError("functional vanishes identically")
+            raise InvalidTrivializationError(f"functional at strand {strand} vanishes")
         return sol
 
     for s in range(1, comps.r + 1):
         b = comps.base_strand(s)
         if b in deg_strands:
             continue
-        ann = sheaf.W[b - 1].annihilator()
-        if ann.rows != 1:
+        W_b = sheaf.W[b - 1]
+        if W_b.dim != sheaf.N - 1:
             raise InvalidTrivializationError(
-                f"stalk at strand {b} has codimension {ann.rows}, not 1")
-        fb = list(ann.values[0])  # reduced: its first nonzero entry is 1
+                f"stalk at strand {b} has codimension {sheaf.N - W_b.dim}, not 1")
+        fb = W_b._normal()  # its first nonzero entry is 1
         f[b - 1] = fb
-        finv[b - 1] = right_inverse(fb)
-        lam = _dot(p, fb, sheaf._transport_vector(geom.longitudes[s], finv[b - 1]))
+        finv[b - 1] = right_inverse(fb, b)
+        lam = _dot(p, fb, _transported(sheaf._transport_vector, geom.longitudes[s], finv[b - 1]))
         if not lam:
             raise InvalidTrivializationError(
                 f"longitude of component {s} degenerates on the stalk quotient")
         i = b
         while geom.tau[i - 1] != b:
             nxt = geom.tau[i - 1]
-            fi = sheaf._transport_row(geom.segments[i], f[i - 1])
+            fi = _transported(sheaf._transport_row, geom.segments[i], f[i - 1])
             if i == b:
                 fi = _scale(p, _inv(p, lam), fi)
             f[nxt - 1] = fi
-            finv[nxt - 1] = right_inverse(fi)
+            finv[nxt - 1] = right_inverse(fi, nxt)
             i = nxt
-    return LocalTrivialization(
-        [None if x is None else _row_matrix(field, x) for x in f],
-        [None if x is None else _column_matrix(field, x) for x in finv])
+    return LocalTrivialization._from_values(field, f, finv)
+
+
+def _transported(transport, word: MeridianWord, vec) -> list:
+    """A sheaf's _transport_vector or _transport_row of vec along word; an
+    inverse letter of a singular meridian raises InvalidTrivializationError."""
+    try:
+        return transport(word, vec)
+    except ZeroDivisionError as err:
+        raise InvalidTrivializationError(str(err)) from None
 
 
 def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
-    """Read off the augmentation; degenerate summands give lambda = alpha."""
+    """Read off the augmentation; degenerate summands give lambda = alpha.
+    A trivialization that does not fit, or a vanishing lambda or mu, raises
+    InvalidTrivializationError naming the strand or component."""
+    return _read_off(sheaf, triv)[0]
+
+
+def _read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate, list, list]:
+    """sheaf_to_aug's candidate, with the functionals f_j it checked and the
+    vectors d_j = (Id - M_j) finv_j, None at the degenerate strands."""
     field = sheaf.field
     p = field.p
     geom = geometry(sheaf.braid)
     comps = geom.components
     f, x = _check_trivialization(sheaf, triv)
-    zero = _zero(p)
+    zero, one = _zero(p), _one(p)
 
     # (Id - M_j) finv_j, None at the degenerate strands
     displaced = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
@@ -194,10 +226,15 @@ def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
             mu.append(field.one())
             continue
         b = comps.base_strand(s)
-        moved = sheaf._transport_vector(geom.longitudes[s], x[b - 1])
-        lam.append(Scalar(field, _dot(p, f[b - 1], moved)))
-        mu.append(Scalar(field, _sub(p, _one(p), _dot(p, f[b - 1], displaced[b - 1]))))
-    return AugCandidate(field, comps, R, lam, mu)
+        lam_s = _dot(p, f[b - 1], _transported(sheaf._transport_vector, geom.longitudes[s],
+                                               x[b - 1]))
+        mu_s = _sub(p, one, R.values[b - 1][b - 1])  # R[b][b] = f_b d_b
+        if not lam_s or not mu_s:
+            raise InvalidTrivializationError(f"{'mu' if lam_s else 'lambda'} of component {s} "
+                                             f"vanishes at its base strand {b}")
+        lam.append(Scalar(field, lam_s))
+        mu.append(Scalar(field, mu_s))
+    return AugCandidate(field, comps, R, lam, mu), f, displaced
 
 
 def pure_cord_trace(sheaf: SheafData, component: int,
@@ -209,34 +246,27 @@ def pure_cord_trace(sheaf: SheafData, component: int,
     stalk; mu is 1 - tr(Id - M_b); the cord value is tr((Id - M_b) rho(loop)).
     """
     field = sheaf.field
-    comps = sheaf.components
-    b = comps.base_strand(component)
-    geom = geometry(sheaf.braid)
-    A = sheaf.transport(geom.longitudes[component])
+    b = sheaf.components.base_strand(component)
+    A = sheaf.transport(geometry(sheaf.braid).longitudes[component])
     W_b = sheaf.W[b - 1]
-    restricted = []
-    for v in W_b.basis_columns():
-        coords = W_b.coordinates((A * Matrix.column(field, v)).col(0))
+    tr_stalk = field.zero()  # the trace of A on W_b: coordinate k of A w_k
+    for k, w in enumerate(W_b._vectors):
+        coords = W_b._coordinates(_matvec(field.p, A.values, w))
         if coords is None:
             raise ValueError("longitude transport does not preserve the stalk")
-        restricted.append(coords)
-    tr_stalk = field.zero()
-    for idx in range(W_b.dim):
-        tr_stalk = tr_stalk + restricted[idx][idx]
-    lam_val = A.trace() - tr_stalk
-
-    eye = Matrix.identity(field, sheaf.N)
-    mu_val = field.one() - (eye - sheaf.M[b - 1]).trace()
-    cord_val = ((eye - sheaf.M[b - 1]) * sheaf.transport(loop)).trace()
-    return lam_val, mu_val, cord_val
+        tr_stalk = tr_stalk + Scalar(field, coords[k])
+    displaced = Matrix.identity(field, sheaf.N) - sheaf.M[b - 1]
+    return (A.trace() - tr_stalk, field.one() - displaced.trace(),
+            (displaced * sheaf.transport(loop)).trace())
 
 
 # -- augmentation to sheaf ----------------------------------------------------------
 
 
-def _minus_outer(p: int | None, col: Sequence, row: Sequence) -> list:
-    """The rows of Id - col row, for vectors of field values."""
-    return [_axpy(p, e, -x, row) if x else e for e, x in zip(_identity(p, len(col)), col)]
+def _minus_outer(p: int | None, col: Sequence, row: Sequence, units: Sequence) -> list:
+    """The rows of Id - col row, for vectors of field values, from the unit
+    rows of the space."""
+    return [_axpy(p, e, -x, row) if x else e for e, x in zip(units, col)]
 
 
 class _AugLayout:
@@ -261,7 +291,7 @@ class _AugLayout:
     """
 
     __slots__ = ("cand", "p", "pivots", "dim_sub", "coords", "deg_comps", "deg_strands",
-                 "zero_rows", "extended", "N")
+                 "zero_rows", "extended", "N", "_piv0")
 
     def __init__(self, cand: AugCandidate, sets: IndexSets):
         self.cand = cand
@@ -269,6 +299,7 @@ class _AugLayout:
         self.p = cand.field.p
         red, pivots = _rref(self.p, cand.R.values, n)
         self.pivots = [c + 1 for c in pivots]
+        self._piv0 = pivots
         self.dim_sub = len(pivots)
         self.coords = _transpose(red[:self.dim_sub], n)
         self.deg_comps = _degenerate_components(cand, sets)
@@ -279,8 +310,7 @@ class _AugLayout:
 
     def _row(self, t: int) -> list:
         """Row t of R on the pivot columns."""
-        R_t = self.cand.R.values[t - 1]
-        return [R_t[j - 1] for j in self.pivots]
+        return list(map(self.cand.R.values[t - 1].__getitem__, self._piv0))
 
     def functional(self, t: int) -> list:
         """g_t in the ambient coordinates."""
@@ -300,25 +330,30 @@ class _AugLayout:
 
     def _build(self, braid: BraidWord, extended: bool) -> SheafData:
         """The sheaf on the pivot coordinates, with R_0 ahead of them when
-        extended, written straight from the coordinates.  A strand with a
-        nonzero functional g gets the rank-one update Id - R_t g and the
-        stalk ker g in closed form (linalg._hyperplane), already reduced; a
-        zero functional (a degenerate strand, or a zero row without R_0)
-        gets the shared identity and the full space."""
+        extended, written straight from the coordinates and one set of unit
+        rows.  A strand with a nonzero functional g gets the rank-one update
+        Id - R_t g and the stalk ker g in closed form (linalg._hyperplane),
+        already reduced; a zero functional (a degenerate strand, or a zero
+        row without R_0) gets the shared identity and the full space, made
+        only then."""
         field, p = self.cand.field, self.p
         N = self.dim_sub + extended
-        eye, full = Matrix.identity(field, N), Subspace.full(field, N)
+        units = _identity(p, N)
+        eye = full = None
         lead = (_zero(p),) if extended else ()
         mats, stalks = [], []
         for t in range(1, self.cand.n + 1):
             g = self.functional(t) if extended else self._row(t)
             if not any(g):
+                if eye is None:
+                    eye = Matrix._from_values(field, units, cols=N)
+                    full = Subspace._from_echelon(field, N, units, range(N))
                 mats.append(eye)
                 stalks.append(full)
                 continue
             mats.append(Matrix._from_values(
-                field, _minus_outer(p, lead + self.coords[t - 1], g), cols=N))
-            stalks.append(Subspace._from_echelon(field, N, *_hyperplane(p, g)))
+                field, _minus_outer(p, lead + self.coords[t - 1], g, units), cols=N))
+            stalks.append(Subspace._from_echelon(field, N, *_hyperplane(p, g, units)))
         return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
 
     def trivialization(self) -> LocalTrivialization:
@@ -327,7 +362,7 @@ class _AugLayout:
         column (a nonzero row is nonzero on some pivot column), -R_0 at a
         zero-row strand.  Pivot columns are basis vectors, so
         (Id - M_t) finv_t = R_t falls out for every strand."""
-        field, p = self.cand.field, self.p
+        p = self.p
         f, finv = [], []
         for t in range(1, self.cand.n + 1):
             if t in self.deg_strands:
@@ -338,9 +373,9 @@ class _AugLayout:
             last = max(a for a, v in enumerate(g) if v)
             col = [_zero(p)] * self.N
             col[last] = _inv(p, g[last])
-            f.append(_row_matrix(field, g))
-            finv.append(_column_matrix(field, col))
-        return LocalTrivialization(f, finv)
+            f.append(g)
+            finv.append(col)
+        return LocalTrivialization._from_values(self.cand.field, f, finv)
 
 
 def _certified_layout(cand: AugCandidate, braid: BraidWord) -> _AugLayout:
@@ -433,16 +468,11 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
     if gamma.dim != 0:
         report.add("Gamma", "0", gamma.dim)
         return report, None
-    triv = choose_trivialization(sheaf)
-    eps = sheaf_to_aug(sheaf, triv)
-
     # f_j and d_j = (Id - M_j) finv_j as values, None at the degenerate strands
-    p = field.p
-    f, x = _check_trivialization(sheaf, triv)
-    disp = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
-            for M_j, x_j in zip(sheaf.M, x)]
-    bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf.M, f, disp), 1)
-            if d_t is not None and M_t.values != tuple(map(tuple, _minus_outer(p, d_t, f_t)))]
+    eps, f, disp = _read_off(sheaf, choose_trivialization(sheaf))
+    p, units = field.p, _identity(field.p, sheaf.N)
+    bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf.M, f, disp), 1) if d_t is not None
+            and M_t.values != tuple(map(tuple, _minus_outer(p, d_t, f_t, units)))]
     if bent:
         report.add("rank-one meridians", "M[j] = Id - d_j f_j", f"fails at strands {bent}")
 
@@ -491,20 +521,10 @@ def extend_by_constant(sheaf: SheafData, extra: int) -> SheafData:
     """Direct-sum a trivial block inside every stalk (the local-system
     modifications that leave the induced augmentation unchanged)."""
     field, N = sheaf.field, sheaf.N
-    M2 = []
-    for mat in sheaf.M:
-        rows = [[field.zero()] * (N + extra) for _ in range(N + extra)]
-        for a in range(N):
-            for b in range(N):
-                rows[a][b] = mat[a, b]
-        for a in range(N, N + extra):
-            rows[a][a] = field.one()
-        M2.append(Matrix(field, rows))
-    W2 = []
-    for sub in sheaf.W:
-        vecs = [list(v) + [field.zero()] * extra for v in sub.basis_columns()]
-        for a in range(extra):
-            vecs.append([field.zero()] * N
-                        + [field.one() if k == a else field.zero() for k in range(extra)])
-        W2.append(Subspace.from_vectors(field, N + extra, vecs))
+    pad, block = (_zero(field.p),) * extra, list(_identity(field.p, N + extra)[N:])
+    M2 = [Matrix._from_values(field, [row + pad for row in mat.values] + block, cols=N + extra)
+          for mat in sheaf.M]
+    # the padded echelon rows and the new unit rows are together still reduced
+    W2 = [Subspace._from_echelon(field, N + extra, [v + pad for v in sub._vectors] + block,
+                                 sub._pivots + tuple(range(N, N + extra))) for sub in sheaf.W]
     return SheafData(field, sheaf.braid, N + extra, M2, W2, sheaf.deg)

@@ -163,9 +163,10 @@ class FieldSpec:
         kind = wire_get(data, "kind", path, str)
         if kind == "prime":
             p = wire_get(data, "p", path, int)
-            if not is_prime(p):
-                raise WireFormatError(f"{path}.p", f"characteristic must be prime, got {p}")
-            return cls.prime(p)
+            try:
+                return cls.prime(p)
+            except ValueError as err:  # the characteristic is not prime
+                raise WireFormatError(f"{path}.p", str(err)) from None
         if kind != "rationals":
             raise WireFormatError(f"{path}.kind", f"unknown field kind {kind!r}")
         if data.get("p") is not None:
@@ -206,18 +207,28 @@ def wire_rows(field: FieldSpec, data, path: str, rows: int | None = None,
         raise WireFormatError(path, f"expected {rows} rows, got {len(data)}")
     if cols is None:
         cols = len(data[0]) if data and type(data[0]) is list else 0
-    parse = field.parse
+    p = field.p
     out = []
     for i, row in enumerate(data):
         if type(row) is not list or len(row) != cols:
             got = f"{len(row)} entries" if type(row) is list else _kind(row)
             raise WireFormatError(f"{path}[{i}]", f"expected a row of {cols} scalars, got {got}")
-        try:
-            out.append(tuple(map(parse, row)))
-        except ValueError:
-            for j, x in enumerate(row):
-                _value_at(field, x, f"{path}[{i}][{j}]")
+        values = _integer_row(p, row)
+        out.append(values if values is not None else
+                   tuple([_value_at(field, x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]))
     return tuple(out)
+
+
+def _integer_row(p: int | None, row: list) -> tuple | None:
+    """The values of a row of integer strings in one pass, or None where parse
+    must read it entry by entry (an a/b string, or a fault: int with a base
+    refuses every JSON value but a string)."""
+    try:
+        if p:
+            return tuple([int(x, 10) % p for x in row])
+        return tuple([Fraction(int(x, 10)) for x in row])
+    except (ValueError, TypeError):
+        return None
 
 
 def wire_units(field: FieldSpec, data, path: str, count: int) -> list["Scalar"]:
@@ -225,7 +236,10 @@ def wire_units(field: FieldSpec, data, path: str, count: int) -> list["Scalar"]:
     if type(data) is not list or len(data) != count:
         got = f"{len(data)} entries" if type(data) is list else _kind(data)
         raise WireFormatError(path, f"expected an array of {count} scalars, got {got}")
-    return [wire_unit(field, x, f"{path}[{k}]") for k, x in enumerate(data)]
+    values = _integer_row(field.p, data)
+    if values is None or not all(values):
+        return [wire_unit(field, x, f"{path}[{k}]") for k, x in enumerate(data)]
+    return [Scalar(field, v) for v in values]
 
 
 def wire_unit(field: FieldSpec, text, path: str) -> "Scalar":
@@ -269,32 +283,24 @@ class Scalar:
         if other.field != self.field:
             raise MixedFieldError(f"cannot mix {self.field} and {other.field}")
 
+    def _reduced(self, v) -> "Scalar":
+        p = self.field.p
+        return Scalar(self.field, v % p if p else v)
+
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        v = self.value + other.value
-        if self.field.is_prime_field:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self._reduced(self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        v = self.value - other.value
-        if self.field.is_prime_field:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self._reduced(self.value - other.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        v = self.value * other.value
-        if self.field.is_prime_field:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self._reduced(self.value * other.value)
 
     def __neg__(self) -> "Scalar":
-        v = -self.value
-        if self.field.is_prime_field:
-            v %= self.field.p
-        return Scalar(self.field, v)
+        return self._reduced(-self.value)
 
     def inv(self) -> "Scalar":
         if self.is_zero():

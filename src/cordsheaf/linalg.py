@@ -102,12 +102,10 @@ def _transpose(rows: Sequence[Sequence], cols: int) -> list:
     return list(zip(*rows)) if rows else [()] * cols
 
 
-def _identity(p: int | None, n: int) -> list:
-    zero, one = _zero(p), _one(p)
-    rows = [[zero] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = one
-    return rows
+def _identity(p: int | None, n: int) -> tuple:
+    """The unit rows of k^n, as tuples."""
+    zero, one = (_zero(p),), _one(p)
+    return tuple(zero * i + (one,) + zero * (n - 1 - i) for i in range(n))
 
 
 def _rref(p: int | None, rows: Sequence[Sequence], cols: int) -> tuple[list, list]:
@@ -193,9 +191,9 @@ def _det(p: int | None, rows: Sequence[Sequence]):
     return det
 
 
-def _hyperplane(p: int | None, phi: Sequence) -> tuple[list, list]:
+def _hyperplane(p: int | None, phi: Sequence, units: Sequence) -> tuple:
     """ker phi for a nonzero row phi, in reduced row echelon form, and its
-    pivots, without elimination.
+    pivots, without elimination, from the unit rows of k^n.
 
     The one non-pivot is m, the last coordinate where phi is nonzero: the
     row of each k < m is e_k - (phi_k / phi_m) e_m, and of each k > m is e_k.
@@ -204,11 +202,9 @@ def _hyperplane(p: int | None, phi: Sequence) -> tuple[list, list]:
     m = n - 1
     while not phi[m]:
         m -= 1
-    rows = _identity(p, n)
-    for row, x in zip(rows, _scale(p, _neg(p, _inv(p, phi[m])), phi[:m])):
-        row[m] = x
-    del rows[m]
-    return rows, [k for k in range(n) if k != m]
+    c = _neg(p, _inv(p, phi[m]))
+    rows = [e[:m] + (_mul(p, c, x),) + e[m + 1:] for e, x in zip(units, phi[:m])]
+    return rows + list(units[m + 1:]), [*range(m), *range(m + 1, n)]
 
 
 def _right_inverse(p: int | None, phi: Sequence) -> Optional[list]:
@@ -412,48 +408,28 @@ class Matrix:
     def charpoly(self) -> tuple[Scalar, ...]:
         """Coefficients of det(xI - M) from degree 0 up to degree n.
 
-        Permutation expansion; fine for the tiny dimensions used here and
-        valid in any characteristic.
+        Permutation expansion on values; fine for the tiny dimensions used
+        here and valid in any characteristic.
         """
-        import itertools as _it
+        from itertools import combinations, permutations
         if self.rows != self.cols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        n = self.rows
-        entries = self.entries
-        zero, one = self.field.zero(), self.field.one()
-        coeffs = [zero] * (n + 1)
-        for perm in _it.permutations(range(n)):
-            sign = one
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                length = 0
-                k = start
-                while not seen[k]:
-                    seen[k] = True
-                    k = perm[k]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            # product of linear factors (x delta_{i,perm(i)} - M[i][perm(i)])
-            poly = [sign]
-            for i in range(n):
-                lin = [-entries[i][perm[i]], one if perm[i] == i else zero]
-                new = [zero] * (len(poly) + 1)
-                for a, ca in enumerate(poly):
-                    for b, cb in enumerate(lin):
-                        new[a + b] = new[a + b] + ca * cb
-                poly = new
-            for d, c in enumerate(poly):
-                coeffs[d] = coeffs[d] + c
-        return tuple(coeffs)
+        p, zero = self.field.p, _zero(self.field.p)
+        coeffs = [zero] * (self.rows + 1)
+        for perm in permutations(range(self.rows)):
+            odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+            poly = [_neg(p, _one(p)) if odd else _one(p)]
+            for i, j in enumerate(perm):  # times x delta_ij - M[i][j]
+                poly = _axpy(p, _scale(p, _neg(p, self.values[i][j]), poly + [zero]), int(i == j),
+                             [zero] + poly)
+            coeffs = _axpy(p, coeffs, 1, poly)
+        return tuple(Scalar(self.field, c) for c in coeffs)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         p, n = self.field.p, self.rows
-        aug = [row + tuple(unit) for row, unit in zip(self.values, _identity(p, n))]
+        aug = [row + unit for row, unit in zip(self.values, _identity(p, n))]
         red, pivots = _rref(p, aug, 2 * n)
         if len(pivots) < n or any(c >= n for c in pivots):
             raise ZeroDivisionError("matrix is singular")
@@ -640,14 +616,20 @@ class Subspace:
         """Rows spanning the functionals that vanish on this subspace."""
         # phi(basis) = 0  <=>  phi lies in the null space of the basis rows,
         # which are already in reduced row echelon form.
-        p, n = self.field.p, self.ambient_dim
-        null = _null_vectors(p, self._vectors, self._pivots, n)
+        field, p, n = self.field, self.field.p, self.ambient_dim
         if self.dim == n - 1 and n > 1:
-            (v,) = null  # reduced: scaled so its first nonzero entry is 1
-            lead = next(filter(None, v))
-            return Matrix._from_values(self.field, [_scale(p, _inv(p, lead), v)])
-        ker = Subspace._from_values(self.field, n, null)
-        return Matrix._from_values(self.field, ker._vectors, cols=n)
+            return Matrix._from_values(field, [self._normal()])
+        ker = Subspace._from_values(field, n, _null_vectors(p, self._vectors, self._pivots, n))
+        return Matrix._from_values(field, ker._vectors, cols=n)
+
+    def _normal(self) -> list:
+        """For a hyperplane, the functional with kernel self whose first
+        nonzero entry is 1, read off the reduced rows: before that scaling
+        it is 1 at the one non-pivot m, -row_k[m] at each k < m, 0 past m."""
+        p, piv = self.field.p, self._pivots
+        m = len(piv) * (len(piv) + 1) // 2 - sum(piv)  # the one of 0..N-1 missing
+        g = [_neg(p, w[m]) for w in self._vectors[:m]] + [_one(p)] + [_zero(p)] * (len(piv) - m)
+        return _scale(p, _inv(p, next(filter(None, g))), g)
 
     def apply(self, mat: Matrix) -> "Subspace":
         """The image subspace mat(self)."""
@@ -666,7 +648,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
@@ -680,7 +662,8 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
     def to_json(self) -> list[list[str]]:
-        return self.basis.to_json()
+        """The basis columns as rows, like basis.to_json()."""
+        return [[str(x) for x in row] for row in _transpose(self._vectors, self.ambient_dim)]
 
     @classmethod
     def from_json(cls, field: FieldSpec, ambient_dim: int,

@@ -26,7 +26,8 @@ from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf,
                              sheaf_to_aug)
 from .field import FieldSpec
 from .linalg import Matrix, Subspace, _sub
-from .sheafmodel import SheafData, global_sections, is_reduced, isomorphic, validate
+from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
+                         validate)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -302,16 +303,9 @@ def _invertible_matrices(field: FieldSpec, dim: int) -> Iterable[Matrix]:
 
 
 def _hyperplanes(field: FieldSpec, dim: int) -> list[Subspace]:
-    seen = set()
-    out = []
-    for coeffs in itertools.product(field.elements(), repeat=dim):
-        if all(c.is_zero() for c in coeffs):
-            continue
-        sub = Matrix.row_vector(field, list(coeffs)).kernel()
-        if sub not in seen:
-            seen.add(sub)
-            out.append(sub)
-    return out
+    kernels = (Matrix._from_values(field, [g]).kernel()
+               for g in itertools.product(range(field.p), repeat=dim) if any(g))
+    return list(dict.fromkeys(kernels))  # each once, in order of first appearance
 
 
 def enumerate_sheaves_direct(braid: BraidWord, field: FieldSpec,
@@ -335,12 +329,9 @@ def enumerate_sheaves_direct(braid: BraidWord, field: FieldSpec,
             if any(probe.M[q - 1] != probe.transport(geom.transported[q - 1])
                    for q in range(1, n + 1)):
                 continue
-            stalk_options = []
-            for i in range(n):
-                opts = [h for h in hyper
-                        if all((mats[i] * Matrix.column(field, v)).col(0) == tuple(v)
-                               for v in h.basis_columns())]
-                stalk_options.append(opts)
+            # the hyperplanes each meridian fixes pointwise
+            stalk_options = [[h for h in hyper if _first_moved(field.p, mat, h) is None]
+                             for mat in mats]
             for walls in itertools.product(*stalk_options):
                 sheaf = SheafData(field, braid, N, list(mats), list(walls))
                 if not validate(sheaf).ok:

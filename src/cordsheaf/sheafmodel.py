@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
 from .field import FieldSpec, Scalar, WireFormatError, wire_get, wire_unit
-from .linalg import Matrix, Subspace, _dot, _identity, _matmul, _matvec
+from .linalg import (Matrix, Subspace, _axpy, _dot, _identity, _matmul, _matvec, _mul, _sub,
+                     _transpose, _zero)
 from .reports import ValidationReport
 
 
@@ -65,7 +66,7 @@ class SheafData:
         self.N = N
         self.M = tuple(M)
         self.W = tuple(W)
-        self.deg = tuple(sorted(deg, key=lambda d: d.component))
+        self.deg = tuple(sorted(deg, key=lambda d: d.component)) if deg else ()
         self._minv: dict[tuple[int, int], Matrix] = {}
         if len(self.M) != braid.n or len(self.W) != braid.n:
             raise ValueError("need one meridian matrix and one stalk subspace per strand")
@@ -94,7 +95,10 @@ class SheafData:
             return self.M[strand - 1]
         key = (strand, exponent)
         if key not in self._minv:
-            self._minv[key] = self.M[strand - 1].inverse()
+            try:
+                self._minv[key] = self.M[strand - 1].inverse()
+            except ZeroDivisionError:
+                raise ZeroDivisionError(f"meridian M[{strand}] is singular") from None
         return self._minv[key]
 
     def transport(self, word: MeridianWord) -> Matrix:
@@ -169,8 +173,9 @@ def validate(sheaf: SheafData) -> ValidationReport:
     into W_i.  The vectors are carried letter by letter and their
     coordinates read off W_i's pivots; only a failing strand builds A and
     the image A(W_tau(i)) for its report.  Invertibility is decided on the
-    meridians' values (Matrix.is_invertible builds no Scalar), and the
-    braid's components and the degenerate strands are looked up once.
+    meridians' values: where the stalk is a hyperplane that the meridian
+    fixes pointwise, as g(M x) (``_fixing_det``), elsewhere by elimination.
+    The braid's components and the degenerate strands are looked up once.
     """
     report = ValidationReport()
     geom = geometry(sheaf.braid)
@@ -185,9 +190,13 @@ def validate(sheaf: SheafData) -> ValidationReport:
         seen.add(d.component)
 
     full = Subspace.full(sheaf.field, N) if deg_strands else None
+    moved = {}  # strand -> _first_moved of its meridian, where already known
     for i in range(1, n + 1):
         M_i, W_i = sheaf.M[i - 1], sheaf.W[i - 1]
-        if not M_i.is_invertible():
+        if i not in deg_strands and len(W_i._pivots) == N - 1:
+            moved[i] = _first_moved(p, M_i, W_i)
+        fixed = i in moved and moved[i] is None
+        if not (_fixing_det(p, M_i, W_i) if fixed else M_i.is_invertible()):
             report.fail("invertibility", f"M[{i}]", "invertible", "singular")
             return report
         if i in deg_strands:
@@ -204,20 +213,17 @@ def validate(sheaf: SheafData) -> ValidationReport:
         word = geom.transported[q - 1]
         if word.letters == ((q, 1),):
             continue
-        lhs = sheaf.M[q - 1]
         rhs = sheaf.transport(word)
-        if lhs != rhs:
-            report.fail("wirtinger", f"m_{q}", rhs.to_json(), lhs.to_json())
+        if sheaf.M[q - 1] != rhs:
+            report.fail("wirtinger", f"m_{q}", rhs.to_json(), sheaf.M[q - 1].to_json())
 
     # meridians act trivially on their own stalk
     for i in range(1, n + 1):
-        M_i = sheaf.M[i - 1]
-        for w in sheaf.W[i - 1]._vectors:
-            got = _matvec(p, M_i.values, w)
-            if tuple(got) != w:
-                report.fail("meridian-triviality", f"M[{i}] on W[{i}]",
-                            list(map(str, w)), [[str(x)] for x in got])
-                break
+        hit = moved[i] if i in moved else _first_moved(p, sheaf.M[i - 1], sheaf.W[i - 1])
+        if hit:
+            w, got = hit
+            report.fail("meridian-triviality", f"M[{i}] on W[{i}]",
+                        list(map(str, w)), [[str(x)] for x in got])
 
     # longitude segments carry stalk subspaces into each other (by
     # containment; an empty segment carries W_tau(i) to itself)
@@ -230,11 +236,35 @@ def validate(sheaf: SheafData) -> ValidationReport:
             carried = src.dim == dst.dim and all(
                 dst._coordinates(sheaf._transport_vector(seg, v)) is not None
                 for v in src._vectors)
-        if carried:
-            continue
-        report.fail("compatibility", f"segment of strand {i}",
-                    dst.to_json(), src.apply(sheaf.transport(seg)).to_json())
+        if not carried:
+            report.fail("compatibility", f"segment of strand {i}",
+                        dst.to_json(), src.apply(sheaf.transport(seg)).to_json())
     return report
+
+
+def _first_moved(p: int | None, M: Matrix, W: Subspace):
+    """(w, M w) for the first basis vector w of W that M moves, or None; M w
+    is the column of M at w's pivot plus those at w's entries past it."""
+    cols = _transpose(M.values, M.cols)
+    for q, w in zip(W._pivots, W._vectors):
+        got = cols[q]
+        for c in range(q + 1, len(w)):
+            if w[c]:
+                got = _axpy(p, got, w[c], cols[c])
+        if tuple(got) != w:
+            return w, got
+    return None
+
+
+def _fixing_det(p: int | None, M: Matrix, W: Subspace):
+    """det M for an M that fixes the hyperplane W = ker g pointwise: with
+    g(x) = 1, M = Id + (M x - x) g, so det M = 1 + g(M x - x) = g(M x).  Take
+    x = e_m at W's non-pivot m and g_m = 1, g_k = -W[k][m] at k < m: g(M e_m)
+    is M[m][m] - sum of W[k][m] M[k][m] (W's rows past m vanish at m)."""
+    piv = W._pivots
+    m = len(piv) * (len(piv) + 1) // 2 - sum(piv)
+    col = [row[m] for row in M.values]
+    return _sub(p, col[m], _dot(p, [w[m] for w in W._vectors], col))
 
 
 def global_sections(sheaf: SheafData) -> Subspace:
@@ -262,23 +292,16 @@ def once_stabilized(sheaf: SheafData) -> SheafData:
     shrank, so the codimension-1 invariant is not re-imposed here.
     """
     V0 = stabilized_space(sheaf)
-    d = V0.dim
-    P = V0.basis  # N x d
+    field, d, p = sheaf.field, V0.dim, sheaf.field.p
     new_M = []
     for mat in sheaf.M:
-        cols = []
-        for j in range(d):
-            coords = V0.coordinates((mat * P).col(j))
-            if coords is None:
-                raise ValueError("V_0 is not invariant; invalid sheaf data")
-            cols.append(coords)
-        new_M.append(Matrix(sheaf.field, list(zip(*cols)) if cols else []))
-    new_W = []
-    for sub in sheaf.W:
-        inter = sub.intersect(V0)
-        vecs = [V0.coordinates(v) for v in inter.basis_columns()]
-        new_W.append(Subspace.from_vectors(sheaf.field, d, vecs))
-    return SheafData(sheaf.field, sheaf.braid, d, new_M, new_W, sheaf.deg)
+        cols = [V0._coordinates(_matvec(p, mat.values, v)) for v in V0._vectors]
+        if None in cols:
+            raise ValueError("V_0 is not invariant; invalid sheaf data")
+        new_M.append(Matrix._from_values(field, _transpose(cols, d), cols=d))
+    new_W = [Subspace._from_values(field, d, map(V0._coordinates, sub.intersect(V0)._vectors))
+             for sub in sheaf.W]
+    return SheafData(field, sheaf.braid, d, new_M, new_W, sheaf.deg)
 
 
 def is_stable(sheaf: SheafData) -> bool:
@@ -295,26 +318,19 @@ def _constant_quotient_exists(sheaf: SheafData) -> bool:
     if V0.dim == sheaf.N:
         return False
     ann = V0.annihilator()  # rows spanning functionals vanishing on V_0
-    if sheaf.field.is_prime_field:
-        coeff_space = itertools.product(sheaf.field.elements(), repeat=ann.rows)
-        for coeffs in coeff_space:
-            if all(c.is_zero() for c in coeffs):
-                continue
-            psi = [sheaf.field.zero()] * sheaf.N
-            for c, row in zip(coeffs, ann.entries):
-                psi = [a + c * b for a, b in zip(psi, row)]
-            if all(_functional_nonzero_on(psi, sub, sheaf.field) for sub in sheaf.W):
+    p = sheaf.field.p
+    if p:
+        for coeffs in itertools.product(range(p), repeat=ann.rows):
+            psi = [0] * sheaf.N
+            for c, row in zip(coeffs, ann.values):
+                psi = _axpy(p, psi, c, row)
+            # a nonzero psi that is nonzero on every stalk
+            if any(coeffs) and all(any(_dot(p, psi, w) for w in sub._vectors) for sub in sheaf.W):
                 return True
         return False
     # Over an infinite field a generic functional in ann(V_0) works iff no
     # stalk is trapped inside V_0.
     return all(not V0.contains_subspace(sub) for sub in sheaf.W)
-
-
-def _functional_nonzero_on(psi: Sequence[Scalar], sub: Subspace, field: FieldSpec) -> bool:
-    row = Matrix.row_vector(field, psi)
-    return not all((row * Matrix.column(field, v))[0, 0].is_zero()
-                   for v in sub.basis_columns())
 
 
 def _split_constant_summand_exists(sheaf: SheafData) -> bool:
@@ -372,35 +388,25 @@ def is_reduced(sheaf: SheafData) -> bool:
 
 def _intertwiner_space(F: SheafData, G: SheafData) -> list[Matrix]:
     """Basis of {P : M_i^G P = P M_i^F and P(W_i^F) <= W_i^G}."""
-    field, N = F.field, F.N
-    n2 = N * N
-    rows = []
-    for idx in range(F.braid.n):
-        MF, MG = F.M[idx], G.M[idx]
-        for a in range(N):
-            for b in range(N):
-                row = [field.zero()] * n2
-                for k in range(N):
-                    row[k * N + b] = row[k * N + b] + MG[a, k]
-                    row[a * N + k] = row[a * N + k] - MF[k, b]
-                rows.append(row)
-        ann = G.W[idx].annihilator()
-        for w in F.W[idx].basis_columns():
-            for phi in ann.entries:
-                row = [field.zero()] * n2
-                for a in range(N):
-                    if phi[a].is_zero():
-                        continue
-                    for b in range(N):
-                        row[a * N + b] = row[a * N + b] + phi[a] * w[b]
-                rows.append(row)
+    field, N, p = F.field, F.N, F.field.p
+    rows = []  # linear conditions on P, flattened row by row
+    for MF, MG, WF, WG in zip(F.M, G.M, F.W, G.W):
+        for a, b in itertools.product(range(N), repeat=2):
+            # (MG P - P MF)[a][b] = 0
+            row = [_zero(p)] * (N * N)
+            for k in range(N):
+                row[k * N + b] = MG.values[a][k]
+            for k in range(N):
+                row[a * N + k] = _sub(p, row[a * N + k], MF.values[k][b])
+            rows.append(row)
+        # phi(P w) = 0 for each w of W^F and phi vanishing on W^G
+        ann = WG.annihilator().values
+        rows += [[_mul(p, x, y) for x in phi for y in w] for w in WF._vectors for phi in ann]
     if not rows:
         return [Matrix.identity(field, N)] if N else []
-    kern = Matrix(field, rows).kernel()
-    out = []
-    for v in kern.basis_columns():
-        out.append(Matrix(field, [list(v[a * N:(a + 1) * N]) for a in range(N)]))
-    return out
+    kern = Matrix._from_values(field, rows).kernel()
+    return [Matrix._from_values(field, [v[a * N:(a + 1) * N] for a in range(N)])
+            for v in kern._vectors]
 
 
 # random combinations tried over the rationals, from a fixed seed

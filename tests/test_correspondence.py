@@ -1,4 +1,5 @@
 import itertools
+import re
 import random
 
 import pytest
@@ -16,8 +17,9 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       sheaf_to_aug)
 from cordsheaf.correspondence import _AugLayout
 from cordsheaf.field import FieldSpec
-from cordsheaf.linalg import Matrix, Subspace, _null_vectors, _rref
+from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
+from cordsheaf.reports import DiffReport
 from cordsheaf.sheafmodel import DegenerateSummand, SheafData, validate
 
 F2 = FieldSpec.prime(2)
@@ -421,31 +423,106 @@ def test_corrupted_meridian_is_itemized():
             "got": "fails at strands [3]"} in entries
 
 
-def _elimination_subsheaf(cand, braid):
-    """The subsheaf from its definition: the pivot columns of R base the
-    space, M_t = Id - (coordinates of R_t) (row t on the pivots), and W_t is
-    the kernel of that row, by elimination."""
-    field, p, n = cand.field, cand.field.p, cand.n
+def _elimination_sheaf(cand, braid, extended):
+    """The subsheaf, or with extended the full sheaf, from its definition.
+
+    The pivot columns of R base the space, with R_0 ahead of them when
+    extended and a non-degenerate strand has a zero row.  M_t = Id - c_t g_t,
+    where c_t holds the coordinates of R_t (0 on R_0) and g_t is row t of R
+    on the pivots, or -1 on R_0 at such a zero-row strand, so that
+    M_t(R_0) = R_0 + R_t there; W_t = ker g_t by elimination.  A degenerate
+    strand has a zero row and column, so the identity and the full space.
+    """
+    field, n = cand.field, cand.n
     pivots = cand.R.rref()[1]
-    d = len(pivots)
     basis = Matrix.from_rows(field, [[cand.R[i, j].value for j in pivots] for i in range(n)])
+    deg = degenerate_components(cand)
+    zero_rows = {i for i in index_sets(cand).I_dprime if cand.components.component(i) not in deg}
+    lead = [0] if extended and zero_rows else []
+    d = len(lead) + len(pivots)
     mats, stalks = [], []
-    for t in range(n):
-        row = Matrix._from_values(field, [[cand.R.values[t][j] for j in pivots]], cols=d)
-        coords = Matrix.column(field, basis.solve(cand.R.column_matrix(t)))
-        mats.append(Matrix.identity(field, d) - coords * row)
-        red, piv = _rref(p, row.values, d)
-        stalks.append(Subspace._from_values(field, d, _null_vectors(p, red, piv, d)))
-    deg = [DegenerateSummand(s, cand.lam[s - 1]) for s in degenerate_components(cand)]
-    return SheafData(field, braid, d, mats, stalks, deg)
+    for t in range(1, n + 1):
+        c = lead + [x.value for x in basis.solve(cand.R.column_matrix(t - 1))]
+        g = lead + [cand.R.values[t - 1][j] for j in pivots]
+        if lead and t in zero_rows:
+            g = [-1] + [0] * len(pivots)
+        mats.append(Matrix.from_rows(field, [[int(a == b) - c[a] * g[b] for b in range(d)]
+                                             for a in range(d)]))
+        stalks.append(Matrix.from_rows(field, [g]).kernel())
+    summands = [DegenerateSummand(s, cand.lam[s - 1]) for s in deg]
+    return SheafData(field, braid, d, mats, stalks, summands)
 
 
 def test_subsheaf_matches_the_elimination_reference():
-    hopf = BraidWord(2, [1, 1])
-    for braid, field, kind in ((hopf, F3, "extended"), (UNLINK3, F2, "degenerate")):
+    # the subsheaf, and the full sheaf with its R_0 extension at zero-row
+    # strands, both written by hand in _AugLayout._build
+    hopf, t24 = BraidWord(2, [1, 1]), BraidWord(2, [1, 1, 1, 1])
+    cases = ((hopf, F3, "extended"), (UNLINK3, F2, "degenerate"), (hopf, F5, "extended"),
+             (t24, F5, "extended"))
+    for braid, field, kind in cases:
         seen = False
         for cand in enumerate_augs(braid, field):
             lay = _AugLayout(cand, index_sets(cand))
             seen |= lay.extended if kind == "extended" else bool(lay.deg_strands)
-            assert lay.subsheaf(braid) == _elimination_subsheaf(cand, braid), cand
+            assert lay.subsheaf(braid) == _elimination_sheaf(cand, braid, False), cand
+            assert lay.sheaf(braid) == _elimination_sheaf(cand, braid, True), cand
         assert seen, kind
+
+
+def _corrupted(sheaf, rng):
+    """Sheaves that differ from sheaf in one meridian or one stalk: each
+    meridian entry shifted by one, each meridian replaced by the zero
+    matrix and by a random matrix, each stalk replaced by the zero space,
+    the full space and a random hyperplane."""
+    field, N, n = sheaf.field, sheaf.N, sheaf.braid.n
+    p = field.p
+    for t in range(n):
+        mats = [Matrix.zeros(field, N, N),
+                Matrix.from_rows(field, [[rng.randrange(p) for _ in range(N)] for _ in range(N)])]
+        for a, b in itertools.product(range(N), repeat=2):
+            rows = [list(row) for row in sheaf.M[t].values]
+            rows[a][b] += 1
+            mats.append(Matrix.from_rows(field, rows))
+        g = [0] * N
+        while N and not any(g):
+            g = [rng.randrange(p) for _ in range(N)]
+        stalks = [Subspace.zero(field, N), Subspace.full(field, N),
+                  Matrix.from_rows(field, [g]).kernel()]
+        for mat in mats:
+            yield SheafData(field, sheaf.braid, N, sheaf.M[:t] + (mat,) + sheaf.M[t + 1:],
+                            sheaf.W, sheaf.deg)
+        for sub in stalks:
+            yield SheafData(field, sheaf.braid, N, sheaf.M,
+                            sheaf.W[:t] + (sub,) + sheaf.W[t + 1:], sheaf.deg)
+
+
+def test_rejected_sheaves_raise_one_exception_type():
+    # the read-off either reports or raises InvalidTrivializationError, which
+    # names the strand or component, on sheaves validate rejects: formerly a
+    # vanishing lambda or mu raised ValueError from AugCandidate, and an
+    # inverse letter of a singular meridian ZeroDivisionError
+    rng = random.Random(31)
+    hopf = BraidWord(2, [1, 1])
+    golden = [aug_to_sheaf(golden_candidate(), UNLINK3)]
+    golden += [aug_to_sheaf(cand, hopf) for cand in enumerate_augs(hopf, F3)]
+    messages = []
+    rejected = 0
+    for sheaf in golden:
+        for bad in _corrupted(sheaf, rng):
+            rejected += not validate(bad).ok
+            try:
+                report = roundtrip_sheaf(bad)
+            except InvalidTrivializationError as err:
+                messages.append(str(err))
+            else:
+                assert isinstance(report, DiffReport)
+            try:
+                cand = sheaf_to_aug(bad, choose_trivialization(bad))
+            except InvalidTrivializationError as err:
+                messages.append(str(err))
+            else:
+                assert isinstance(cand, AugCandidate)
+    assert rejected > 200
+    assert all(re.search(r"(strand|component) \d|\[\d\]", text) for text in messages)
+    for kind in ("mu of component", "is singular", "codimension"):
+        assert any(kind in text for text in messages), kind

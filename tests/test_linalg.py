@@ -6,7 +6,7 @@ import pytest
 
 from cordsheaf import linalg
 from cordsheaf.field import FieldSpec, MixedFieldError, Scalar
-from cordsheaf.linalg import (Matrix, Subspace, _hyperplane, _null_vectors, _one,
+from cordsheaf.linalg import (Matrix, Subspace, _hyperplane, _identity, _null_vectors, _one,
                               _right_inverse, _rref, _solve, _zero)
 
 F5 = FieldSpec.prime(5)
@@ -452,7 +452,7 @@ def test_codimension_one_closed_forms_match_elimination(eliminations):
             if not any(row):
                 row[rng.randrange(n)] = _one(p)
             eliminations.clear()
-            ker = Subspace._from_echelon(field, n, *_hyperplane(p, row))
+            ker = Subspace._from_echelon(field, n, *_hyperplane(p, row, _identity(p, n)))
             ann = ker.annihilator()
             assert not eliminations
             want = elimination_kernel(field, row)

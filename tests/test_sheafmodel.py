@@ -7,8 +7,8 @@ from cordsheaf.cordaug import AugCandidate
 from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix, Subspace
-from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, global_sections,
-                                  is_reduced, is_stable, isomorphic,
+from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, _first_moved, _fixing_det,
+                                  global_sections, is_reduced, is_stable, isomorphic,
                                   once_stabilized, stabilized_space, validate)
 
 F2 = FieldSpec.prime(2)
@@ -376,6 +376,27 @@ def test_row_transport_matches_the_transposed_transport_matrix():
                     assert got == [x.value for x in want.col(0)]
 
 
+def _fixing_sheaf(braid, field, rng):
+    """Meridians that fix their hyperplane stalks pointwise, M = Id + u g
+    with W = ker g, so that validate decides invertibility as g(M x); about
+    a third are singular, M = Id - x g with g(x) = 1."""
+    N = rng.randint(1, 3)
+    M, W = [], []
+    for _ in range(braid.n):
+        g = [0] * N
+        while not any(g):
+            g = [_rand_value(field, rng) for _ in range(N)]
+        a = next(k for k, v in enumerate(g) if v)
+        if rng.random() < 0.3:
+            u = [-field.scalar(g[a]).inv().value if k == a else 0 for k in range(N)]
+        else:
+            u = [_rand_value(field, rng) for _ in range(N)]
+        M.append(Matrix.identity(field, N)
+                 + Matrix.from_rows(field, [[x * y for y in g] for x in u]))
+        W.append(Matrix.from_rows(field, [g]).kernel())
+    return SheafData(field, braid, N, M, W)
+
+
 def test_invertibility_on_values_matches_the_determinant():
     rng = random.Random(22)
     singular_seen = 0
@@ -392,3 +413,24 @@ def test_invertibility_on_values_matches_the_determinant():
                 assert got == want
                 singular_seen += any(singular)
     assert singular_seen >= 20
+
+    # meridians that fix their hyperplane stalk pointwise take the g(M x) path
+    rng = random.Random(23)
+    singular_seen = 0
+    for field in (F2, F3, F5, F7, QQ):
+        for braid in (UNLINK3,) + INVERSE_BRAIDS:
+            for _ in range(6):
+                sheaf = _fixing_sheaf(braid, field, rng)
+                p = field.p
+                for mat, sub in zip(sheaf.M, sheaf.W):
+                    assert sub.dim == sheaf.N - 1 and _first_moved(p, mat, sub) is None
+                    assert _fixing_det(p, mat, sub) == _ref_det(mat).value
+                singular = [_ref_det(mat).is_zero() for mat in sheaf.M]
+                want = [{"family": "invertibility", "location": f"M[{singular.index(True) + 1}]",
+                         "expected": "invertible", "got": "singular"}] if any(singular) else []
+                failures = validate(sheaf).failures
+                assert [f for f in failures if f["family"] == "invertibility"] == want
+                assert not any(f["family"] == "meridian-triviality" for f in failures)
+                singular_seen += any(singular)
+    assert singular_seen >= 20
+

@@ -119,3 +119,56 @@ def test_errors_name_the_json_path():
         AugCandidate.from_json(doc)
     assert err.value.path == "$.R[1][1]"
     assert str(err.value).startswith("$.R[1][1]: ")
+
+
+ROW_ENTRIES = ["0", "4", "5", "-1", " 3 ", "+2", "007", "1/2", "2/4", "1/0", "1/5", "", "x",
+               "1.5", 3, 3.0, True, None, []]
+
+
+def _parsed(field, x, path):
+    """FieldSpec.parse's value of x, or the WireFormatError the decoder
+    raises for it at path."""
+    try:
+        return field.parse(x)
+    except ValueError as err:
+        return WireFormatError(path, str(err))
+
+
+def _same(decode, want):
+    """decode() gives want, or raises a WireFormatError with want's path and
+    message."""
+    if not isinstance(want, WireFormatError):
+        assert decode() == want
+        return
+    with pytest.raises(WireFormatError) as err:
+        decode()
+    assert (err.value.path, str(err.value)) == (want.path, str(want))
+
+
+@pytest.mark.parametrize("field", [F2, F5, QQ], ids=repr)
+def test_one_pass_row_parse_matches_parse(field):
+    # the decoders read a row of integer strings in one pass and fall back
+    # to FieldSpec.parse entry by entry; both give the same values and errors
+    one = field.parse("1")
+    for x in ROW_ENTRIES:
+        v = _parsed(field, x, "$.R[1][0]")
+        want = v if isinstance(v, WireFormatError) else \
+            Matrix._from_values(field, [(one, one), (v, one)])
+        _same(lambda: Matrix.from_json(field, [["1", "1"], [x, "1"]], 2, 2, "$.R"), want)
+
+        v = _parsed(field, x, "$.W[0][0][0]")
+        want = v if isinstance(v, WireFormatError) else \
+            Subspace._from_values(field, 2, [(v, one)])
+        _same(lambda: Subspace.from_json(field, 2, [[x], ["1"]], "$.W[0]"), want)
+
+        doc = {"field": field.to_json(), "braid": {"n": 1, "word": []}, "N": 2,
+               "M": [[["1", "0"], ["0", x]]], "W": [[["1"], ["0"]]], "deg": []}
+        v = _parsed(field, x, "$.M[0][1][1]")
+        want = v if isinstance(v, WireFormatError) else ((one, 0 * one), (0 * one, v))
+        _same(lambda: SheafData.from_json(doc).M[0].values, want)
+
+        doc = {"field": field.to_json(), "n": 1, "component_map": [1], "R": [["0"]],
+               "lambda": [x], "mu": ["1"]}
+        v = _parsed(field, x, "$.lambda[0]")
+        want = WireFormatError("$.lambda[0]", "must be a unit, got 0") if v == 0 else v
+        _same(lambda: AugCandidate.from_json(doc).lam[0].value, want)
