@@ -8,21 +8,18 @@ from .braid import (BraidWord, ComponentMap, MeridianWord,
                     segment_word, wirtinger_relations)
 from .cordaug import (AugCandidate, DilationParam, IndexSets, apply_dilation,
                       canonical_form, check_relations, degenerate_components,
-                      eval_broken_cord, index_sets, is_generic, loop_matrix,
-                      meridian_operator, zero_column_components,
+                      index_sets, loop_matrix, zero_column_components,
                       zero_row_components)
 from .correspondence import (InvalidTrivializationError, LocalTrivialization,
                              NotAnAugmentationError, aug_to_sheaf, aug_to_subsheaf,
                              canonical_trivialization, choose_trivialization,
                              extend_by_constant, pure_cord_trace, roundtrip_aug,
                              roundtrip_sheaf, sheaf_to_aug)
-from .field import (FieldSpec, MixedFieldError, NotEnumerableError, Scalar,
-                    WireFormatError, enumerate_scalars)
+from .field import FieldSpec, MixedFieldError, NotEnumerableError, Scalar, WireFormatError
 from .linalg import Matrix, Subspace
 from .moduli import (BudgetExceededError, ComparisonReport, ModuliReport, Orbit,
-                     enumerate_augs, enumerate_sheaf_moduli,
-                     enumerate_sheaves_direct, equivalent_in_moduli,
-                     markov_compare, quotient_by_dilation, verify_bijection)
+                     enumerate_augs, enumerate_sheaves_direct, markov_compare,
+                     quotient_by_dilation, verify_bijection)
 from .reports import DiffReport, ValidationReport
 from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
                          is_reduced, is_stable, isomorphic, once_stabilized,

@@ -205,9 +205,6 @@ class ComponentMap:
     def base_strand(self, component: int) -> int:
         return self.base[component - 1]
 
-    def strands_of(self, component: int) -> list[int]:
-        return [i for i in range(1, self.n + 1) if self.labels[i - 1] == component]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ComponentMap) and (self.n, self.labels) == (other.n, other.labels)
 

@@ -61,8 +61,10 @@ def _braid(word_text: str, strands: int) -> BraidWord:
 
 
 def _read_json(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return json.loads(text)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.loads(handle.read())
 
 
 def _emit(payload) -> None:

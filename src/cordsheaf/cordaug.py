@@ -33,7 +33,7 @@ from typing import Sequence
 from .braid import BraidGeometry, BraidWord, ComponentMap, MeridianWord, geometry
 from .field import (FieldSpec, MixedFieldError, Scalar, WireFormatError, wire_get,
                     wire_units)
-from .linalg import Matrix, _axpy, _identity, _inv, _mul, _one, _scale, _sub
+from .linalg import Matrix, _axpy, _inv, _mul, _one, _scale, _sub
 from .reports import ValidationReport
 
 
@@ -65,9 +65,6 @@ class AugCandidate:
     @property
     def r(self) -> int:
         return self.components.r
-
-    def mu_of_strand(self, i: int) -> Scalar:
-        return self.mu[self.components.component(i) - 1]
 
     def entry(self, i: int, j: int) -> Scalar:
         """R value on the standard cord from strand i to strand j (1-based)."""
@@ -153,21 +150,7 @@ class DilationParam:
         return f"DilationParam({[str(x) for x in self.d]})"
 
 
-# -- meridian operators and broken cords ------------------------------------------
-
-
-def meridian_operator(cand: AugCandidate, t: int, exponent: int = 1) -> Matrix:
-    """The n x n matrix of rho(m_t^exponent): Id -+ (coeff) R_t e_t^T."""
-    p = cand.field.p
-    if exponent == 1:
-        coeff = -1
-    elif exponent == -1:
-        coeff = _inv(p, cand.mu_of_strand(t).value)
-    else:
-        raise ValueError("exponent must be +-1")
-    units = _identity(p, cand.n)
-    col = _axpy(p, units[t - 1], coeff, [row[t - 1] for row in cand.R.values])
-    return Matrix._from_values(cand.field, [e[:t - 1] + (x,) + e[t:] for e, x in zip(units, col)])
+# -- broken cords ----------------------------------------------------------------------
 
 
 def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> list:
@@ -213,12 +196,7 @@ def loop_matrix(cand: AugCandidate, word: MeridianWord) -> Matrix:
     return apply_loop(cand, word, Matrix.identity(cand.field, cand.n))
 
 
-def eval_broken_cord(cand: AugCandidate, i: int, word: MeridianWord, j: int) -> Scalar:
-    """Value on the cord from strand i through the based loop to strand j."""
-    return apply_loop(cand, word, cand.R)[i - 1, j - 1]
-
-
-# -- index sets and genericity ------------------------------------------------------
+# -- index sets ------------------------------------------------------------------------
 
 
 def index_sets(cand: AugCandidate) -> IndexSets:
@@ -228,11 +206,6 @@ def index_sets(cand: AugCandidate) -> IndexSets:
         (I_prime if any(row) else I_dprime).append(i)
         (J_prime if any(col) else J_dprime).append(i)
     return IndexSets(I_prime, I_dprime, J_prime, J_dprime)
-
-
-def is_generic(cand: AugCandidate) -> bool:
-    s = index_sets(cand)
-    return not s.I_dprime and not s.J_dprime
 
 
 def degenerate_components(cand: AugCandidate) -> list[int]:
@@ -247,10 +220,13 @@ def _degenerate_components(cand: AugCandidate, s: IndexSets) -> list[int]:
             if dead.issuperset(strands)]
 
 
-def _one_sided_components(cand: AugCandidate, zero: frozenset[int]) -> list[int]:
-    deg = degenerate_components(cand)
-    return [comp for comp in range(1, cand.r + 1)
-            if comp not in deg and all(i in zero for i in cand.components.strands_of(comp))]
+def _one_sided_components(cand: AugCandidate, sets: IndexSets,
+                          zero: frozenset[int]) -> list[int]:
+    """Non-degenerate components whose strands all lie in zero, one of the
+    candidate's index sets."""
+    deg = _degenerate_components(cand, sets)
+    return [comp for comp, strands in enumerate(cand.components.strands, 1)
+            if comp not in deg and zero.issuperset(strands)]
 
 
 def zero_row_components(cand: AugCandidate) -> list[int]:
@@ -259,13 +235,15 @@ def zero_row_components(cand: AugCandidate) -> list[int]:
     Being non-degenerate, each such component has a nonzero column at some
     strand.
     """
-    return _one_sided_components(cand, index_sets(cand).I_dprime)
+    sets = index_sets(cand)
+    return _one_sided_components(cand, sets, sets.I_dprime)
 
 
 def zero_column_components(cand: AugCandidate) -> list[int]:
     """Non-degenerate components whose strands all have zero column (so some
     strand has a nonzero row); the mirror of zero_row_components."""
-    return _one_sided_components(cand, index_sets(cand).J_dprime)
+    sets = index_sets(cand)
+    return _one_sided_components(cand, sets, sets.J_dprime)
 
 
 # -- the relation certificate ----------------------------------------------------------

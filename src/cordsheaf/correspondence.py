@@ -51,36 +51,40 @@ class LocalTrivialization:
     """Per-strand functionals f_i (vanishing on W_i) with right inverses.
 
     Strands of degenerate components have no stalk drop and carry None.
-    This module builds them from vectors of field values (``_from_values``),
-    which the read-off uses as they are; the 1 x N and N x 1 matrices ``f``
-    and ``finv`` are then made when asked for.
+    Functionals and right inverses are held as vectors of field values,
+    which the read-off uses as they are: the constructor reads them once off
+    the 1 x N and N x 1 matrices it is given, and ``f`` and ``finv`` build
+    those matrices again when asked for.
     """
 
-    __slots__ = ("_f", "_finv", "_values")
+    __slots__ = ("field", "_f", "_finv")
 
     def __init__(self, f: Sequence[Optional[Matrix]], finv: Sequence[Optional[Matrix]]):
-        self._f, self._finv, self._values = tuple(f), tuple(finv), None
+        fields = {m.field for m in (*f, *finv) if m is not None}
+        if len(fields) > 1:
+            raise MixedFieldError("trivialization matrices over different fields")
+        for i, (f_i, x_i) in enumerate(zip(f, finv), 1):
+            if (f_i is not None and f_i.rows != 1) or (x_i is not None and x_i.cols != 1):
+                raise InvalidTrivializationError(f"f[{i}] must be a row and finv[{i}] a column")
+        self.field = fields.pop() if fields else None
+        self._f = tuple(None if m is None else m.values[0] for m in f)
+        self._finv = tuple(None if m is None else [row[0] for row in m.values] for m in finv)
 
     @classmethod
     def _from_values(cls, field, f: Sequence, finv: Sequence) -> "LocalTrivialization":
         triv = object.__new__(cls)
-        triv._values = field, f, finv
+        triv.field, triv._f, triv._finv = field, f, finv
         return triv
 
     @property
     def f(self) -> tuple[Optional[Matrix], ...]:
-        if self._values is None:
-            return self._f
-        field, f, _ = self._values
-        return tuple(None if v is None else Matrix._from_values(field, [v], len(v)) for v in f)
+        return tuple(None if v is None else Matrix._from_values(self.field, [v], len(v))
+                     for v in self._f)
 
     @property
     def finv(self) -> tuple[Optional[Matrix], ...]:
-        if self._values is None:
-            return self._finv
-        field, _, x = self._values
-        return tuple(None if v is None else Matrix._from_values(field, [(a,) for a in v], 1)
-                     for v in x)
+        return tuple(None if v is None else Matrix._from_values(self.field, [(a,) for a in v], 1)
+                     for v in self._finv)
 
     def __repr__(self) -> str:
         parts = [m.to_json() if m is not None else None for m in self.f]
@@ -92,38 +96,32 @@ def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> tuple[
     values, None at the degenerate strands."""
     field, N = sheaf.field, sheaf.N
     p = field.p
+    if triv.field is not None and triv.field != field:
+        raise MixedFieldError(f"trivialization over {triv.field} used on a sheaf over {field}")
     deg_strands = sheaf.deg_strands()
-    if triv._values is not None and triv._values[0] == field:
-        fs, xs, mats = triv._values[1], triv._values[2], False
-    else:
-        fs, xs, mats = triv.f, triv.finv, True
     f, x = [], []
     for i in range(1, sheaf.braid.n + 1):
-        f_i, finv_i = fs[i - 1], xs[i - 1]
+        f_i, x_i = triv._f[i - 1], triv._finv[i - 1]
         if i in deg_strands:
-            if f_i is not None or finv_i is not None:
+            if f_i is not None or x_i is not None:
                 raise InvalidTrivializationError(
                     f"strand {i} is degenerate and admits no trivialization")
             f.append(None)
             x.append(None)
             continue
-        if f_i is None or finv_i is None:
+        if f_i is None or x_i is None:
             raise InvalidTrivializationError(f"strand {i} needs a functional")
-        if mats and (f_i.field != field or finv_i.field != field):
-            raise MixedFieldError(f"trivialization at strand {i} is not over {field}")
-        if ((f_i.rows, f_i.cols, finv_i.rows, finv_i.cols) if mats
-                else (1, len(f_i), len(finv_i), 1)) != (1, N, N, 1):
+        if (len(f_i), len(x_i)) != (N, N):
             raise InvalidTrivializationError(
                 f"f[{i}] must be 1x{N} and finv[{i}] {N}x1")
-        f_row, x_i = (f_i.values[0], [r[0] for r in finv_i.values]) if mats else (f_i, finv_i)
-        if not any(f_row):
+        if not any(f_i):
             raise InvalidTrivializationError(f"f[{i}] vanishes")
         for w in sheaf.W[i - 1]._vectors:
-            if _dot(p, f_row, w):
+            if _dot(p, f_i, w):
                 raise InvalidTrivializationError(f"f[{i}] does not kill W[{i}]")
-        if _dot(p, f_row, x_i) != 1:
+        if _dot(p, f_i, x_i) != 1:
             raise InvalidTrivializationError(f"finv[{i}] is not a right inverse")
-        f.append(f_row)
+        f.append(f_i)
         x.append(x_i)
     return f, x
 

@@ -122,20 +122,28 @@ class FieldSpec:
         return self.scalar(1)
 
     def parse(self, text: str) -> int | Fraction:
-        """The canonical value of a scalar string of the wire format.
+        """The canonical value of a scalar string of the wire format: an
+        integer, or a/b for integers a and b, where an integer is ASCII
+        digits with an optional sign, with optional ASCII whitespace around
+        it.  On ASCII text without underscores, this is what int reads.
 
         Raises ValueError on anything else, including a denominator that
         vanishes in this field.
         """
         if type(text) is not str:
             raise ValueError(f"expected a scalar string, got {_kind(text)}")
+        if not text.isascii() or "_" in text or text.count("/") > 1:
+            raise ValueError(f"expected an integer or a/b, got {text!r}")
         p = self.p
-        if "/" not in text:
-            return int(text) % p if p else Fraction(int(text))
-        num, den = text.split("/")
-        if not int(den):
+        try:
+            if "/" not in text:
+                return int(text) % p if p else Fraction(int(text))
+            num, den = map(int, text.split("/"))
+        except ValueError:
+            raise ValueError(f"expected an integer or a/b, got {text!r}") from None
+        if not den:
             raise ValueError(f"zero denominator in {text.strip()!r}")
-        q = Fraction(int(num), int(den))
+        q = Fraction(num, den)
         if not p:
             return q
         if not q.denominator % p:
@@ -221,9 +229,13 @@ def wire_rows(field: FieldSpec, data, path: str, rows: int | None = None,
 
 def _integer_row(p: int | None, row: list) -> tuple | None:
     """The values of a row of integer strings in one pass, or None where parse
-    must read it entry by entry (an a/b string, or a fault: int with a base
-    refuses every JSON value but a string)."""
+    must read it entry by entry (an a/b string, or a fault: join refuses
+    every JSON value but a string, and on ASCII text without underscores
+    int with a base reads exactly parse's integers)."""
     try:
+        text = "".join(row)
+        if not text.isascii() or "_" in text:
+            return None
         if p:
             return tuple([int(x, 10) % p for x in row])
         return tuple([Fraction(int(x, 10)) for x in row])
@@ -255,11 +267,6 @@ def _value_at(field: FieldSpec, text, path: str):
         return field.parse(text)
     except ValueError as err:
         raise WireFormatError(path, str(err)) from None
-
-
-def enumerate_scalars(spec: FieldSpec, nonzero: bool = False) -> list["Scalar"]:
-    """Materialized version of FieldSpec.elements, in residue order."""
-    return list(spec.elements(nonzero=nonzero))
 
 
 class Scalar:

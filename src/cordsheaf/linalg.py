@@ -273,10 +273,6 @@ class Matrix:
     def column(cls, field: FieldSpec, vec: Sequence[Scalar]) -> "Matrix":
         return cls(field, [[x] for x in vec], cols=1)
 
-    @classmethod
-    def row_vector(cls, field: FieldSpec, vec: Sequence[Scalar]) -> "Matrix":
-        return cls(field, [list(vec)])
-
     # -- access ----------------------------------------------------------------
 
     @property
@@ -295,9 +291,6 @@ class Matrix:
     def col(self, j: int) -> tuple[Scalar, ...]:
         field = self.field
         return tuple(Scalar(field, row[j]) for row in self.values)
-
-    def column_matrix(self, j: int) -> "Matrix":
-        return Matrix._from_values(self.field, [(row[j],) for row in self.values], cols=1)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -359,10 +352,6 @@ class Matrix:
             self.field, _matmul(self.field.p, self.values, other.values, other.cols),
             cols=other.cols)
 
-    def transpose(self) -> "Matrix":
-        return Matrix._from_values(self.field, _transpose(self.values, self.cols),
-                                   cols=self.rows)
-
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
@@ -378,14 +367,6 @@ class Matrix:
             return False
         return all((v == 1) if i == j else not v
                    for i, row in enumerate(self.values) for j, v in enumerate(row))
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other, same=False)
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return Matrix._from_values(self.field,
-                                   [r1 + r2 for r1, r2 in zip(self.values, other.values)],
-                                   cols=self.cols + other.cols)
 
     # -- elimination -------------------------------------------------------------
 
@@ -434,21 +415,6 @@ class Matrix:
         if len(pivots) < n or any(c >= n for c in pivots):
             raise ZeroDivisionError("matrix is singular")
         return Matrix._from_values(self.field, [row[n:] for row in red], cols=n)
-
-    def solve(self, b: "Matrix") -> Optional[tuple[Scalar, ...]]:
-        """One solution x of self @ x = b (a column), or None.
-
-        Deterministic: free variables are set to zero, so repeated calls
-        agree and serialized outputs are reproducible.
-        """
-        self._check_shape(b, same=False)
-        if b.rows != self.rows or b.cols != 1:
-            raise ValueError("right-hand side must be a column of matching height")
-        x = _solve(self.field.p, self.values, self.cols, [row[0] for row in b.values])
-        if x is None:
-            return None
-        field = self.field
-        return tuple(Scalar(field, v) for v in x)
 
     def kernel(self) -> "Subspace":
         """The right null space, canonicalized."""
@@ -547,10 +513,6 @@ class Subspace:
         """The basis vectors as the columns of an ambient_dim x dim matrix."""
         return Matrix._from_values(self.field, _transpose(self._vectors, self.ambient_dim),
                                    cols=self.dim)
-
-    def basis_columns(self) -> list[tuple[Scalar, ...]]:
-        field = self.field
-        return [tuple(Scalar(field, x) for x in v) for v in self._vectors]
 
     def _values_of(self, vec: Sequence[Scalar]) -> list:
         if len(vec) != self.ambient_dim:

@@ -8,9 +8,9 @@ sheaves is produced through the augmentation side; an optional direct
 enumeration of small-dimension representation data cross-checks that nothing
 is missed at dimensions <= 2.
 
-Two objects are identified in the sheaf moduli when their degenerate data
-agree and their once-stabilized subobjects are isomorphic (the quotient by
-local systems collapses exactly the constant directions).
+Two representatives are identified in the sheaf moduli when they are
+isomorphic, degenerate data included: representatives carry no constant
+directions, which are what the quotient by local systems collapses.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 from .braid import BraidWord, BudgetExceededError, component_map, geometry
 from .cordaug import (AugCandidate, canonical_form, degenerate_components,
                       index_sets, passes_fast)
-from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf,
-                             aug_to_sheaf, aug_to_subsheaf, choose_trivialization,
-                             sheaf_to_aug)
+from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf,
+                             choose_trivialization, sheaf_to_aug)
 from .field import FieldSpec
 from .linalg import Matrix, Subspace, _sub
 from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
@@ -92,30 +91,6 @@ def quotient_by_dilation(points: Sequence[AugCandidate]) -> list[Orbit]:
             order.append(key)
         orbits[key].size += 1
     return [orbits[k] for k in order]
-
-
-def equivalent_in_moduli(F: SheafData, G: SheafData) -> bool:
-    """Equality in the sheaf moduli for reduced-plus-degenerate representatives.
-
-    Representatives carry no constant fat, so the local-system quotient is
-    detected by matching degenerate data and a genuine isomorphism of the
-    remaining data, which isomorphic checks together.  (Comparing only
-    once-stabilized subobjects is too coarse: distinct extensions over the
-    zero-row strands share a stabilization but are inequivalent. A test pins
-    a concrete pair.)
-    """
-    return isomorphic(F, G) is not None
-
-
-def enumerate_sheaf_moduli(braid: BraidWord, field: FieldSpec,
-                           budget: int = DEFAULT_BUDGET) -> list[SheafData]:
-    """Representatives obtained through the augmentation side.
-
-    The pairwise inequivalence of the output is an injectivity statement and
-    is re-checked by verify_bijection rather than silently deduplicated.
-    """
-    orbits = quotient_by_dilation(enumerate_augs(braid, field, budget))
-    return [aug_to_sheaf(o.rep, braid) for o in orbits]
 
 
 class ModuliReport:
@@ -187,8 +162,6 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
             diff, eps = _roundtrip_sheaf(sheaf)
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
-            for note in diff.notes:
-                report.notes.append(f"representative {k}: {note}")
             if eps is None:  # the round trip stopped before reading it
                 eps = sheaf_to_aug(sheaf, choose_trivialization(sheaf))
             induced, _ = canonical_form(eps)
@@ -203,11 +176,14 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
 
     # Injectivity: isomorphic sheaves induce dilation-equivalent augmentations,
     # so distinct induced canonical forms separate the representatives; only
-    # canonical-form duplicates need the intertwiner search.
+    # canonical-form duplicates need the intertwiner search.  It looks for a
+    # genuine isomorphism, degenerate data included: comparing only the
+    # once-stabilized subobjects is too coarse, since distinct extensions over
+    # the zero-row strands share a stabilization (a test pins a concrete pair).
     for group in induced_keys.values():
         for pos, a in enumerate(group):
             for b in group[pos + 1:]:
-                if equivalent_in_moduli(report.sheaf_reps[a], report.sheaf_reps[b]):
+                if isomorphic(report.sheaf_reps[a], report.sheaf_reps[b]) is not None:
                     report.fail("collision", f"representatives {a}, {b}",
                                 "distinct orbits gave equivalent sheaves")
 
@@ -338,7 +314,7 @@ def enumerate_sheaves_direct(braid: BraidWord, field: FieldSpec,
                     continue
                 if global_sections(sheaf).dim != 0 or not is_reduced(sheaf):
                     continue
-                if any(equivalent_in_moduli(sheaf, other) for other in reps):
+                if any(isomorphic(sheaf, other) is not None for other in reps):
                     continue
                 reps.append(sheaf)
     return reps

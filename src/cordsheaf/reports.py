@@ -43,11 +43,10 @@ class ValidationReport:
 class DiffReport:
     """Entrywise differences between an expected and a computed object."""
 
-    __slots__ = ("entries", "notes")
+    __slots__ = ("entries",)
 
     def __init__(self):
         self.entries: list[dict] = []
-        self.notes: list[str] = []
 
     @property
     def empty(self) -> bool:
@@ -59,9 +58,6 @@ class DiffReport:
             "expected": str(expected),
             "got": str(got),
         })
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
 
     def to_json(self) -> list[dict]:
         return list(self.entries)

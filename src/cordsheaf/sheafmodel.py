@@ -81,13 +81,10 @@ class SheafData:
     def components(self):
         return geometry(self.braid).components
 
-    def deg_components(self) -> frozenset[int]:
-        return frozenset(d.component for d in self.deg)
-
     def deg_strands(self) -> frozenset[int]:
         if not self.deg:
             return frozenset()
-        comps, deg = self.components, self.deg_components()
+        comps, deg = self.components, {d.component for d in self.deg}
         return frozenset(i for i in range(1, self.braid.n + 1) if comps.component(i) in deg)
 
     def meridian_matrix(self, strand: int, exponent: int = 1) -> Matrix:

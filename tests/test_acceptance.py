@@ -254,7 +254,7 @@ def _random_coherent_trivialization(sheaf, rng):
         vec = base.finv[i - 1].scaled(c.inv())
         wall = sheaf.W[i - 1]
         if wall.dim and rng.random() < 0.7:
-            w = wall.basis_columns()[rng.randrange(wall.dim)]
+            w = wall.basis.col(rng.randrange(wall.dim))
             vec = vec + Matrix.column(field, w)
         f.append(fi)
         finv.append(vec)
@@ -284,7 +284,7 @@ def test_criterion_5_gauge_invariances():
                 continue
             vec = base.finv[i - 1]
             if sheaf.W[i - 1].dim:
-                w = sheaf.W[i - 1].basis_columns()[rng.randrange(sheaf.W[i - 1].dim)]
+                w = sheaf.W[i - 1].basis.col(rng.randrange(sheaf.W[i - 1].dim))
                 vec = vec + Matrix.column(field, w)
             finv2.append(vec)
         a = sheaf_to_aug(sheaf, base)
@@ -345,8 +345,8 @@ def test_criterion_7_structural_invariants():
     # Gamma(F) is fixed by every meridian matrix
     for sheaf in sheaves:
         gamma = global_sections(sheaf)
-        for v in gamma.basis_columns():
-            col = Matrix.column(sheaf.field, v)
+        for j in range(gamma.dim):
+            col = Matrix.column(sheaf.field, gamma.basis.col(j))
             for m in sheaf.M:
                 assert m * col == col
 

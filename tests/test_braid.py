@@ -142,7 +142,7 @@ def test_longitude_zero_framing_random():
             cm = component_map(braid)
         for s in range(1, cm.r + 1):
             sums = longitude_word(braid, s).exponent_sums(n)
-            assert sum(sums[i - 1] for i in cm.strands_of(s)) == 0
+            assert sum(sums[i - 1] for i in cm.strands[s - 1]) == 0
 
 
 def test_longitude_is_full_segment_cycle():

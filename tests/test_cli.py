@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -176,6 +178,10 @@ MALFORMED = [
     ("sheaf", _set(["lambda", 0], "10"), "$.lambda[0]"),
     ("to-aug", _set(["braid", "word", 1], "1"), "$.braid.word[1]"),
     ("to-aug", _set(["braid", "word", 0], 1.5), "$.braid.word[0]"),
+    # scalar strings outside the wire grammar
+    ("sheaf", _set(["R", 1, 0], "1_0"), "$.R[1][0]"),
+    ("sheaf", _set(["R", 0, 1], "1/2/3"), "$.R[0][1]"),
+    ("to-aug", _set(["M", 0, 1, 1], "\u0663"), "$.M[0][1][1]"),
 ]
 
 
@@ -196,6 +202,17 @@ def test_malformed_documents_exit_2_with_the_json_path(tmp_path, capsys, verb, c
     assert code == 2
     assert f"input error: {path}: " in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_file_requests_close_their_file(tmp_path, capsys):
+    aug_file = tmp_path / "aug.json"
+    aug_file.write_text(json.dumps(AUG))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sheaf", "--aug", str(aug_file), *TREFOIL])
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_geometry_budget_exit_code(tmp_path, capsys):

@@ -16,8 +16,8 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       roundtrip_aug, roundtrip_sheaf,
                                       sheaf_to_aug)
 from cordsheaf.correspondence import _AugLayout
-from cordsheaf.field import FieldSpec
-from cordsheaf.linalg import Matrix, Subspace
+from cordsheaf.field import FieldSpec, MixedFieldError
+from cordsheaf.linalg import Matrix, Subspace, _solve
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
 from cordsheaf.reports import DiffReport
 from cordsheaf.sheafmodel import DegenerateSummand, SheafData, validate
@@ -88,10 +88,50 @@ def test_invalid_trivialization_rejected():
     cand = golden_candidate()
     sheaf = aug_to_sheaf(cand, UNLINK3)
     good = canonical_trivialization(cand)
-    bad = LocalTrivialization(
-        [Matrix.from_rows(F5, [[1, 0, 0]])] + list(good.f[1:]), good.finv)
-    with pytest.raises(InvalidTrivializationError):
-        sheaf_to_aug(sheaf, bad)
+    # a functional that does not kill W_1, and a 2 x N one
+    for f1 in ([[1, 0, 0]], [[0, 1, 1], [0, 1, 1]]):
+        with pytest.raises(InvalidTrivializationError):
+            sheaf_to_aug(sheaf, LocalTrivialization(
+                [Matrix.from_rows(F5, f1)] + list(good.f[1:]), good.finv))
+
+
+# the golden instances of test_golden: (strands, word, p, every k-th augmentation)
+GOLDEN_INSTANCES = [(2, (), 3, 1), (2, (1, 1, 1), 5, 1), (3, (1, -2, 1, -2), 3, 1),
+                    (3, (1, 2), 3, 1), (1, (), 7, 1), (2, (1, 1, 1), 7, 1), (2, (), 5, 1),
+                    (3, (), 2, 1), (3, (), 3, 25), (2, (1, 1), 3, 1)]
+
+
+def test_trivialization_from_matrices_reads_the_same():
+    # the public constructor reads the values off the matrices once; the
+    # read-off gives the same augmentation as on the trivialization it came from
+    read = 0
+    for n, word, p, every in GOLDEN_INSTANCES:
+        braid = BraidWord(n, word)
+        for cand in enumerate_augs(braid, FieldSpec.prime(p))[::every]:
+            sheaf = aug_to_sheaf(cand, braid)
+            if not validate(sheaf).ok:
+                continue
+            triv = choose_trivialization(sheaf)
+            again = LocalTrivialization(triv.f, triv.finv)
+            assert (again.f, again.finv) == (triv.f, triv.finv)
+            assert sheaf_to_aug(sheaf, again) == sheaf_to_aug(sheaf, triv)
+            read += 1
+    assert read > 500
+
+
+def test_trivialization_over_another_field_rejected():
+    sheaf = aug_to_sheaf(golden_candidate(), UNLINK3)
+    triv = choose_trivialization(sheaf)
+
+    def over(field, mats):
+        return [None if m is None else Matrix.from_rows(field, [[x.value for x in row]
+                                                                for row in m.entries])
+                for m in mats]
+
+    with pytest.raises(MixedFieldError):
+        sheaf_to_aug(sheaf, LocalTrivialization(over(F3, triv.f), over(F3, triv.finv)))
+    with pytest.raises(MixedFieldError):
+        LocalTrivialization(over(F3, triv.f), triv.finv)
 
 
 def test_not_an_augmentation_rejected():
@@ -185,7 +225,7 @@ def _random_coherent_trivialization(sheaf, rng):
         vec = base.finv[i - 1].scaled(c.inv())
         wall = sheaf.W[i - 1]
         if wall.dim and rng.random() < 0.8:
-            w = wall.basis_columns()[rng.randrange(wall.dim)]
+            w = wall.basis.col(rng.randrange(wall.dim))
             vec = vec + Matrix.column(field, w)
         f.append(fi)
         finv.append(vec)
@@ -220,7 +260,7 @@ def test_right_inverse_independence():
             vec = base.finv[i - 1]
             wall = sheaf.W[i - 1]
             if wall.dim:
-                w = wall.basis_columns()[rng.randrange(wall.dim)]
+                w = wall.basis.col(rng.randrange(wall.dim))
                 vec = vec + Matrix.column(sheaf.field, w)
             finv2.append(vec)
         other = LocalTrivialization(base.f, finv2)
@@ -258,7 +298,7 @@ def test_quotient_invariance():
                 finv2.append(None)
                 continue
             zeros = [sheaf.field.zero()] * extra
-            f2.append(Matrix.row_vector(sheaf.field, list(triv.f[i - 1].row(0)) + zeros))
+            f2.append(Matrix(sheaf.field, [list(triv.f[i - 1].row(0)) + zeros]))
             finv2.append(Matrix.column(sheaf.field,
                                        list(triv.finv[i - 1].col(0)) + zeros))
         a = sheaf_to_aug(sheaf, triv)
@@ -442,7 +482,8 @@ def _elimination_sheaf(cand, braid, extended):
     d = len(lead) + len(pivots)
     mats, stalks = [], []
     for t in range(1, n + 1):
-        c = lead + [x.value for x in basis.solve(cand.R.column_matrix(t - 1))]
+        col = [row[t - 1] for row in cand.R.values]
+        c = lead + _solve(field.p, basis.values, len(pivots), col)
         g = lead + [cand.R.values[t - 1][j] for j in pivots]
         if lead and t in zero_rows:
             g = [-1] + [0] * len(pivots)

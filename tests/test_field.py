@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from cordsheaf.field import (FieldSpec, MixedFieldError, NotEnumerableError,
-                             enumerate_scalars)
+from cordsheaf.field import FieldSpec, MixedFieldError, NotEnumerableError
 
 
 F5 = FieldSpec.prime(5)
@@ -26,10 +25,10 @@ def test_inverse_examples():
 
 
 def test_enumeration():
-    assert [s.value for s in enumerate_scalars(FieldSpec.prime(3), nonzero=True)] == [1, 2]
-    assert [s.value for s in enumerate_scalars(FieldSpec.prime(2))] == [0, 1]
+    assert [s.value for s in FieldSpec.prime(3).elements(nonzero=True)] == [1, 2]
+    assert [s.value for s in FieldSpec.prime(2).elements()] == [0, 1]
     with pytest.raises(NotEnumerableError):
-        enumerate_scalars(QQ)
+        list(QQ.elements())
 
 
 def test_primality_enforced():

@@ -92,22 +92,17 @@ def test_public_subspace_constructor_canonicalizes_its_basis():
 
 
 def test_solve_examples_and_property():
-    eye = Matrix.identity(F5, 3)
-    b = Matrix.column(F5, [F5.scalar(2), F5.scalar(0), F5.scalar(4)])
-    assert eye.solve(b) == tuple(b.col(0))
-    zero = Matrix.zeros(F5, 2, 2)
-    assert zero.solve(Matrix.column(F5, [F5.one(), F5.zero()])) is None
-    col = Matrix.from_rows(F5, [[1], [2]])
-    sol = col.solve(Matrix.column(F5, [F5.scalar(2), F5.scalar(4)]))
-    assert sol == (F5.scalar(2),)
+    # the elimination kernel that the closed-form right inverse is pinned to
+    assert _solve(5, _identity(5, 3), 3, [2, 0, 4]) == [2, 0, 4]
+    assert _solve(5, [[0, 0], [0, 0]], 2, [1, 0]) is None
+    assert _solve(5, [[1], [2]], 1, [2, 4]) == [2]
     rng = random.Random(5)
     for _ in range(300):
         m = rand_matrix(F3, 3, rng.randint(1, 4), rng)
-        x = [F3.scalar(rng.randrange(3)) for _ in range(m.cols)]
-        b = m * Matrix.column(F3, x)
-        got = m.solve(b)
+        b = linalg._matvec(3, m.values, [rng.randrange(3) for _ in range(m.cols)])
+        got = _solve(3, m.values, m.cols, b)
         assert got is not None
-        assert m * Matrix.column(F3, got) == b
+        assert linalg._matvec(3, m.values, got) == b
 
 
 def test_rank_product_bound():
@@ -146,7 +141,7 @@ def test_annihilator():
     ann = U.annihilator()
     assert ann.rows == 2
     for j in range(U.basis.cols):
-        assert (ann * U.basis.column_matrix(j)).is_zero()
+        assert (ann * Matrix.column(F3, U.basis.col(j))).is_zero()
     assert Subspace.zero(F3, 2).annihilator().rows == 2
     assert Subspace.full(F3, 2).annihilator().rows == 0
 
@@ -279,7 +274,7 @@ def scalars(m):
 
 def basis(sub):
     scalars(sub.basis)
-    return [tuple(v) for v in sub.basis_columns()]
+    return [sub.basis.col(j) for j in range(sub.dim)]
 
 
 def test_value_kernels_match_scalar_reference():
@@ -291,18 +286,11 @@ def test_value_kernels_match_scalar_reference():
             m = Matrix(field, rows, cols=c)
             assert scalars(m) == rows and (m.rows, m.cols) == (r, c)
 
-            # products, transpose, hstack
+            # products
             other_rows = rand_rows(field, c, k, rng)
             prod = m * Matrix(field, other_rows, cols=k)
             assert (prod.rows, prod.cols) == (r, k)
             assert scalars(prod) == [list(x) for x in ref_mul(field, rows, other_rows, c, k)]
-            t = m.transpose()
-            assert (t.rows, t.cols) == (c, r)
-            assert scalars(t) == [[rows[i][j] for i in range(r)] for j in range(c)]
-            side_rows = rand_rows(field, r, k, rng)
-            h = m.hstack(Matrix(field, side_rows, cols=k))
-            assert (h.rows, h.cols) == (r, c + k)
-            assert scalars(h) == [a + b for a, b in zip(rows, side_rows)]
             same = Matrix(field, rand_rows(field, r, c, rng), cols=c)
             assert scalars(m + same) == [[a + b for a, b in zip(x, y)]
                                          for x, y in zip(rows, scalars(same))]
@@ -320,10 +308,9 @@ def test_value_kernels_match_scalar_reference():
             assert basis(m.image()) == ref_span(field, [list(col) for col in zip(*rows)]
                                                 if r else [[]] * c, r)
             rhs = [rand_scalar(field, rng) for _ in range(r)]
-            got = m.solve(Matrix.column(field, rhs)) if r else m.solve(Matrix.zeros(field, 0, 1))
             want = ref_solve(field, rows, c, rhs)
-            assert got == want
-            assert got is None or all(isinstance(x, Scalar) and x.field == field for x in got)
+            assert _solve(field.p, m.values, c, [x.value for x in rhs]) == \
+                (None if want is None else [x.value for x in want])
 
             # square matrices
             sq = Matrix(field, rand_rows(field, r, r, rng), cols=r)
@@ -386,9 +373,7 @@ def test_mixed_fields_rejected_at_the_boundary():
     b = Matrix.identity(F5, 2)
     with pytest.raises(MixedFieldError):
         Matrix(F3, [[F3.one(), F5.one()], [F3.one(), F3.one()]])
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.hstack(b),
-               lambda: a.solve(Matrix.column(F5, [F5.one(), F5.one()])),
-               lambda: a.scaled(F5.one()),
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.scaled(F5.one()),
                lambda: Subspace.full(F3, 2).sum(Subspace.full(F5, 2)),
                lambda: Subspace.full(F3, 2).intersect(Subspace.full(F5, 2)),
                lambda: Subspace.full(F3, 2).contains([F5.one(), F5.one()]),

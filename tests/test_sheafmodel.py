@@ -81,8 +81,8 @@ def test_global_sections_fixed_by_meridians():
     for _ in range(400):
         sheaf = _random_valid_sheaf(rng)
         gamma = global_sections(sheaf)
-        for v in gamma.basis_columns():
-            col = Matrix.column(sheaf.field, v)
+        for j in range(gamma.dim):
+            col = Matrix.column(sheaf.field, gamma.basis.col(j))
             for m in sheaf.M:
                 assert m * col == col
         checked += 1
@@ -360,7 +360,7 @@ def _ref_det(mat):
 
 def test_row_transport_matches_the_transposed_transport_matrix():
     # a functional carried through a word's letters as a row vector, f <- f M,
-    # equals transpose(rho(word)) f with rho(word) multiplied out
+    # equals f rho(word) with rho(word) multiplied out
     rng = random.Random(21)
     for field in (F2, F3, F5, F7, QQ):
         for braid in INVERSE_BRAIDS:
@@ -371,9 +371,9 @@ def test_row_transport_matches_the_transposed_transport_matrix():
                 sheaf = _random_sheaf(braid, field, rng)
                 for word in words:
                     f = [field.scalar(_rand_value(field, rng)) for _ in range(sheaf.N)]
-                    want = sheaf.transport(word).transpose() * Matrix.column(field, f)
+                    want = Matrix(field, [f], cols=sheaf.N) * sheaf.transport(word)
                     got = sheaf._transport_row(word, [x.value for x in f])
-                    assert got == [x.value for x in want.col(0)]
+                    assert got == list(want.values[0])
 
 
 def _fixing_sheaf(braid, field, rng):

@@ -33,8 +33,12 @@ def reference_value(field, text):
 
 
 TEXTS = ["0", "1", "4", "5", "7", "12", "-1", "-7", "-12", " 3 ", "+2", "1/2", "-3/4",
-         "7/3", "10/4", "6/9", "0/7", "-14/21", "5/5", "3/-6", "1/0", "0/0"]
-NOT_SCALARS = ["", "x", "1.5", "1/2/3", "/", "2/", 1, 1.0, None, True, ["1"], {"v": "1"}]
+         "7/3", "10/4", "6/9", "0/7", "-14/21", "5/5", "3/-6", "1/0", "0/0", "\t3\n",
+         " 1 / 2 "]
+# outside the grammar: digit-group underscores, non-ASCII digits and spaces,
+# a sign apart from its digits, two slashes
+NOT_SCALARS = ["", "x", "1.5", "1/2/3", "/", "2/", "1_0", "1/2_0", "\u0663", "\uff12",
+               "3\u00a0", "- 3", 1, 1.0, None, True, ["1"], {"v": "1"}, b"3"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -56,7 +60,7 @@ def test_parse_matches_the_scalar_reference(field):
         assert got == want and type(got) is type(want), text
         assert field.from_str(text).value == got
     for text in NOT_SCALARS:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected (an integer or a/b|a scalar string)"):
             field.parse(text)
 
 
@@ -122,7 +126,7 @@ def test_errors_name_the_json_path():
 
 
 ROW_ENTRIES = ["0", "4", "5", "-1", " 3 ", "+2", "007", "1/2", "2/4", "1/0", "1/5", "", "x",
-               "1.5", 3, 3.0, True, None, []]
+               "1.5", 3, 3.0, True, None, [], "\t3\n", "1_0", "\u0663", "\uff12", b"3"]
 
 
 def _parsed(field, x, path):
