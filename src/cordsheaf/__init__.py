@@ -25,5 +25,26 @@ from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
                          is_reduced, is_stable, isomorphic, once_stabilized,
                          stabilized_space, validate)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API names above; the submodules stay reachable as attributes
+# (cordsheaf.moduli) but are not part of a star import
+__all__ = [
+    "BraidWord", "ComponentMap", "MeridianWord", "NonMonotoneComponentsError",
+    "artin_action", "component_map", "longitude_word", "permutation",
+    "relabel_for_components", "segment_word", "wirtinger_relations",
+    "AugCandidate", "DilationParam", "IndexSets", "apply_dilation", "canonical_form",
+    "check_relations", "degenerate_components", "index_sets", "loop_matrix",
+    "zero_column_components", "zero_row_components",
+    "InvalidTrivializationError", "LocalTrivialization", "NotAnAugmentationError",
+    "aug_to_sheaf", "aug_to_subsheaf", "canonical_trivialization",
+    "choose_trivialization", "extend_by_constant", "pure_cord_trace", "roundtrip_aug",
+    "roundtrip_sheaf", "sheaf_to_aug",
+    "FieldSpec", "MixedFieldError", "NotEnumerableError", "Scalar", "WireFormatError",
+    "Matrix", "Subspace",
+    "BudgetExceededError", "ComparisonReport", "ModuliReport", "Orbit", "enumerate_augs",
+    "enumerate_sheaves_direct", "markov_compare", "quotient_by_dilation",
+    "verify_bijection",
+    "DiffReport", "ValidationReport",
+    "DegenerateSummand", "SheafData", "global_sections", "is_reduced", "is_stable",
+    "isomorphic", "once_stabilized", "stabilized_space", "validate",
+]
 __version__ = "0.1.0"

@@ -30,10 +30,11 @@ Conventions, fixed once and tested rather than argued:
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from typing import Sequence
 
-from .field import WireFormatError, wire_get
+from .field import WireFormatError, decimal_integer, wire_get
 
 # Letters the expanded words of one BraidGeometry may hold.  Words grow
 # exponentially with crossings: (s1 s2^-1)^12 on 3 strands holds about
@@ -146,8 +147,13 @@ class BraidWord:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "BraidWord":
-        """Parse whitespace-separated signed integers, e.g. ``"1 1 1"``."""
-        word = [int(tok) for tok in text.split()]
+        """Parse signed integers separated by ASCII whitespace, e.g.
+        ``"1 -2 1"``; each is ASCII digits with an optional sign."""
+        try:
+            word = [decimal_integer(tok) for tok in re.split(r"[ \t\n\r\f\v]+", text) if tok]
+        except ValueError:
+            raise ValueError(f"expected whitespace-separated signed integers, "
+                             f"got {text!r}") from None
         return cls(n, word)
 
     def inverse(self) -> "BraidWord":

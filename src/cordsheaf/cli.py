@@ -23,7 +23,7 @@ from .cordaug import AugCandidate
 from .correspondence import (NotAnAugmentationError, aug_to_sheaf,
                              canonical_trivialization, choose_trivialization,
                              diff_candidates, sheaf_to_aug)
-from .field import FieldSpec
+from .field import FieldSpec, decimal_integer
 from .linalg import Matrix
 from .moduli import (BudgetExceededError, DEFAULT_BUDGET, enumerate_augs,
                      markov_compare, quotient_by_dilation, verify_bijection)
@@ -39,18 +39,26 @@ class InputError(ValueError):
     pass
 
 
+def _integer(arg: str) -> int:
+    """argparse type of the integer options: a decimal integer, nothing else."""
+    try:
+        return decimal_integer(arg)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+
+
 def _field(arg: str) -> FieldSpec:
     try:
-        return FieldSpec.prime(int(arg))
+        return FieldSpec.prime(decimal_integer(arg))
     except ValueError as err:
         raise InputError(f"--field must be a prime, got {arg!r}: {err}")
 
 
-def _braid(word_text: str, strands: int) -> BraidWord:
+def _braid(word_text: str, strands: int, option: str = "--braid") -> BraidWord:
     try:
         braid = BraidWord.parse(strands, word_text)
     except ValueError as err:
-        raise InputError(str(err))
+        raise InputError(f"{option}: {err}")
     try:
         component_map(braid)
     except NonMonotoneComponentsError:
@@ -124,8 +132,8 @@ def cmd_verify(args) -> int:
 
 def cmd_markov(args) -> int:
     field = _field(args.field)
-    b1 = _braid(args.braid1, args.strands1)
-    b2 = _braid(args.braid2, args.strands2)
+    b1 = _braid(args.braid1, args.strands1, "--braid1")
+    b2 = _braid(args.braid2, args.strands2, "--braid2")
     report = markov_compare(b1, b2, field, budget=args.budget)
     _emit(report.to_json())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
@@ -207,16 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("augs", help="enumerate augmentation candidates")
     p.add_argument("--braid", required=True, help='signed generator word, e.g. "1 1 1"')
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--modulo-dilation", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.set_defaults(run=cmd_augs)
 
     p = add_parser("sheaf", help="augmentation file -> sheaf data")
     p.add_argument("--aug", required=True, help="JSON file ('-' for stdin)")
     p.add_argument("--braid", required=True)
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.set_defaults(run=cmd_sheaf)
 
     p = add_parser("to-aug", help="sheaf file -> augmentation")
@@ -225,18 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="check the bijection for one braid")
     p.add_argument("--braid", required=True)
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.set_defaults(run=cmd_verify)
 
     p = add_parser("markov", help="compare two braid representatives")
     p.add_argument("--braid1", required=True)
-    p.add_argument("--strands1", type=int, required=True)
+    p.add_argument("--strands1", type=_integer, required=True)
     p.add_argument("--braid2", required=True)
-    p.add_argument("--strands2", type=int, required=True)
+    p.add_argument("--strands2", type=_integer, required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.set_defaults(run=cmd_markov)
 
     p = add_parser("example-unlink3", help="three-component unlink worked example")

@@ -395,6 +395,37 @@ def apply_dilation(cand: AugCandidate, d: DilationParam) -> AugCandidate:
     return AugCandidate(cand.field, comp, Matrix._from_values(cand.field, rows), cand.lam, cand.mu)
 
 
+def _forest_dilation(p: int | None, r: int, edges) -> list:
+    """The raw d of canonical_form, from the nonzero mixed entries of R.
+
+    edges holds (c, c', x), in row-major order, for each nonzero entry x of
+    R whose row and column strands lie on different components, numbered
+    from 0 as c and c'.  Growing the forest reads nothing else, so the
+    enumerator tests its raw tuples for canonicity with the same code.
+    """
+    one = _one(p)
+    d: list = [None] * r
+    for s in range(r):
+        if d[s] is not None:
+            continue
+        d[s] = one
+        grew = True
+        while grew:
+            grew = False
+            for ci, cj, x in edges:
+                known_i, known_j = d[ci] is not None, d[cj] is not None
+                if known_i == known_j:
+                    continue
+                # rescaled entry (d_ci / d_cj) x becomes 1
+                if known_i:
+                    d[cj] = _mul(p, d[ci], x)
+                else:
+                    d[ci] = _mul(p, d[cj], _inv(p, x))
+                grew = True
+                break
+    return d
+
+
 def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
     """Orbit representative under reduced dilations, plus the witnessing d.
 
@@ -406,31 +437,11 @@ def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
     at d = 1.  The zero pattern of R is a dilation invariant, so the chosen
     edges and the resulting representative are constant on orbits, and the
     map is idempotent because every anchor entry of a representative is 1.
+    So a candidate is its own representative exactly when d is all ones.
     """
-    p, comp, R = cand.field.p, cand.components, cand.R.values
-    one = _one(p)
-    d: list = [None] * cand.r
-    mixed = [(i, j) for i in range(1, cand.n + 1) for j in range(1, cand.n + 1)
-             if comp.component(i) != comp.component(j)]
-
-    for s in range(1, cand.r + 1):
-        if d[s - 1] is not None:
-            continue
-        d[s - 1] = one
-        grew = True
-        while grew:
-            grew = False
-            for i, j in mixed:
-                ci, cj = comp.component(i), comp.component(j)
-                known_i, known_j = d[ci - 1] is not None, d[cj - 1] is not None
-                if known_i == known_j or not R[i - 1][j - 1]:
-                    continue
-                # rescaled entry (d_ci / d_cj) R[i][j] becomes 1
-                if known_i:
-                    d[cj - 1] = _mul(p, d[ci - 1], R[i - 1][j - 1])
-                else:
-                    d[ci - 1] = _mul(p, d[cj - 1], _inv(p, R[i - 1][j - 1]))
-                grew = True
-                break
+    labels = [s - 1 for s in cand.components.labels]
+    edges = [(ci, cj, x) for ci, row in zip(labels, cand.R.values)
+             for cj, x in zip(labels, row) if x and ci != cj]
+    d = _forest_dilation(cand.field.p, cand.r, edges)
     param = DilationParam([Scalar(cand.field, x) for x in d])
     return apply_dilation(cand, param), param

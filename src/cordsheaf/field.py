@@ -21,8 +21,21 @@ naming the JSON path of the fault.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterator, Union
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def decimal_integer(text: str) -> int:
+    """The integer that ASCII digits with an optional sign write, and
+    nothing else: no whitespace, underscores or non-ASCII digits, all of
+    which int would read.  Raises ValueError on anything else."""
+    if type(text) is not str or not _DECIMAL.fullmatch(text):
+        raise ValueError(f"expected a decimal integer, got {text!r}")
+    return int(text)
 
 
 class MixedFieldError(ValueError):

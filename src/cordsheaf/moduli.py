@@ -19,12 +19,12 @@ import itertools
 from typing import Iterable, Sequence
 
 from .braid import BraidWord, BudgetExceededError, component_map, geometry
-from .cordaug import (AugCandidate, canonical_form, degenerate_components,
-                      index_sets, passes_fast)
+from .cordaug import (AugCandidate, _forest_dilation, canonical_form,
+                      degenerate_components, index_sets, passes_fast)
 from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf,
                              choose_trivialization, sheaf_to_aug)
 from .field import FieldSpec
-from .linalg import Matrix, Subspace, _sub
+from .linalg import Matrix, Subspace, _inv, _mul, _sub
 from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
                          validate)
 
@@ -39,7 +39,15 @@ def search_space_size(braid: BraidWord, field: FieldSpec) -> int:
 
 def enumerate_augs(braid: BraidWord, field: FieldSpec,
                    budget: int = DEFAULT_BUDGET) -> list[AugCandidate]:
-    """All candidates passing the relation certificate, in lexicographic order."""
+    """All candidates passing the relation certificate, in lexicographic order.
+
+    The certificate is invariant under reduced dilations, which keep the
+    diagonal, lambda and mu.  So in each (mu, lambda) block only the tuples
+    that are their own canonical form are certified; each one that passes
+    brings in its whole orbit, whose other members are certified in turn
+    before they are kept.  Sorting the block by its tuples gives the order
+    of a scan over every tuple.  On a knot every tuple is canonical.
+    """
     if not field.is_prime_field:
         raise ValueError("enumeration needs a finite field")
     cm = component_map(braid)
@@ -53,16 +61,53 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     # the off-diagonal residues, row by row: row i is values[a:b] + (R[i][i],)
     # + values[b:c]
     cuts = [(i * (n - 1), i * n, (i + 1) * (n - 1)) for i in range(n)]
+    labels = [s - 1 for s in cm.labels]
+    off = [(labels[i], labels[j]) for i in range(n) for j in range(n) if i != j]
+    # (position in values, component of the row, component of the column)
+    mixed = [(k, ci, cj) for k, (ci, cj) in enumerate(off) if ci != cj]
+    # each reduced dilation (d_1 = 1) as its factors d_ci / d_cj on the mixed
+    # positions; on a knot the one dilation is the identity, with no factor
+    factors = []
+    for rest in itertools.product(range(1, p), repeat=r - 1):
+        d = (1,) + rest
+        factors.append([_mul(p, d[ci], _inv(p, d[cj])) for _, ci, cj in mixed])
+    # a tuple is its own canonical form when its forest dilation is all ones
+    ones = [1] * r
+    canonical = bytearray(
+        _forest_dilation(p, r, [(ci, cj, values[k]) for k, ci, cj in mixed if values[k]]) == ones
+        for values in itertools.product(range(p), repeat=len(off)))
+
+    def orbit(values: tuple):
+        for scale in factors:
+            moved = list(values)
+            for (k, _, _), x in zip(mixed, scale):
+                moved[k] = _mul(p, moved[k], x)
+            yield tuple(moved)
+
     out = []
     for mu in itertools.product(units, repeat=r):
         diag = [_sub(p, 1, mu[s - 1].value) for s in cm.labels]
         for lam in itertools.product(units, repeat=r):
-            for values in itertools.product(range(p), repeat=n * (n - 1)):
+
+            def candidate(values: tuple) -> AugCandidate:
                 R = Matrix._from_values(field, [values[a:b] + (x,) + values[b:c]
                                                 for x, (a, b, c) in zip(diag, cuts)])
-                cand = AugCandidate(field, cm, R, lam, mu)
+                return AugCandidate(field, cm, R, lam, mu)
+
+            block: dict = {}  # tuple -> its candidate once certified, else None
+            for values in itertools.compress(
+                    itertools.product(range(p), repeat=len(off)), canonical):
+                cand = candidate(values)
                 if passes_fast(cand, geom):
-                    out.append(cand)
+                    block.update(dict.fromkeys(orbit(values)))
+                    block[values] = cand
+            for values in sorted(block):
+                cand = block[values]
+                if cand is None:
+                    cand = candidate(values)
+                    if not passes_fast(cand, geom):
+                        continue
+                out.append(cand)
     return out
 
 

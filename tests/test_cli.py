@@ -226,3 +226,46 @@ def test_geometry_budget_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget exceeded: braid geometry of" in captured.err
+
+
+# -- integer arguments -------------------------------------------------------------------
+
+# (argument, text outside ASCII [+-]?[0-9]+): Python's int reads every one
+NOT_DECIMAL = [("--field", "\u0663"), ("--field", "1_1"), ("--field", " 3"),
+               ("--field", "\uff13"), ("--braid", "1_0"), ("--braid", "\u0661"),
+               ("--braid", "1\u00a01"), ("--braid", "+-1"), ("--braid", "1.0")]
+
+
+@pytest.mark.parametrize("option, text", NOT_DECIMAL)
+def test_integer_arguments_outside_ascii_decimals_exit_2(capsys, option, text):
+    args = {"--braid": "1", "--strands": "2", "--field": "3", option: text}
+    code = main(["augs", *[x for item in args.items() for x in item]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"input error: {option}" in captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("option, text", [("--strands", "\u0662"), ("--budget", "1_000")])
+def test_integer_options_outside_ascii_decimals_exit_2(capsys, option, text):
+    args = {"--braid": "1", "--strands": "2", "--field": "3", option: text}
+    with pytest.raises(SystemExit) as stop:
+        main(["augs", *[x for item in args.items() for x in item]])
+    assert stop.value.code == 2
+    assert f"argument {option}: expected a decimal integer" in capsys.readouterr().err
+
+
+def test_markov_names_the_braid_argument(capsys):
+    code = main(["markov", "--braid1", "", "--strands1", "1", "--braid2", "1_0",
+                 "--strands2", "2", "--field", "3"])
+    assert code == 2
+    assert "input error: --braid2: " in capsys.readouterr().err
+
+
+def test_signed_braid_letters_and_ascii_spacing_still_read(capsys):
+    code, out = run(capsys, "augs", "--braid", "\t+1  -1 1\n", "--strands", "2",
+                    "--field", "+3", "--modulo-dilation")
+    assert code == 0
+    data = json.loads(out)
+    assert data["braid"]["word"] == [1, -1, 1] and data["field"]["p"] == 3

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from cordsheaf.braid import BraidWord, component_map
-from cordsheaf.cordaug import (DilationParam, apply_dilation, check_relations,
-                               degenerate_components, zero_row_components)
+from cordsheaf.braid import BraidWord, component_map, geometry
+from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation, canonical_form,
+                               check_relations, degenerate_components, passes_fast,
+                               zero_row_components)
 from cordsheaf.correspondence import aug_to_sheaf
 from cordsheaf.field import FieldSpec
+from cordsheaf.linalg import Matrix
 from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
                               enumerate_sheaves_direct, markov_compare,
                               quotient_by_dilation, search_space_size,
@@ -67,6 +69,74 @@ def test_enumeration_closed_under_dilation():
             for d in itertools.product(units, repeat=cm.r):
                 moved = apply_dilation(cand, DilationParam(list(d)))
                 assert (moved.R, moved.lam, moved.mu) in keys
+
+
+def _full_scan(braid, field):
+    """The enumeration as a scan certifying every tuple, in lexicographic
+    order: mu, then lambda, then the off-diagonal entries of R row by row.
+    enumerate_augs certifies only canonical tuples and must return exactly
+    this list."""
+    cm = component_map(braid)
+    geom = geometry(braid)
+    n, r, p = braid.n, cm.r, field.p
+    units = list(field.elements(nonzero=True))
+    out = []
+    for mu in itertools.product(units, repeat=r):
+        diag = [(1 - mu[s - 1].value) % p for s in cm.labels]
+        for lam in itertools.product(units, repeat=r):
+            for values in itertools.product(range(p), repeat=n * (n - 1)):
+                rows = [values[i * (n - 1):i * n] + (x,) + values[i * n:(i + 1) * (n - 1)]
+                        for i, x in enumerate(diag)]
+                cand = AugCandidate(field, cm, Matrix._from_values(field, rows), lam, mu)
+                if passes_fast(cand, geom):
+                    out.append(cand)
+    return out
+
+
+# every braid and field the suite enumerates (the 3-unlink over F5 only as a
+# budget refusal), and T(3,3), whose zero-row orbits all lack a sheaf
+SCANNED = [(UNKNOT, F2), (UNKNOT, F3), (UNKNOT, F5), (UNKNOT, F7),
+           (UNLINK2, F2), (UNLINK2, F3), (UNLINK2, F5), (UNLINK2, F7),
+           (BraidWord(2, [1]), F2), (BraidWord(2, [1]), F3),
+           (BraidWord(2, [-1]), F2), (BraidWord(2, [-1]), F3),
+           (HOPF, F2), (HOPF, F3), (HOPF, F5),
+           (TREFOIL, F2), (TREFOIL, F3), (TREFOIL, F5), (TREFOIL, F7),
+           (BraidWord(2, [1, 1, 1, 1]), F3), (BraidWord(2, [1, 1, 1, 1]), F5),
+           (UNLINK3, F2), (UNLINK3, F3),
+           (BraidWord(3, [1, 1]), F2), (BraidWord(3, [1, 1]), F3),
+           (BraidWord(3, [-2, 1, 1, 2]), F2), (BraidWord(3, [-2, 1, 1, 2]), F3),
+           (BraidWord(3, [1, 1, 2]), F2), (BraidWord(3, [1, 1, 2]), F3),
+           (BraidWord(3, [1, 2]), F3), (BraidWord(3, [1, -2, 1, -2]), F3),
+           (BraidWord(3, [1, 2, 1, 2, 1, 2]), F3)]
+
+
+@pytest.mark.parametrize("braid, field", SCANNED,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in SCANNED])
+def test_enumeration_equals_the_full_scan(braid, field):
+    pts = enumerate_augs(braid, field)
+    assert pts == _full_scan(braid, field)
+    for cand in pts:
+        assert check_relations(cand, braid).ok, cand.to_json()
+
+
+def test_enumeration_reaches_orbits_whose_forest_starts_off_component_1():
+    # the spanning-forest counterexample: components 2 and 3 are joined by
+    # R[2][3] before R[3][1] links either of them to component 1, so a
+    # canonical tuple has R[2][3] = 1 only once R[3][1] pinned component 3
+    pts = enumerate_augs(UNLINK3, F3)
+    keys = {(c.R, c.lam, c.mu) for c in pts}
+    chained = [c for c in pts if c.R.values[0] == (0, 0, 0) and c.R.values[1][0] == 0
+               and c.R.values[1][2] and c.R.values[2][0]]
+    assert len(chained) >= 4
+    units = list(F3.elements(nonzero=True))
+    for cand in chained:
+        rep, _ = canonical_form(cand)
+        assert rep.R.values[2][0] == rep.R.values[1][2] == 1
+        assert (rep.R, rep.lam, rep.mu) in keys
+        orbit = {apply_dilation(cand, DilationParam([F3.one(), d2, d3])).R
+                 for d2 in units for d3 in units}
+        assert len(orbit) == 4
+        assert all((R, cand.lam, cand.mu) in keys for R in orbit)
 
 
 def test_orbit_sizes_partition_points():
