@@ -109,6 +109,20 @@ def test_sheaf_rejects_a_non_augmentation(tmp_path, capsys):
     assert data["failures"]
 
 
+
+def test_sheaf_on_a_braid_with_other_components_exits_2(tmp_path, capsys):
+    # a 2-component unlink augmentation given with the trefoil, a knot
+    aug = {"field": {"kind": "prime", "p": 3}, "n": 2, "component_map": [1, 2],
+           "R": [["0", "0"], ["0", "0"]], "lambda": ["1", "1"], "mu": ["1", "1"]}
+    aug_file = tmp_path / "aug.json"
+    aug_file.write_text(json.dumps(aug))
+    code = main(["sheaf", "--aug", str(aug_file), "--braid", "1 1 1", "--strands", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("input error: candidate component map does not match "
+                            "the braid\n")
+
 def test_markov_cli(capsys):
     code, out = run(capsys, "markov", "--braid1", "", "--strands1", "1",
                     "--braid2", "1", "--strands2", "2", "--field", "3", "--json")

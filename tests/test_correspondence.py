@@ -406,6 +406,43 @@ def test_mixed_degenerate_and_visible_components():
     assert roundtrip_sheaf(sheaf).empty
 
 
+def _with_strand(mats, strand, mat):
+    return [mat if i == strand else m for i, m in enumerate(mats, 1)]
+
+
+# each way a trivialization can fail to fit the mixed sheaf above (strand 1
+# degenerate, N = 2), and the message naming it
+BAD_TRIVIALIZATIONS = [
+    ("a functional on a degenerate strand",
+     lambda f, x: (_with_strand(f, 1, f[1]), _with_strand(x, 1, x[1])),
+     "strand 1 is degenerate and admits no trivialization"),
+    ("a missing functional", lambda f, x: (_with_strand(f, 2, None), x),
+     "strand 2 needs a functional"),
+    ("a wrong shape", lambda f, x: (_with_strand(f, 2, Matrix.from_rows(F3, [[0, 1, 1]])), x),
+     re.escape("f[2] must be 1x2 and finv[2] 2x1")),
+    ("a vanishing f", lambda f, x: (_with_strand(f, 2, Matrix.zeros(F3, 1, 2)), x),
+     re.escape("f[2] vanishes")),
+    ("a finv that is not a right inverse",
+     lambda f, x: (f, _with_strand(x, 3, x[2].scaled(F3.scalar(2)))),
+     re.escape("finv[3] is not a right inverse")),
+]
+
+
+@pytest.mark.parametrize("change, message", [case[1:] for case in BAD_TRIVIALIZATIONS],
+                         ids=[case[0] for case in BAD_TRIVIALIZATIONS])
+def test_trivialization_that_does_not_fit_is_rejected(change, message):
+    R = Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 1], [0, 1, 2]])
+    one = F3.one()
+    cand = AugCandidate(F3, component_map(UNLINK3), R, [F3.scalar(2), one, one],
+                        [one, one, F3.scalar(2)])
+    sheaf = aug_to_sheaf(cand, UNLINK3)
+    good = canonical_trivialization(cand)
+    assert good.f[0] is None and sheaf.N == 2
+    f, finv = change(list(good.f), list(good.finv))
+    with pytest.raises(InvalidTrivializationError, match=message):
+        sheaf_to_aug(sheaf, LocalTrivialization(f, finv))
+
+
 # -- the sheaf round trip's comparison map -------------------------------------------
 
 

@@ -1,19 +1,21 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from cordsheaf.braid import BraidWord, component_map, geometry
 from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation, canonical_form,
-                               check_relations, degenerate_components, passes_fast,
-                               zero_row_components)
-from cordsheaf.correspondence import aug_to_sheaf
+                               check_relations, degenerate_components, index_sets,
+                               passes_fast, zero_row_components)
+from cordsheaf.correspondence import _AugLayout, aug_to_sheaf
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix
 from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
                               enumerate_sheaves_direct, markov_compare,
                               quotient_by_dilation, search_space_size,
                               verify_bijection)
-from cordsheaf.sheafmodel import isomorphic, stabilized_space
+from cordsheaf.sheafmodel import global_sections, isomorphic, stabilized_space
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -302,3 +304,75 @@ def test_orbit_representatives_are_enumerated_candidates():
         keys = {(c.R, c.lam, c.mu) for c in pts}
         for orbit in quotient_by_dilation(pts):
             assert (orbit.rep.R, orbit.rep.lam, orbit.rep.mu) in keys, (braid, field)
+
+
+# (braid1, braid2, p) -> (orbit counts, unmatched entries from braid1, from
+# braid2, SHA-1 of the JSON list of unmatched signatures)
+PINNED_MARKOV = [
+    ((2, [1, 1]), (3, [-2, 1, 1, 2]), 3, (16, 328), 16, 328,
+     "b00444e525fd2ff51a1b5845365c96834ab409e9"),
+    ((2, [1, 1]), (2, [1, 1, 1, 1]), 3, (16, 18), 5, 7,
+     "848a5c47f5cd92255a2970f14f98d66d9e65d59a"),
+    ((2, []), (2, [1, 1]), 3, (25, 16), 14, 5, "17a9fe340d4a82ae4f724da9199b802ee44cd257"),
+]
+
+
+@pytest.mark.parametrize("first, second, p, counts, left, right, digest", PINNED_MARKOV)
+def test_markov_unmatched_signatures_are_pinned(first, second, p, counts, left, right, digest):
+    # different links: the unmatched signatures of both sides, interleaved
+    # in signature order, with the matched ones left out
+    report = markov_compare(BraidWord(*first), BraidWord(*second), FieldSpec.prime(p))
+    assert report.counts == counts
+    sides = [side for side, _ in report.unmatched]
+    assert (sides.count("braid1"), sides.count("braid2")) == (left, right)
+    signatures = [sig for _, sig in report.unmatched]
+    assert signatures == sorted(signatures)
+    data = json.dumps(report.to_json()["unmatched_signatures"]).encode()
+    assert hashlib.sha1(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("braid, field", SCANNED,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in SCANNED])
+def test_layout_sheaves_have_no_global_sections(braid, field):
+    # a layout sheaf's functionals are injective on its coordinates, so its
+    # stalks meet in zero; verify_bijection reads every representative's
+    # augmentation off the sheaf round trip, which stops only when Gamma != 0
+    for cand in enumerate_augs(braid, field):
+        sheaf = _AugLayout(cand, index_sets(cand)).sheaf(braid)
+        assert global_sections(sheaf).dim == 0, cand.to_json()
+
+
+def test_collision_entries(monkeypatch):
+    # no instance reaches the collision branch: distinct orbits induce
+    # distinct canonical forms.  Forcing every representative to induce the
+    # first one's, and calling sheaves of equal dimension isomorphic, lists
+    # every such pair of each group in order.
+    from cordsheaf import moduli
+    real = moduli._roundtrip_sheaf
+    induced = []
+
+    def first_induced(sheaf):
+        diff, eps = real(sheaf)
+        induced.append(eps)
+        return diff, induced[0]
+
+    monkeypatch.setattr(moduli, "_roundtrip_sheaf", first_induced)
+    monkeypatch.setattr(moduli, "isomorphic",
+                        lambda F, G: Matrix.identity(F.field, F.N) if F.N == G.N else None)
+    report = verify_bijection(UNLINK2, F2)
+    assert [s.N for s in report.sheaf_reps] == [0, 2, 2, 2]
+    assert [f for f in report.failures if f["kind"] == "collision"] == [
+        {"kind": "collision", "location": f"representatives {a}, {b}",
+         "detail": "distinct orbits gave equivalent sheaves"} for a, b in ((1, 2), (1, 3), (2, 3))]
+    assert [f["location"] for f in report.failures if f["kind"] == "wrong-orbit"] == [
+        "representative 1", "representative 2", "representative 3"]
+    induced.clear()
+    report = verify_bijection(UNKNOT, F5)
+    assert [f["location"] for f in report.failures if f["kind"] == "collision"] == [
+        f"representatives {a}, {b}" for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                                                 (4, 5), (4, 6), (5, 6))]
+    induced.clear()
+    report = verify_bijection(UNLINK2, F3)
+    data = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert len(report.failures) == 142
+    assert hashlib.sha1(data).hexdigest() == "3be0cfe425d382fa6516471931e1a74b534b329d"
