@@ -140,8 +140,10 @@ class BraidWord:
         if n < 1:
             raise ValueError("strand count must be >= 1")
         self.n = n
-        self.word = tuple(int(g) for g in word)
+        self.word = tuple(word)
         for g in self.word:
+            if type(g) is not int:
+                raise ValueError(f"letter {g!r} is not an int")
             if g == 0 or abs(g) > n - 1:
                 raise ValueError(f"letter {g} out of range for Br_{n}")
 

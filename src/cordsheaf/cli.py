@@ -166,12 +166,9 @@ def cmd_example_unlink3(args) -> int:
     ])
     cand = AugCandidate(field, comps, R, [one, one, one],
                         [one, one, one - values["e33"]])
-    try:
-        sheaf = aug_to_sheaf(cand, braid)
-    except NotAnAugmentationError as err:
-        print(json.dumps({"error": "relations fail", "failures": err.report.failures[:8]},
-                         indent=2))
-        return EXIT_VERIFY_FAILED
+    # on the empty braid the certificate is the diagonal normalization,
+    # which R meets by construction
+    sheaf = aug_to_sheaf(cand, braid)
     vrep = validate(sheaf)
     recovered = sheaf_to_aug(sheaf, canonical_trivialization(cand))
     diff = diff_candidates(cand, recovered)

@@ -116,19 +116,16 @@ class AugCandidate:
 
 
 class IndexSets:
-    """The partition of strands by vanishing rows (I) and columns (J) of R."""
+    """The strands whose row (I'') or column (J'') of R vanishes."""
 
-    __slots__ = ("I_prime", "I_dprime", "J_prime", "J_dprime")
+    __slots__ = ("I_dprime", "J_dprime")
 
-    def __init__(self, I_prime, I_dprime, J_prime, J_dprime):
-        self.I_prime = frozenset(I_prime)
+    def __init__(self, I_dprime, J_dprime):
         self.I_dprime = frozenset(I_dprime)
-        self.J_prime = frozenset(J_prime)
         self.J_dprime = frozenset(J_dprime)
 
     def __repr__(self) -> str:
-        return (f"IndexSets(I'={sorted(self.I_prime)}, I''={sorted(self.I_dprime)}, "
-                f"J'={sorted(self.J_prime)}, J''={sorted(self.J_dprime)})")
+        return f"IndexSets(I''={sorted(self.I_dprime)}, J''={sorted(self.J_dprime)})"
 
 
 class DilationParam:
@@ -201,11 +198,8 @@ def loop_matrix(cand: AugCandidate, word: MeridianWord) -> Matrix:
 
 def index_sets(cand: AugCandidate) -> IndexSets:
     rows = cand.R.values
-    I_prime, I_dprime, J_prime, J_dprime = [], [], [], []
-    for i, (row, col) in enumerate(zip(rows, zip(*rows)), 1):
-        (I_prime if any(row) else I_dprime).append(i)
-        (J_prime if any(col) else J_dprime).append(i)
-    return IndexSets(I_prime, I_dprime, J_prime, J_dprime)
+    return IndexSets((i for i, row in enumerate(rows, 1) if not any(row)),
+                     (j for j, col in enumerate(zip(*rows), 1) if not any(col)))
 
 
 def degenerate_components(cand: AugCandidate) -> list[int]:

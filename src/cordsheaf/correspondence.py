@@ -492,10 +492,9 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
     if sub.N == 0:
         return report, eps
 
+    # R = (f_i d_j), so the d_j at R's pivot columns are independent: Phi is
+    # injective
     Phi = Matrix._from_values(field, _transpose([disp[j - 1] for j in lay.pivots], sheaf.N))
-    if Phi.rank() != sub.N:
-        report.add("comparison rank", sub.N, Phi.rank())
-        return report, eps
     if Phi.image() != V0:
         report.add("image", "V_0", "smaller space")
     for t in range(1, sheaf.braid.n + 1):

@@ -329,11 +329,6 @@ class Matrix:
             _axpy(p, r1, -1, r2) for r1, r2 in zip(self.values, other.values)
         ], cols=self.cols)
 
-    def __neg__(self) -> "Matrix":
-        p = self.field.p
-        return Matrix._from_values(self.field, [_scale(p, -1, row) for row in self.values],
-                                   cols=self.cols)
-
     def scaled(self, c: Scalar) -> "Matrix":
         if not isinstance(c, Scalar):
             raise TypeError(f"expected Scalar, got {type(c).__name__}")

@@ -16,15 +16,15 @@ directions, which are what the quotient by local systems collapses.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .braid import BraidWord, BudgetExceededError, component_map, geometry
 from .cordaug import (AugCandidate, _forest_dilation, canonical_form,
                       degenerate_components, index_sets, passes_fast)
-from .correspondence import (_AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf,
-                             choose_trivialization, sheaf_to_aug)
+from .correspondence import _AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf
 from .field import FieldSpec
-from .linalg import Matrix, Subspace, _inv, _mul, _sub
+from .linalg import Matrix, Subspace, _hyperplane, _identity, _inv, _mul, _sub
 from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
                          validate)
 
@@ -127,15 +127,13 @@ class Orbit:
 def quotient_by_dilation(points: Sequence[AugCandidate]) -> list[Orbit]:
     """Group candidates by canonical form; first-seen order of representatives."""
     orbits: dict = {}
-    order = []
     for cand in points:
         rep, _ = canonical_form(cand)
         key = (rep.R, rep.lam, rep.mu)
         if key not in orbits:
             orbits[key] = Orbit(rep, 0)
-            order.append(key)
         orbits[key].size += 1
-    return [orbits[k] for k in order]
+    return list(orbits.values())
 
 
 class ModuliReport:
@@ -201,14 +199,14 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
             report.fail("invalid-sheaf", f"orbit {k}", vrep.failures[:4])
         report.sheaf_reps.append(sheaf)
 
+    # a layout sheaf has no global sections, so the round trip reads its
+    # augmentation
     induced_keys: dict = {}
     for k, sheaf in enumerate(report.sheaf_reps):
         try:
             diff, eps = _roundtrip_sheaf(sheaf)
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
-            if eps is None:  # the round trip stopped before reading it
-                eps = sheaf_to_aug(sheaf, choose_trivialization(sheaf))
             induced, _ = canonical_form(eps)
             rep = report.orbits[k].rep
             if (induced.R, induced.lam, induced.mu) != (rep.R, rep.lam, rep.mu):
@@ -231,9 +229,6 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
                 if isomorphic(report.sheaf_reps[a], report.sheaf_reps[b]) is not None:
                     report.fail("collision", f"representatives {a}, {b}",
                                 "distinct orbits gave equivalent sheaves")
-
-    if len(report.orbits) != len(report.sheaf_reps):
-        report.fail("count", "moduli", f"{len(report.orbits)} != {len(report.sheaf_reps)}")
     return report
 
 
@@ -296,20 +291,13 @@ def markov_compare(braid1: BraidWord, braid2: BraidWord, field: FieldSpec,
     orbits1 = quotient_by_dilation(enumerate_augs(braid1, field, budget))
     orbits2 = quotient_by_dilation(enumerate_augs(braid2, field, budget))
     report.counts = (len(orbits1), len(orbits2))
-    sig1 = sorted(orbit_signature(braid1, o) for o in orbits1)
-    sig2 = sorted(orbit_signature(braid2, o) for o in orbits2)
-    i = j = 0
-    while i < len(sig1) or j < len(sig2):
-        if i < len(sig1) and j < len(sig2) and sig1[i] == sig2[j]:
-            i += 1
-            j += 1
-        elif j >= len(sig2) or (i < len(sig1) and sig1[i] < sig2[j]):
-            report.unmatched.append(("braid1", sig1[i]))
-            i += 1
-        else:
-            report.unmatched.append(("braid2", sig2[j]))
-            j += 1
-    report.notes.append(f"compared {len(sig1)} vs {len(sig2)} orbit signatures")
+    sig1 = Counter(orbit_signature(braid1, o) for o in orbits1)
+    sig2 = Counter(orbit_signature(braid2, o) for o in orbits2)
+    # a signature is left over on one side at most
+    report.unmatched = sorted([("braid1", sig) for sig in (sig1 - sig2).elements()]
+                              + [("braid2", sig) for sig in (sig2 - sig1).elements()],
+                              key=lambda entry: entry[1])
+    report.notes.append(f"compared {len(orbits1)} vs {len(orbits2)} orbit signatures")
     return report
 
 
@@ -324,7 +312,8 @@ def _invertible_matrices(field: FieldSpec, dim: int) -> Iterable[Matrix]:
 
 
 def _hyperplanes(field: FieldSpec, dim: int) -> list[Subspace]:
-    kernels = (Matrix._from_values(field, [g]).kernel()
+    units = _identity(field.p, dim)
+    kernels = (Subspace._from_echelon(field, dim, *_hyperplane(field.p, g, units))
                for g in itertools.product(range(field.p), repeat=dim) if any(g))
     return list(dict.fromkeys(kernels))  # each once, in order of first appearance
 

@@ -383,9 +383,10 @@ def is_reduced(sheaf: SheafData) -> bool:
 # -- isomorphism search ---------------------------------------------------------------
 
 
-def _intertwiner_space(F: SheafData, G: SheafData) -> list[Matrix]:
-    """Basis of {P : M_i^G P = P M_i^F and P(W_i^F) <= W_i^G}."""
-    field, N, p = F.field, F.N, F.field.p
+def _intertwiner_space(F: SheafData, G: SheafData) -> list[tuple]:
+    """Basis of {P : M_i^G P = P M_i^F and P(W_i^F) <= W_i^G}, each P as
+    its entries row by row."""
+    N, p = F.N, F.field.p
     rows = []  # linear conditions on P, flattened row by row
     for MF, MG, WF, WG in zip(F.M, G.M, F.W, G.W):
         for a, b in itertools.product(range(N), repeat=2):
@@ -399,14 +400,11 @@ def _intertwiner_space(F: SheafData, G: SheafData) -> list[Matrix]:
         # phi(P w) = 0 for each w of W^F and phi vanishing on W^G
         ann = WG.annihilator().values
         rows += [[_mul(p, x, y) for x in phi for y in w] for w in WF._vectors for phi in ann]
-    if not rows:
-        return [Matrix.identity(field, N)] if N else []
-    kern = Matrix._from_values(field, rows).kernel()
-    return [Matrix._from_values(field, [v[a * N:(a + 1) * N] for a in range(N)])
-            for v in kern._vectors]
+    return list(Matrix._from_values(F.field, rows).kernel()._vectors)
 
 
-# random combinations tried over the rationals, from a fixed seed
+# random combinations tried over the rationals and above the prime-field
+# cap, from a fixed seed
 _SAMPLES, _SEED = 800, 0
 
 
@@ -414,10 +412,13 @@ def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
     """An invertible intertwiner matching meridians, stalks, and degenerate
     data, or None.
 
-    Over a finite field the intertwiner space is enumerated exhaustively (up
-    to a size cap), so a None answer is a proof; over the rationals random
-    combinations are tried, which finds an isomorphism whenever one exists
-    with overwhelming probability (invertibility is generic in the space).
+    Over a prime field whose intertwiner space has at most 20 000 elements
+    the space is enumerated exhaustively, so a None answer is a proof.
+    Otherwise, over the rationals or above that cap, the basis vectors and
+    then random combinations are tried, which finds an isomorphism whenever
+    one exists with overwhelming probability (invertibility is generic in
+    the space).  An invertible P is enough: P(W_i^F) <= W_i^G is built into
+    the space, and the stalk dimensions agree, so the images coincide.
     """
     if (F.field, F.braid, F.N) != (G.field, G.braid, G.N):
         return None
@@ -430,33 +431,20 @@ def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
     basis = _intertwiner_space(F, G)
     if not basis:
         return None
-    field = F.field
-    k = len(basis)
-    if field.is_prime_field and field.p ** k <= 20000:
-        for coeffs in itertools.product(field.elements(), repeat=k):
-            P = Matrix.zeros(field, F.N, F.N)
-            for c, B in zip(coeffs, basis):
-                if not c.is_zero():
-                    P = P + B.scaled(c)
-            if P.is_invertible() and _stalks_match(F, G, P):
-                return P
-        return None
-    rng = random.Random(_SEED)
-    pool = ([field.scalar(v) for v in range(-3, 4)] if not field.is_prime_field
-            else list(field.elements()))
-    for B in basis:
-        if B.is_invertible() and _stalks_match(F, G, B):
-            return B
-    for _ in range(_SAMPLES):
-        P = Matrix.zeros(field, F.N, F.N)
-        for B in basis:
-            P = P + B.scaled(rng.choice(pool))
-        if P.is_invertible() and _stalks_match(F, G, P):
+    field, N, p, k = F.field, F.N, F.field.p, len(basis)
+    if field.is_prime_field and p ** k <= 20000:
+        trials = itertools.product(range(p), repeat=k)
+    else:
+        rng = random.Random(_SEED)
+        pool = range(p) if field.is_prime_field else range(-3, 4)
+        draws = ([rng.choice(pool) for _ in basis] for _ in range(_SAMPLES))
+        trials = itertools.chain(_identity(p, k), draws)
+    for coeffs in trials:
+        flat = [_zero(p)] * (N * N)
+        for c, v in zip(coeffs, basis):
+            if c:
+                flat = _axpy(p, flat, c, v)
+        P = Matrix._from_values(field, [flat[a * N:(a + 1) * N] for a in range(N)])
+        if P.is_invertible():
             return P
     return None
-
-
-def _stalks_match(F: SheafData, G: SheafData, P: Matrix) -> bool:
-    # P(W_i^F) <= W_i^G is built into the solution space; with P invertible
-    # and equal dimensions the images coincide, so this is a cheap recheck.
-    return all(F.W[i].apply(P) == G.W[i] for i in range(F.braid.n))

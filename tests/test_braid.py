@@ -24,6 +24,14 @@ def test_braid_word_validation():
     assert BraidWord.parse(3, "").word == ()
 
 
+
+@pytest.mark.parametrize("letter", [1.9, "1", True], ids=["float", "str", "bool"])
+def test_braid_letters_must_be_ints(letter):
+    # int() would read each of these as the letter 1
+    n = 3 if letter is True else 2
+    with pytest.raises(ValueError, match=f"letter {letter!r} is not an int"):
+        BraidWord(n, [letter])
+
 def test_permutation_examples():
     assert permutation(HOPF) == (1, 2)
     assert permutation(TREFOIL) == (2, 1)
