@@ -233,3 +233,71 @@ def test_geometry_letter_cap():
     assert sum(map(len, geom.transported)) == 300099
     with pytest.raises(BudgetExceededError, match="letters exceeds the budget"):
         BraidGeometry(BraidWord(3, [1, -2] * 16))
+
+
+# -- every word against one pairwise product at a time ------------------------------
+
+
+def _fold(words):
+    out = MeridianWord.identity()
+    for w in words:
+        out = out * w
+    return out
+
+
+def _folded_geometry(braid):
+    """Transported words, segments and longitudes, built one product at a time."""
+    geom = BraidGeometry(braid)
+    comps, n = geom.components, braid.n
+    theta = [MeridianWord.generator(i) for i in range(1, n + 1)]
+    occupant = list(range(1, n + 1))
+    contributions = {i: [] for i in range(1, n + 1)}
+    writhe = [0] * comps.r
+    for g in braid.word:
+        k = abs(g) - 1
+        over, under = (k, k + 1) if g > 0 else (k + 1, k)
+        over_strand, under_strand = occupant[over], occupant[under]
+        contributions[under_strand].append(theta[over].inverse() if g > 0 else theta[over])
+        if comps.component(under_strand) == comps.component(over_strand):
+            writhe[comps.component(under_strand) - 1] += 1 if g > 0 else -1
+        a, b = theta[k], theta[k + 1]
+        theta[k], theta[k + 1] = (a * b * a.inverse(), a) if g > 0 else (b, b.inverse() * a * b)
+        occupant[k], occupant[k + 1] = occupant[k + 1], occupant[k]
+    segments = {}
+    for i in range(1, n + 1):
+        seg = _fold(contributions[i])
+        s = comps.component(i)
+        if i == comps.base_strand(s):
+            w = writhe[s - 1]
+            seg = _fold([MeridianWord.generator(i, 1 if w > 0 else -1)] * abs(w)) * seg
+        segments[i] = seg
+    longitudes = {}
+    for s in range(1, comps.r + 1):
+        b = i = comps.base_strand(s)
+        walk = []
+        while True:
+            walk.append(segments[i])
+            i = geom.tau[i - 1]
+            if i == b:
+                break
+        longitudes[s] = _fold(walk)
+    return tuple(theta), tuple(writhe), segments, longitudes
+
+
+def test_words_equal_the_pairwise_product_fold():
+    rng = random.Random(14)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        word = [rng.choice([1, -1]) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(0, 9))] if n > 1 else []
+        braid = BraidWord(n, word)
+        geom = BraidGeometry(braid)
+        assert (geom.transported, geom.writhe, geom.segments, geom.longitudes) \
+            == _folded_geometry(braid)
+        w = MeridianWord([(rng.randint(1, n), rng.choice([1, -1]))
+                          for _ in range(rng.randint(0, 6))])
+        images = geom.transported
+        assert artin_action(braid, w) == _fold(
+            images[s - 1] if e == 1 else images[s - 1].inverse() for s, e in w.letters)
+        for k in range(-3, 4):
+            assert w ** k == _fold([w if k >= 0 else w.inverse()] * abs(k))

@@ -196,6 +196,18 @@ MALFORMED = [
     ("sheaf", _set(["R", 1, 0], "1_0"), "$.R[1][0]"),
     ("sheaf", _set(["R", 0, 1], "1/2/3"), "$.R[0][1]"),
     ("to-aug", _set(["M", 0, 1, 1], "\u0663"), "$.M[0][1][1]"),
+    # counts, kinds and field specs out of range
+    ("sheaf", _set(["n"], 0), "$.n"),
+    ("sheaf", _set(["component_map"], [1, 0]), "$.component_map"),
+    ("sheaf", _set(["n"], "2"), "$.n"),
+    ("sheaf", _set(["R"], "x"), "$.R"),
+    ("sheaf", _set(["lambda"], "3"), "$.lambda"),
+    ("sheaf", _set(["lambda"], ["3", "3"]), "$.lambda"),
+    ("sheaf", _set(["field", "kind"], "reals"), "$.field.kind"),
+    ("sheaf", _set(["field"], {"kind": "rationals", "p": 5}), "$.field.p"),
+    ("to-aug", _set(["N"], -1), "$.N"),
+    ("to-aug", _set(["M"], []), "$.M"),
+    ("to-aug", _set(["braid", "n"], 0), "$.braid.n"),
 ]
 
 
@@ -216,6 +228,26 @@ def test_malformed_documents_exit_2_with_the_json_path(tmp_path, capsys, verb, c
     assert code == 2
     assert f"input error: {path}: " in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+# sheaves on the unknot whose summands fail only the degenerate check: with
+# N = 1 the strand is simple, with N = 0 it is degenerate
+DEGENERATE = [(1, [{"component": 0, "alpha": "1"}]), (1, [{"component": 2, "alpha": "1"}]),
+              (0, [{"component": 1, "alpha": "1"}, {"component": 1, "alpha": "2"}])]
+
+
+@pytest.mark.parametrize("N, deg", DEGENERATE, ids=["component-0", "component-r+1", "twice"])
+def test_degenerate_summands_off_the_components_exit_2(tmp_path, capsys, N, deg):
+    doc = {"field": {"kind": "prime", "p": 5}, "braid": {"n": 1, "word": []},
+           "N": N, "M": [[["2"]] if N else []], "W": [[[]] if N else []], "deg": deg}
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    code, out = run(capsys, "to-aug", "--sheaf", str(doc_file))
+    assert code == 2
+    reply = json.loads(out)
+    assert reply["error"] == "invalid sheaf data"
+    assert [f["family"] for f in reply["failures"]] == ["degenerate"]
+    assert reply["failures"][0]["location"] == f"component {deg[-1]['component']}"
 
 
 def test_file_requests_close_their_file(tmp_path, capsys):

@@ -10,8 +10,9 @@ from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, _first_moved, _fixing_det,
-                                  global_sections, is_reduced, is_stable, isomorphic,
-                                  once_stabilized, stabilized_space, validate)
+                                  _split_constant_summand_exists, global_sections, is_reduced,
+                                  is_stable, isomorphic, once_stabilized, stabilized_space,
+                                  validate)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -481,3 +482,71 @@ def test_invertibility_on_values_matches_the_determinant():
                 singular_seen += any(singular)
     assert singular_seen >= 20
 
+
+
+def test_sections_and_stabilized_space_equal_the_pairwise_folds():
+    rng = random.Random(14)
+    for _ in range(400):
+        sheaf = _random_valid_sheaf(rng)
+        field, N = sheaf.field, sheaf.N
+        gamma = Subspace.full(field, N)
+        for sub in sheaf.W:
+            gamma = gamma.intersect(sub)
+        eye, V0 = Matrix.identity(field, N), Subspace.zero(field, N)
+        for mat in sheaf.M:
+            V0 = V0.sum((eye - mat).image())
+        for got, want in ((global_sections(sheaf), gamma), (stabilized_space(sheaf), V0)):
+            assert (got._vectors, got._pivots) == (want._vectors, want._pivots)
+            assert got.to_json() == want.to_json()
+
+
+def _split_summand_by_folds(sheaf):
+    """_split_constant_summand_exists with every meet a fold of intersect."""
+    field, N, comps = sheaf.field, sheaf.N, sheaf.components
+    eye = Matrix.identity(field, N)
+    fixed = Subspace.full(field, N)
+    for mat in sheaf.M:
+        fixed = fixed.intersect((eye - mat).kernel())
+    if fixed.dim == 0:
+        return False
+    for size in range(1, comps.r + 1):
+        for sublink in itertools.combinations(range(1, comps.r + 1), size):
+            on = [i for i in range(1, comps.n + 1) if comps.component(i) in sublink]
+            walls = {sheaf.W[i - 1] for i in on}
+            if len(walls) != 1:
+                continue
+            wall = walls.pop()
+            if any(wall.apply(mat) != wall for mat in sheaf.M):
+                continue
+            inside = fixed
+            for i in range(1, comps.n + 1):
+                if i not in on:
+                    inside = inside.intersect(sheaf.W[i - 1])
+            if not wall.contains_subspace(inside):
+                return True
+    return False
+
+
+def test_split_summand_search_equals_the_pairwise_folds():
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(600):
+        braid = rng.choice([BraidWord(1, []), UNLINK2, UNLINK3, BraidWord(2, [1, 1])])
+        field, N = rng.choice([F2, F3]), rng.randint(0, 3)
+        walls = [Subspace.from_vectors(field, N, [[field.scalar(rng.randrange(field.p))
+                                                    for _ in range(N)]
+                                                   for _ in range(rng.randint(0, N))])
+                 for _ in range(2)]
+        M = []
+        for _ in range(braid.n):
+            mat = Matrix.identity(field, N)
+            if rng.random() < 0.4:
+                mat = Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(N)]
+                                               for _ in range(N)])
+            M.append(mat)
+        W = [rng.choice(walls) for _ in range(braid.n)]
+        sheaf = SheafData(field, braid, N, M, W, ())
+        got = _split_constant_summand_exists(sheaf)
+        assert got == _split_summand_by_folds(sheaf)
+        seen.add(got)
+    assert seen == {False, True}
