@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .field import WireFormatError, decimal_integer, wire_get
 
@@ -61,7 +62,7 @@ class MeridianWord:
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: Sequence[tuple[int, int]] = ()):
+    def __init__(self, letters: Iterable[tuple[int, int]] = ()):
         self.letters = _reduce(letters)
 
     @classmethod
@@ -82,11 +83,7 @@ class MeridianWord:
         return MeridianWord([flip[letter] for letter in reversed(self.letters)])
 
     def __pow__(self, n: int) -> "MeridianWord":
-        base = self if n >= 0 else self.inverse()
-        out = MeridianWord.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return MeridianWord((self if n >= 0 else self.inverse()).letters * abs(n))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -113,7 +110,7 @@ class MeridianWord:
         return "*".join(f"m{s}" if e == 1 else f"m{s}^-1" for s, e in self.letters)
 
 
-def _reduce(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The freely reduced word; equal letters share one tuple object, taken
     from the input, so a word of any length holds at most 2n of them."""
     out: list[tuple[int, int]] = []
@@ -137,6 +134,8 @@ class BraidWord:
     __slots__ = ("n", "word")
 
     def __init__(self, n: int, word: Sequence[int] = ()):
+        if type(n) is not int:
+            raise ValueError(f"strand count {n!r} is not an int")
         if n < 1:
             raise ValueError("strand count must be >= 1")
         self.n = n
@@ -365,27 +364,14 @@ class BraidGeometry:
 
         segments = {}
         for i in range(1, n + 1):
-            seg = MeridianWord.identity()
-            for w in contributions[i]:
-                seg = seg * w
             s = self.components.component(i)
-            if i == self.components.base_strand(s):
-                seg = MeridianWord.generator(i) ** writhe[s - 1] * seg
-            segments[i] = seg
+            w = writhe[s - 1] if i == self.components.base_strand(s) else 0
+            framing = ((i, 1 if w > 0 else -1),) * abs(w)
+            segments[i] = MeridianWord(chain(framing, *(c.letters for c in contributions[i])))
         self.segments = segments
-
-        longitudes = {}
-        for s in range(1, self.components.r + 1):
-            b = self.components.base_strand(s)
-            word = MeridianWord.identity()
-            i = b
-            while True:
-                word = word * segments[i]
-                i = self.tau[i - 1]
-                if i == b:
-                    break
-            longitudes[s] = word
-        self.longitudes = longitudes
+        # each cycle starts at its base strand, the least one
+        self.longitudes = {s: MeridianWord(chain.from_iterable(segments[i].letters for i in cyc))
+                           for s, cyc in enumerate(_cycles(self.tau), start=1)}
 
 
 @lru_cache(maxsize=256)
@@ -396,10 +382,8 @@ def geometry(braid: BraidWord) -> BraidGeometry:
 def artin_action(braid: BraidWord, word: MeridianWord) -> MeridianWord:
     """The braid's automorphism of the free group on the disk meridians."""
     images = geometry(braid).transported
-    out = MeridianWord.identity()
-    for s, e in word.letters:
-        out = out * (images[s - 1] if e == 1 else images[s - 1].inverse())
-    return out
+    return MeridianWord(chain.from_iterable(
+        (images[s - 1] if e == 1 else images[s - 1].inverse()).letters for s, e in word.letters))
 
 
 def wirtinger_relations(braid: BraidWord) -> list[tuple[MeridianWord, MeridianWord]]:

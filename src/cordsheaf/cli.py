@@ -145,16 +145,13 @@ def cmd_example_unlink3(args) -> int:
     for name in ("e12", "e13", "e32", "e33"):
         values[name] = field.from_str(getattr(args, name))
         if values[name].is_zero():
-            print(f"input error: {name} must be nonzero")
-            return EXIT_INPUT_ERROR
+            raise InputError(f"{name} must be nonzero")
     det = values["e12"] * values["e33"] - values["e13"] * values["e32"]
     if det.is_zero():
-        print("input error: determinant constraint violated "
-              "(e12*e33 - e13*e32 must be nonzero)")
-        return EXIT_INPUT_ERROR
+        raise InputError("determinant constraint violated "
+                         "(e12*e33 - e13*e32 must be nonzero)")
     if values["e33"].is_one():
-        print("input error: e33 = 1 makes the third meridian unit vanish")
-        return EXIT_INPUT_ERROR
+        raise InputError("e33 = 1 makes the third meridian unit vanish")
 
     braid = BraidWord(3, [])
     comps = component_map(braid)

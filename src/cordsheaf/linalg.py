@@ -18,7 +18,9 @@ Subspaces are stored by their basis vectors in reduced row echelon form,
 with their pivot positions.  That basis is unique, so two equal subspaces
 have bit-identical bases; this is what lets the moduli code deduplicate by
 syntactic comparison.  Membership and coordinates are read off the pivots
-without elimination.
+without elimination.  An intersection is the kernel of the stacked
+annihilators, a sum the span of the stacked bases; either way one
+elimination gives the canonical basis.
 
 Dimensions in this project stay below ~10, so everything is plain Gaussian
 elimination with no pivoting heuristics.
@@ -545,29 +547,10 @@ class Subspace:
                                      self._vectors + other._vectors)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The kernel of both annihilators, stacked."""
         self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        # x in A cap B iff x = sum u_k a_k lies in B, i.e. its remainder
-        # modulo B's echelon basis vanishes; the remainder is linear in u,
-        # so the u are the left kernel of the remainders of the a_k.
-        p = self.field.p
-        rests = []
-        for a in self._vectors:
-            rest = a
-            for q, b in zip(other._pivots, other._vectors):
-                if rest[q]:
-                    rest = _axpy(p, rest, -rest[q], b)
-            rests.append(rest)
-        red, pivots = _rref(p, _transpose(rests, self.ambient_dim), self.dim)
-        vectors = []
-        for u in _null_vectors(p, red, pivots, self.dim):
-            vec = [_zero(p)] * self.ambient_dim
-            for c, a in zip(u, self._vectors):
-                if c:
-                    vec = _axpy(p, vec, c, a)
-            vectors.append(vec)
-        return Subspace._from_values(self.field, self.ambient_dim, vectors)
+        return Matrix._from_values(self.field, self.annihilator().values
+                                   + other.annihilator().values, cols=self.ambient_dim).kernel()
 
     def annihilator(self) -> Matrix:
         """Rows spanning the functionals that vanish on this subspace."""

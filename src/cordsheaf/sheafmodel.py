@@ -265,20 +265,18 @@ def _fixing_det(p: int | None, M: Matrix, W: Subspace):
 
 
 def global_sections(sheaf: SheafData) -> Subspace:
-    """Intersection of all stalk subspaces; fixed by every meridian."""
-    out = Subspace.full(sheaf.field, sheaf.N)
-    for sub in sheaf.W:
-        out = out.intersect(sub)
-    return out
+    """Intersection of all stalk subspaces, the kernel of their annihilators;
+    fixed by every meridian."""
+    return Matrix._from_values(sheaf.field, [row for sub in sheaf.W
+                                             for row in sub.annihilator().values],
+                               cols=sheaf.N).kernel()
 
 
 def stabilized_space(sheaf: SheafData) -> Subspace:
-    """V_0: the sum of the meridian displacement images im(Id - M_t)."""
-    eye = Matrix.identity(sheaf.field, sheaf.N)
-    out = Subspace.zero(sheaf.field, sheaf.N)
-    for mat in sheaf.M:
-        out = out.sum((eye - mat).image())
-    return out
+    """V_0: the span of the meridian displacements e_j - M_t e_j."""
+    eye, N = Matrix.identity(sheaf.field, sheaf.N), sheaf.N
+    return Subspace._from_values(sheaf.field, N, [col for mat in sheaf.M
+                                                  for col in _transpose((eye - mat).values, N)])
 
 
 def once_stabilized(sheaf: SheafData) -> SheafData:
@@ -341,11 +339,8 @@ def _split_constant_summand_exists(sheaf: SheafData) -> bool:
     """
     field, N = sheaf.field, sheaf.N
     eye = Matrix.identity(field, N)
-    stacked_rows = []
-    for mat in sheaf.M:
-        stacked_rows.extend((eye - mat).values)
-    fixed = (Matrix._from_values(field, stacked_rows).kernel() if stacked_rows
-             else Subspace.full(field, N))
+    displacements = [row for mat in sheaf.M for row in (eye - mat).values]
+    fixed = Matrix._from_values(field, displacements, cols=N).kernel()
     if fixed.dim == 0:
         return False
     comps = sheaf.components
@@ -359,9 +354,9 @@ def _split_constant_summand_exists(sheaf: SheafData) -> bool:
             complement = next(iter(walls))
             if any(complement.apply(mat) != complement for mat in sheaf.M):
                 continue
-            inside = fixed
-            for i in others:
-                inside = inside.intersect(sheaf.W[i - 1])
+            inside = Matrix._from_values(field, displacements + [
+                row for i in others for row in sheaf.W[i - 1].annihilator().values],
+                cols=N).kernel()
             # need a fixed vector in every off-sublink stalk but outside the wall
             if not complement.contains_subspace(inside):
                 return True

@@ -32,6 +32,14 @@ def test_braid_letters_must_be_ints(letter):
     with pytest.raises(ValueError, match=f"letter {letter!r} is not an int"):
         BraidWord(n, [letter])
 
+
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_braid_strand_count_must_be_an_int(n):
+    # 2.0 would build and fail later in geometry; True would serialize as true
+    with pytest.raises(ValueError, match=f"strand count {n!r} is not an int"):
+        BraidWord(n, [1] if n == 2 else [])
+
+
 def test_permutation_examples():
     assert permutation(HOPF) == (1, 2)
     assert permutation(TREFOIL) == (2, 1)
