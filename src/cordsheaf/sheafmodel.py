@@ -267,16 +267,15 @@ def _fixing_det(p: int | None, M: Matrix, W: Subspace):
 def global_sections(sheaf: SheafData) -> Subspace:
     """Intersection of all stalk subspaces, the kernel of their annihilators;
     fixed by every meridian."""
-    return Matrix._from_values(sheaf.field, [row for sub in sheaf.W
-                                             for row in sub.annihilator().values],
-                               cols=sheaf.N).kernel()
+    return Matrix._from_values(sheaf.field, [
+        row for sub in sheaf.W for row in sub.annihilator().values], cols=sheaf.N).kernel()
 
 
 def stabilized_space(sheaf: SheafData) -> Subspace:
     """V_0: the span of the meridian displacements e_j - M_t e_j."""
-    eye, N = Matrix.identity(sheaf.field, sheaf.N), sheaf.N
-    return Subspace._from_values(sheaf.field, N, [col for mat in sheaf.M
-                                                  for col in _transpose((eye - mat).values, N)])
+    eye = Matrix.identity(sheaf.field, sheaf.N)
+    return Subspace._from_values(sheaf.field, sheaf.N, [
+        col for mat in sheaf.M for col in _transpose((eye - mat).values, sheaf.N)])
 
 
 def once_stabilized(sheaf: SheafData) -> SheafData:
