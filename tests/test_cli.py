@@ -213,17 +213,19 @@ MALFORMED = [
     ("sheaf", _set(["R", 0, 1], "1/2/3"), "$.R[0][1]"),
     ("to-aug", _set(["M", 0, 1, 1], "\u0663"), "$.M[0][1][1]"),
     # counts, kinds and field specs out of range
-    ("sheaf", _set(["n"], 0), "$.n"),
-    ("sheaf", _set(["component_map"], [1, 0]), "$.component_map"),
-    ("sheaf", _set(["n"], "2"), "$.n"),
-    ("sheaf", _set(["R"], "x"), "$.R"),
-    ("sheaf", _set(["lambda"], "3"), "$.lambda"),
-    ("sheaf", _set(["lambda"], ["3", "3"]), "$.lambda"),
-    ("sheaf", _set(["field", "kind"], "reals"), "$.field.kind"),
-    ("sheaf", _set(["field"], {"kind": "rationals", "p": 5}), "$.field.p"),
-    ("to-aug", _set(["N"], -1), "$.N"),
-    ("to-aug", _set(["M"], []), "$.M"),
-    ("to-aug", _set(["braid", "n"], 0), "$.braid.n"),
+    pytest.param("sheaf", _set(["n"], 0), "$.n", id="sheaf-n-zero"),
+    pytest.param("sheaf", _set(["component_map"], [1, 0]), "$.component_map",
+                 id="sheaf-label-zero"),
+    pytest.param("sheaf", _set(["n"], "2"), "$.n", id="sheaf-n-string"),
+    pytest.param("sheaf", _set(["R"], "x"), "$.R", id="sheaf-R-string"),
+    pytest.param("sheaf", _set(["lambda"], "3"), "$.lambda", id="sheaf-lambda-string"),
+    pytest.param("sheaf", _set(["lambda"], ["3", "3"]), "$.lambda", id="sheaf-two-lambdas"),
+    pytest.param("sheaf", _set(["field", "kind"], "reals"), "$.field.kind", id="sheaf-reals"),
+    pytest.param("sheaf", _set(["field"], {"kind": "rationals", "p": 5}), "$.field.p",
+                 id="sheaf-rationals-with-p"),
+    pytest.param("to-aug", _set(["N"], -1), "$.N", id="to-aug-N-negative"),
+    pytest.param("to-aug", _set(["M"], []), "$.M", id="to-aug-no-meridians"),
+    pytest.param("to-aug", _set(["braid", "n"], 0), "$.braid.n", id="to-aug-braid-n-zero"),
 ]
 
 
