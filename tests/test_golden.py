@@ -1,5 +1,5 @@
-"""Golden outputs: the command line's `sheaf` and `to-aug` replies, and one
-`verify_bijection` report, pinned by SHA-1 digest.
+"""Golden outputs: the command line's `sheaf` and `to-aug` replies, and
+`verify_bijection` reports, pinned by SHA-1 digest.
 
 Any change to the linear algebra, the correspondence or the wire format
 that alters a single byte of these outputs fails here.  Each instance runs
@@ -58,6 +58,17 @@ REPLIES = {
 
 VERIFY_2UNLINK_F5 = "12b7e31ed7fb38cb488cbb6d941ddc9e65993b4a"
 
+# (strands, word, p) -> SHA-1 of the verify report's JSON, on links whose
+# zero-row class fails in every way the report names: invalid sheaves,
+# both round trips, wrong orbits, and (on `1 1 2`) `error` entries
+VERIFY_FAILING = {
+    (2, (1, 1, 1, 1), 5): "9852b60af7dfc689a5e4ef2eaf52b2d192ee3703",
+    (3, (1, 1), 3): "e3af2990d04a982cf98c22f03885d5fbd35677d3",
+    (3, (1, 1, 2), 3): "6ec6b6e8b0b93705a25c1b3f85bb47cdcce594a3",
+    (3, (1, 2, 1, 2, 1, 2), 3): "38c1d7f07127074babc73df80e49a1043a940ee8",
+    (2, (1, 1), 3): "b2b8954ed3b4da3c9efc1ca84bb6a80b6c8a461d",
+}
+
 
 def _request(capsys, monkeypatch, argv, doc: str) -> str:
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
@@ -86,7 +97,17 @@ def test_sheaf_and_to_aug_replies(capsys, monkeypatch, key):
     assert (len(cands), sheaf_digest.hexdigest(), aug_digest.hexdigest()) == REPLIES[key]
 
 
-def test_verify_report():
-    report = verify_bijection(BraidWord(2, []), FieldSpec.prime(5))
+def _verify_digest(n: int, word, p: int) -> str:
+    report = verify_bijection(BraidWord(n, list(word)), FieldSpec.prime(p))
     text = json.dumps(report.to_json(), sort_keys=True)
-    assert hashlib.sha1(text.encode()).hexdigest() == VERIFY_2UNLINK_F5
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def test_verify_report():
+    assert _verify_digest(2, (), 5) == VERIFY_2UNLINK_F5
+
+
+@pytest.mark.parametrize("key", list(VERIFY_FAILING),
+                         ids=lambda key: f"{' '.join(map(str, key[1]))}/{key[0]}/F{key[2]}")
+def test_verify_reports_with_failures(key):
+    assert _verify_digest(*key) == VERIFY_FAILING[key]

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from cordsheaf.braid import BraidWord, component_map, geometry
+from cordsheaf.braid import BraidWord, component_map
 from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation, canonical_form,
                                check_relations, degenerate_components, index_sets,
-                               passes_fast, zero_row_components)
+                               zero_row_components)
 from cordsheaf.correspondence import _AugLayout, aug_to_sheaf
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix
@@ -74,12 +74,11 @@ def test_enumeration_closed_under_dilation():
 
 
 def _full_scan(braid, field):
-    """The enumeration as a scan certifying every tuple, in lexicographic
-    order: mu, then lambda, then the off-diagonal entries of R row by row.
-    enumerate_augs certifies only canonical tuples and must return exactly
-    this list."""
+    """The enumeration as a scan certifying every tuple with the full
+    certificate, in lexicographic order: mu, then lambda, then the
+    off-diagonal entries of R row by row.  enumerate_augs certifies only
+    canonical tuples, on raw values, and must return exactly this list."""
     cm = component_map(braid)
-    geom = geometry(braid)
     n, r, p = braid.n, cm.r, field.p
     units = list(field.elements(nonzero=True))
     out = []
@@ -90,7 +89,7 @@ def _full_scan(braid, field):
                 rows = [values[i * (n - 1):i * n] + (x,) + values[i * n:(i + 1) * (n - 1)]
                         for i, x in enumerate(diag)]
                 cand = AugCandidate(field, cm, Matrix._from_values(field, rows), lam, mu)
-                if passes_fast(cand, geom):
+                if check_relations(cand, braid).ok:
                     out.append(cand)
     return out
 
@@ -119,6 +118,27 @@ def test_enumeration_equals_the_full_scan(braid, field):
     assert pts == _full_scan(braid, field)
     for cand in pts:
         assert check_relations(cand, braid).ok, cand.to_json()
+
+
+def _quotient_by_canonical_form(points):
+    """The orbits as (representative JSON, size), in first-seen order, keyed
+    on canonical_form's representative."""
+    orbits: dict = {}
+    for cand in points:
+        rep, _ = canonical_form(cand)
+        key = (rep.R, rep.lam, rep.mu)
+        if key not in orbits:
+            orbits[key] = [rep.to_json(), 0]
+        orbits[key][1] += 1
+    return [tuple(entry) for entry in orbits.values()]
+
+
+@pytest.mark.parametrize("braid, field", SCANNED,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in SCANNED])
+def test_quotient_equals_the_canonical_form_reference(braid, field):
+    pts = enumerate_augs(braid, field)
+    orbits = quotient_by_dilation(pts)
+    assert [(o.rep.to_json(), o.size) for o in orbits] == _quotient_by_canonical_form(pts)
 
 
 def test_enumeration_reaches_orbits_whose_forest_starts_off_component_1():
