@@ -17,13 +17,18 @@ Matrix stores (residues in 0..p-1 reduced mod p, or exact Fractions over the
 rationals, which every function here still supports), with mu^-1 computed
 once per strand and the row updates done by linalg's shared kernels.
 apply_loop runs it on X's stored values, and the relation certificate runs
-it on R's, building Scalars only to report a failure.
+it on R's.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone: they hold identically (a test pins this down), so no
 path evaluates them.  The transport and Wirtinger families are written
-once, as a generator of failures: the fast path stops at its first item,
-and the full check itemizes every item alongside the other families.
+once, as a generator of failures on raw values: the fast path, passes_fast,
+stops at its first item, and the full check itemizes every item alongside
+the other families.  passes_fast takes the raw rows, columns, mu^-1 and
+lambda rather than a candidate, so the enumerator certifies a tuple of
+residues without building an AugCandidate for it.  Likewise the canonical
+form under reduced dilations is computed on raw rows (_canonical_rows);
+canonical_form wraps it in a candidate.
 """
 
 from __future__ import annotations
@@ -170,13 +175,17 @@ def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> li
     return rows
 
 
+def _strand_minv(p: int | None, components: ComponentMap, mu: Sequence[Scalar]) -> list:
+    """The raw mu^-1 of each strand, from the units mu of the components."""
+    inv = [_inv(p, m.value) for m in mu]
+    return [inv[s - 1] for s in components.labels]
+
+
 def _kernel_inputs(cand: AugCandidate) -> tuple:
     """(p, raw rows of R, raw columns of R, raw mu^-1 per strand)."""
     p = cand.field.p
     rows = cand.R.values
-    inv = [_inv(p, m.value) for m in cand.mu]
-    minv = [inv[s - 1] for s in cand.components.labels]
-    return p, rows, list(zip(*rows)), minv
+    return p, rows, list(zip(*rows)), _strand_minv(p, cand.components, cand.mu)
 
 
 def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
@@ -284,7 +293,7 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
         return report  # everything below assumes the normalization
 
     # (e)-(f) transport identities and Wirtinger consistency
-    for describe in _transport_failures(cand, geom, inputs):
+    for describe in _transport_failures(geom, [x.value for x in cand.lam], inputs):
         report.fail(*describe())
 
     # (c) longitude relations at the base strands, both sides.  A one-strand
@@ -313,16 +322,16 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     return report
 
 
-def _transport_failures(cand: AugCandidate, geom: BraidGeometry, inputs: tuple):
+def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
     """Yield one item per broken transport or Wirtinger identity, transport
     first, strand by strand.
 
     An item is a function returning (family, location, want, got).  It reads
     the generator's current state, so it is called before the generator
     resumes; the fast path, which stops at the first item, never calls it and
-    so never pays for formatting a report.  The checks compare raw field
-    values, the candidate's _kernel_inputs; only an item builds Scalars, for
-    its report.
+    so never pays for formatting a report.  Everything is raw field values:
+    lam holds the raw lambda of each component, and inputs are the
+    _kernel_inputs of R and mu, so no candidate object need exist.
 
     Each strand's longitude segment carries row i to row tau(i) and column
     tau(i) to column i, with the lambda unit appearing exactly on the marked
@@ -331,23 +340,21 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry, inputs: tuple):
     the generator itself hold trivially and are skipped.
     """
     p, rows, cols, minv = inputs
-    field, n, comps = cand.field, cand.n, cand.components
-    tau = geom.tau
+    comps = geom.components
+    n, tau = comps.n, geom.tau
     for i in range(1, n + 1):
         s = comps.component(i)
         marked = (i == comps.base_strand(s))
         seg = _loop_rows(p, cols, minv, geom.segments[i].letters, rows)
         ti = tau[i - 1]
-        lam = cand.lam[s - 1]
-        want_row, want_col = rows[ti - 1], cols[i - 1]
-        if marked:
-            want_row = _scale(p, lam.value, want_row)
-            want_col = _scale(p, lam.value, want_col)
+        lam_s = lam[s - 1]
+        want_row = _scale(p, lam_s, rows[ti - 1]) if marked else rows[ti - 1]
         for j, (want, got) in enumerate(zip(want_row, seg[i - 1]), 1):
             if want != got:
                 yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}",
                                rows[ti - 1][j - 1],
-                               lam.inv() * Scalar(field, got) if marked else got)
+                               _mul(p, _inv(p, lam_s), got) if marked else got)
+        want_col = _scale(p, lam_s, cols[i - 1]) if marked else cols[i - 1]
         for k, (want, row) in enumerate(zip(want_col, seg), 1):
             if want != row[ti - 1]:
                 yield lambda: ("transport-col", f"strand {i} -> {ti}, row {k}",
@@ -358,12 +365,14 @@ def _transport_failures(cand: AugCandidate, geom: BraidGeometry, inputs: tuple):
             lhs = _loop_rows(p, cols, minv, ((q, 1),), rows)
             rhs = _loop_rows(p, cols, minv, word, rows)
             if any(tuple(a) != tuple(b) for a, b in zip(lhs, rhs)):
-                yield lambda: ("wirtinger", f"m_{q}", Matrix._from_values(field, lhs).to_json(),
-                               Matrix._from_values(field, rhs).to_json())
+                yield lambda: ("wirtinger", f"m_{q}", [[str(x) for x in row] for row in lhs],
+                               [[str(x) for x in row] for row in rhs])
 
 
-def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
-    """Early-exit version of the certificate for the enumeration inner loop.
+def passes_fast(geom: BraidGeometry, lam: Sequence, inputs: tuple) -> bool:
+    """Early-exit version of the certificate for the enumeration inner loop,
+    on raw values: lam is the raw lambda of each component and inputs are
+    the _kernel_inputs of R and mu.
 
     Stops at the first failure of the transport and Wirtinger families that
     check_relations also itemizes; skips the identically-true meridian/skein
@@ -371,7 +380,7 @@ def passes_fast(cand: AugCandidate, geom: BraidGeometry) -> bool:
     full-longitude family (which chains from the per-segment transport
     identities).  A test pins the two modes to the same candidate set.
     """
-    return next(_transport_failures(cand, geom, _kernel_inputs(cand)), None) is None
+    return next(_transport_failures(geom, lam, inputs), None) is None
 
 
 # -- dilations ---------------------------------------------------------------------------
@@ -381,12 +390,22 @@ def apply_dilation(cand: AugCandidate, d: DilationParam) -> AugCandidate:
     """Rescale mixed cords by d_s/d_t; lambda and mu are untouched."""
     if len(d.d) != cand.r:
         raise ValueError("dilation parameter has the wrong number of components")
-    p, comp = cand.field.p, cand.components
-    scale = [d.d[s - 1].value for s in comp.labels]
+    rows = _dilated_rows(cand.field.p, cand.components, [x.value for x in d.d], cand.R.values)
+    return _with_rows(cand, rows)
+
+
+def _with_rows(cand: AugCandidate, rows) -> AugCandidate:
+    """cand with R replaced by rows of canonical values."""
+    return AugCandidate(cand.field, cand.components, Matrix._from_values(cand.field, rows),
+                        cand.lam, cand.mu)
+
+
+def _dilated_rows(p: int | None, components: ComponentMap, d: Sequence, rows) -> tuple:
+    """The raw rows of R rescaled by d_s/d_t, for raw units d per component."""
+    scale = [d[s - 1] for s in components.labels]
     inv = [_inv(p, x) for x in scale]
-    rows = [[_mul(p, _mul(p, di, dj), x) for dj, x in zip(inv, row)]
-            for di, row in zip(scale, cand.R.values)]
-    return AugCandidate(cand.field, comp, Matrix._from_values(cand.field, rows), cand.lam, cand.mu)
+    return tuple(tuple(_mul(p, _mul(p, di, dj), x) for dj, x in zip(inv, row))
+                 for di, row in zip(scale, rows))
 
 
 def _forest_dilation(p: int | None, r: int, edges) -> list:
@@ -420,6 +439,22 @@ def _forest_dilation(p: int | None, r: int, edges) -> list:
     return d
 
 
+def _canonical_rows(cand: AugCandidate) -> tuple[list, tuple]:
+    """canonical_form's raw d and the raw rows of R in its representative.
+
+    When d is all ones, cand is its own representative and the rows are
+    cand.R.values itself.
+    """
+    labels = [s - 1 for s in cand.components.labels]
+    p, rows = cand.field.p, cand.R.values
+    edges = [(ci, cj, x) for ci, row in zip(labels, rows)
+             for cj, x in zip(labels, row) if x and ci != cj]
+    d = _forest_dilation(p, cand.r, edges)
+    if all(x == 1 for x in d):
+        return d, rows
+    return d, _dilated_rows(p, cand.components, d, rows)
+
+
 def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
     """Orbit representative under reduced dilations, plus the witnessing d.
 
@@ -433,9 +468,5 @@ def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
     map is idempotent because every anchor entry of a representative is 1.
     So a candidate is its own representative exactly when d is all ones.
     """
-    labels = [s - 1 for s in cand.components.labels]
-    edges = [(ci, cj, x) for ci, row in zip(labels, cand.R.values)
-             for cj, x in zip(labels, row) if x and ci != cj]
-    d = _forest_dilation(cand.field.p, cand.r, edges)
-    param = DilationParam([Scalar(cand.field, x) for x in d])
-    return apply_dilation(cand, param), param
+    d, rows = _canonical_rows(cand)
+    return _with_rows(cand, rows), DilationParam([Scalar(cand.field, x) for x in d])

@@ -197,14 +197,21 @@ def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
     """Read off the augmentation; degenerate summands give lambda = alpha.
     A trivialization that does not fit, or a vanishing lambda or mu, raises
     InvalidTrivializationError naming the strand or component."""
-    return _read_off(sheaf, triv)[0]
+    return _candidate(sheaf, *_read_values(sheaf, triv)[:3])
 
 
-def _read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate, list, list]:
-    """sheaf_to_aug's candidate, with the functionals f_j it checked and the
-    vectors d_j = (Id - M_j) finv_j, None at the degenerate strands."""
+def _candidate(sheaf: SheafData, rows: tuple, lam: list, mu: list) -> AugCandidate:
+    """The candidate of raw values read off sheaf."""
     field = sheaf.field
-    p = field.p
+    return AugCandidate(field, sheaf.components, Matrix._from_values(field, rows),
+                        [Scalar(field, x) for x in lam], [Scalar(field, x) for x in mu])
+
+
+def _read_values(sheaf: SheafData, triv: LocalTrivialization) -> tuple:
+    """The read-off on raw values: the rows of R and the lambda and mu of
+    each component, then the functionals f_j it checked and the vectors
+    d_j = (Id - M_j) finv_j, None at the degenerate strands."""
+    p = sheaf.field.p
     geom = geometry(sheaf.braid)
     comps = geom.components
     f, x = _check_trivialization(sheaf, triv)
@@ -213,26 +220,26 @@ def _read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate
     # (Id - M_j) finv_j, None at the degenerate strands
     displaced = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
                  for M_j, x_j in zip(sheaf.M, x)]
-    R = Matrix._from_values(field, [[zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
-                                     for d_j in displaced] for f_i in f])
+    rows = tuple(tuple(zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
+                       for d_j in displaced) for f_i in f)
 
-    deg_alpha = {d.component: d.alpha for d in sheaf.deg}
+    deg_alpha = {d.component: d.alpha.value for d in sheaf.deg}
     lam, mu = [], []
     for s in range(1, comps.r + 1):
         if s in deg_alpha:
             lam.append(deg_alpha[s])
-            mu.append(field.one())
+            mu.append(one)
             continue
         b = comps.base_strand(s)
         lam_s = _dot(p, f[b - 1], _transported(sheaf._transport_vector, geom.longitudes[s],
                                                x[b - 1]))
-        mu_s = _sub(p, one, R.values[b - 1][b - 1])  # R[b][b] = f_b d_b
+        mu_s = _sub(p, one, rows[b - 1][b - 1])  # R[b][b] = f_b d_b
         if not lam_s or not mu_s:
             raise InvalidTrivializationError(f"{'mu' if lam_s else 'lambda'} of component {s} "
                                              f"vanishes at its base strand {b}")
-        lam.append(Scalar(field, lam_s))
-        mu.append(Scalar(field, mu_s))
-    return AugCandidate(field, comps, R, lam, mu), f, displaced
+        lam.append(lam_s)
+        mu.append(mu_s)
+    return rows, lam, mu, f, displaced
 
 
 def pure_cord_trace(sheaf: SheafData, component: int,
@@ -430,14 +437,14 @@ def diff_candidates(expected: AugCandidate, got: AugCandidate) -> DiffReport:
 def roundtrip_aug(cand: AugCandidate, braid: BraidWord) -> DiffReport:
     """Build the sheaf with its canonical trivialization and read the
     augmentation back; the diff is empty exactly when the round trip is."""
-    return _roundtrip_layout(_certified_layout(cand, braid), braid)
+    lay = _certified_layout(cand, braid)
+    return _roundtrip_layout(lay, lay.sheaf(braid))
 
 
-def _roundtrip_layout(lay: _AugLayout, braid: BraidWord) -> DiffReport:
+def _roundtrip_layout(lay: _AugLayout, sheaf: SheafData) -> DiffReport:
     """roundtrip_aug for the layout of a candidate known to pass the
-    relation certificate."""
-    recovered = sheaf_to_aug(lay.sheaf(braid), lay.trivialization())
-    return diff_candidates(lay.cand, recovered)
+    relation certificate, and its sheaf."""
+    return diff_candidates(lay.cand, sheaf_to_aug(sheaf, lay.trivialization()))
 
 
 def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
@@ -467,7 +474,8 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
         report.add("Gamma", "0", gamma.dim)
         return report, None
     # f_j and d_j = (Id - M_j) finv_j as values, None at the degenerate strands
-    eps, f, disp = _read_off(sheaf, choose_trivialization(sheaf))
+    rows, lam, mu, f, disp = _read_values(sheaf, choose_trivialization(sheaf))
+    eps = _candidate(sheaf, rows, lam, mu)
     p, units = field.p, _identity(field.p, sheaf.N)
     bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf.M, f, disp), 1) if d_t is not None
             and M_t.values != tuple(map(tuple, _minus_outer(p, d_t, f_t, units)))]
@@ -500,9 +508,10 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
     for t in range(1, sheaf.braid.n + 1):
         if sheaf.M[t - 1] * Phi != Phi * sub.M[t - 1]:
             report.add(f"intertwine M[{t}]", "equal products", "mismatch")
+    normals = V0.annihilator().values  # V_0's, stacked with each stalk's
     for i in range(1, sheaf.braid.n + 1):
         lhs = sub.W[i - 1].apply(Phi)
-        rhs = sheaf.W[i - 1].intersect(V0)
+        rhs = sheaf.W[i - 1]._meet(normals)
         if lhs != rhs:
             report.add(f"stalk match W[{i}]", rhs.to_json(), lhs.to_json())
 

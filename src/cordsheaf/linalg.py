@@ -549,8 +549,13 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """The kernel of both annihilators, stacked."""
         self._check(other)
-        return Matrix._from_values(self.field, self.annihilator().values
-                                   + other.annihilator().values, cols=self.ambient_dim).kernel()
+        return self._meet(other.annihilator().values)
+
+    def _meet(self, normals: tuple) -> "Subspace":
+        """The intersection with the kernel of normals, rows of values (an
+        annihilator computed once for several meets)."""
+        return Matrix._from_values(self.field, self.annihilator().values + normals,
+                                   cols=self.ambient_dim).kernel()
 
     def annihilator(self) -> Matrix:
         """Rows spanning the functionals that vanish on this subspace."""

@@ -3,10 +3,14 @@ quotient by reduced dilations, sheaf representatives, and the bijection check.
 
 Enumeration fixes the diagonal of R from mu (the normalization is a hard
 constraint), loops over the off-diagonal entries and the unit tuples, and
-keeps the candidates passing the relation certificate.  The moduli set of
-sheaves is produced through the augmentation side; an optional direct
-enumeration of small-dimension representation data cross-checks that nothing
-is missed at dimensions <= 2.
+keeps the candidates passing the relation certificate.  It certifies raw
+tuples: a candidate object exists only for a tuple that is kept.  The
+quotient keys each orbit on the raw rows of its canonical R and builds one
+representative per orbit, and the bijection check builds each candidate's
+sheaf once, reusing it for the orbit the candidate represents.  The moduli
+set of sheaves is produced through the augmentation side; an optional
+direct enumeration of small-dimension representation data cross-checks
+that nothing is missed at dimensions <= 2.
 
 Two representatives are identified in the sheaf moduli when they are
 isomorphic, degenerate data included: representatives carry no constant
@@ -20,8 +24,9 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .braid import BraidWord, BudgetExceededError, component_map, geometry
-from .cordaug import (AugCandidate, _forest_dilation, canonical_form,
-                      degenerate_components, index_sets, passes_fast)
+from .cordaug import (AugCandidate, _canonical_rows, _forest_dilation, _strand_minv,
+                      _with_rows, canonical_form, degenerate_components, index_sets,
+                      passes_fast)
 from .correspondence import _AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf
 from .field import FieldSpec
 from .linalg import Matrix, Subspace, _hyperplane, _identity, _inv, _mul, _sub
@@ -47,9 +52,15 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     brings in its whole orbit, whose other members are certified in turn
     before they are kept.  Sorting the block by its tuples gives the order
     of a scan over every tuple.  On a knot every tuple is canonical.
+
+    The certificate runs on raw values: the rows of R are built as tuples
+    of residues, mu^-1 and lambda once per block, and a Matrix and an
+    AugCandidate are built only for the tuples that are kept.
     """
     if not field.is_prime_field:
         raise ValueError("enumeration needs a finite field")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     cm = component_map(braid)
     geom = geometry(braid)
     space = search_space_size(braid, field)
@@ -84,30 +95,30 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
                 moved[k] = _mul(p, moved[k], x)
             yield tuple(moved)
 
+    # diag, minv and raw_lam below are those of the (mu, lambda) block in scan
+    def rows_of(values: tuple) -> list:
+        return [values[a:b] + (x,) + values[b:c] for x, (a, b, c) in zip(diag, cuts)]
+
+    def certified(values: tuple) -> bool:
+        rows = rows_of(values)
+        return passes_fast(geom, raw_lam, (p, rows, list(zip(*rows)), minv))
+
     out = []
     for mu in itertools.product(units, repeat=r):
         diag = [_sub(p, 1, mu[s - 1].value) for s in cm.labels]
+        minv = _strand_minv(p, cm, mu)
         for lam in itertools.product(units, repeat=r):
-
-            def candidate(values: tuple) -> AugCandidate:
-                R = Matrix._from_values(field, [values[a:b] + (x,) + values[b:c]
-                                                for x, (a, b, c) in zip(diag, cuts)])
-                return AugCandidate(field, cm, R, lam, mu)
-
-            block: dict = {}  # tuple -> its candidate once certified, else None
+            raw_lam = [x.value for x in lam]
+            block: dict = {}  # tuple -> True once certified, else None
             for values in itertools.compress(
                     itertools.product(range(p), repeat=len(off)), canonical):
-                cand = candidate(values)
-                if passes_fast(cand, geom):
+                if certified(values):
                     block.update(dict.fromkeys(orbit(values)))
-                    block[values] = cand
+                    block[values] = True
             for values in sorted(block):
-                cand = block[values]
-                if cand is None:
-                    cand = candidate(values)
-                    if not passes_fast(cand, geom):
-                        continue
-                out.append(cand)
+                if block[values] or certified(values):
+                    out.append(AugCandidate(field, cm, Matrix._from_values(field, rows_of(values)),
+                                            lam, mu))
     return out
 
 
@@ -125,14 +136,21 @@ class Orbit:
 
 
 def quotient_by_dilation(points: Sequence[AugCandidate]) -> list[Orbit]:
-    """Group candidates by canonical form; first-seen order of representatives."""
+    """Group candidates by canonical form; first-seen order of representatives.
+
+    Orbits are keyed on the raw rows of the canonical R.  Each orbit's
+    representative is built once, when its first-seen member is not already
+    canonical; a canonical member is its own representative.
+    """
     orbits: dict = {}
     for cand in points:
-        rep, _ = canonical_form(cand)
-        key = (rep.R, rep.lam, rep.mu)
-        if key not in orbits:
-            orbits[key] = Orbit(rep, 0)
-        orbits[key].size += 1
+        _, rows = _canonical_rows(cand)
+        key = (rows, cand.lam, cand.mu)
+        orbit = orbits.get(key)
+        if orbit is None:
+            rep = cand if rows is cand.R.values else _with_rows(cand, rows)
+            orbits[key] = orbit = Orbit(rep, 0)
+        orbit.size += 1
     return list(orbits.values())
 
 
@@ -185,15 +203,22 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     report.notes.append(
         f"{len(report.aug_points)} candidates, {len(report.orbits)} dilation orbits")
 
-    # enumerate_augs kept only candidates passing the relation certificate
+    # enumerate_augs kept only candidates passing the relation certificate.
+    # Each orbit representative is itself an enumerated candidate, so its
+    # sheaf is the one built here for its round trip.
+    rep_index = {(o.rep.R.values, o.rep.lam, o.rep.mu): k for k, o in enumerate(report.orbits)}
+    rep_sheaves: list = [None] * len(report.orbits)
     for idx, cand in enumerate(report.aug_points):
-        diff = _roundtrip_layout(_AugLayout(cand, index_sets(cand)), braid)
+        lay = _AugLayout(cand, index_sets(cand))
+        sheaf = lay.sheaf(braid)
+        diff = _roundtrip_layout(lay, sheaf)
         if not diff.empty:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
+        k = rep_index.get((cand.R.values, cand.lam, cand.mu))
+        if k is not None:
+            rep_sheaves[k] = sheaf
 
-    # each orbit representative is itself an enumerated candidate
-    for k, orbit in enumerate(report.orbits):
-        sheaf = _AugLayout(orbit.rep, index_sets(orbit.rep)).sheaf(braid)
+    for k, sheaf in enumerate(rep_sheaves):
         vrep = validate(sheaf)
         if not vrep.ok:
             report.fail("invalid-sheaf", f"orbit {k}", vrep.failures[:4])
@@ -207,12 +232,13 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
             diff, eps = _roundtrip_sheaf(sheaf)
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
-            induced, _ = canonical_form(eps)
+            _, rows = _canonical_rows(eps)
+            key = (rows, eps.lam, eps.mu)
             rep = report.orbits[k].rep
-            if (induced.R, induced.lam, induced.mu) != (rep.R, rep.lam, rep.mu):
+            if key != (rep.R.values, rep.lam, rep.mu):
                 report.fail("wrong-orbit", f"representative {k}",
-                            {"expected": rep.to_json(), "got": induced.to_json()})
-            induced_keys.setdefault((induced.R, induced.lam, induced.mu), []).append(k)
+                            {"expected": rep.to_json(), "got": canonical_form(eps)[0].to_json()})
+            induced_keys.setdefault(key, []).append(k)
         except Exception as err:  # keep verifying; each breakage is one report entry
             report.fail("error", f"representative {k}", f"{type(err).__name__}: {err}")
         report.bijection.append((k, k))

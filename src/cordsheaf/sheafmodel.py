@@ -293,7 +293,8 @@ def once_stabilized(sheaf: SheafData) -> SheafData:
         if None in cols:
             raise ValueError("V_0 is not invariant; invalid sheaf data")
         new_M.append(Matrix._from_values(field, _transpose(cols, d), cols=d))
-    new_W = [Subspace._from_values(field, d, map(V0._coordinates, sub.intersect(V0)._vectors))
+    normals = V0.annihilator().values  # V_0's, stacked with each stalk's
+    new_W = [Subspace._from_values(field, d, map(V0._coordinates, sub._meet(normals)._vectors))
              for sub in sheaf.W]
     return SheafData(field, sheaf.braid, d, new_M, new_W, sheaf.deg)
 

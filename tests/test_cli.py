@@ -36,6 +36,14 @@ def test_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_negative_budget_is_an_input_error(capsys):
+    code = main(["augs", "--braid", "", "--strands", "1", "--field", "3", "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "input error: budget must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_input_error_exit_code(capsys):
     code = main(["augs", "--braid", "1", "--strands", "2", "--field", "4"])
     assert code == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cordsheaf.braid import BraidWord, MeridianWord, component_map, geometry
-from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation,
+from cordsheaf.cordaug import (AugCandidate, DilationParam, _kernel_inputs, apply_dilation,
                                apply_loop, canonical_form, check_relations,
                                degenerate_components, index_sets, loop_matrix,
                                passes_fast, zero_column_components,
@@ -31,6 +31,11 @@ def unlink3_candidate(field, e12, e13, e32, e33):
 
 
 GOLDEN = unlink3_candidate(F5, 1, 1, 1, 2)
+
+
+def fast_verdict(cand, geom):
+    """passes_fast on the raw values of a candidate, as the enumerator calls it."""
+    return passes_fast(geom, [x.value for x in cand.lam], _kernel_inputs(cand))
 
 
 def mu_of_strand(cand, i):
@@ -241,7 +246,7 @@ def test_fast_path_equals_full_check():
                         rows[i][j] = v
                     cand = AugCandidate(field, cm, Matrix(field, rows), lam, mu)
                     key = (cand.R, cand.lam, cand.mu)
-                    if passes_fast(cand, geom):
+                    if fast_verdict(cand, geom):
                         fast_set.add(key)
                     if check_relations(cand, braid).ok:
                         full_set.add(key)
@@ -257,10 +262,10 @@ def test_rational_candidates_checked():
     mu = [one, one, QQ.scalar(Fraction(-3, 2))]
     good = AugCandidate(QQ, component_map(UNLINK3), R, [one] * 3, mu)
     assert check_relations(good, UNLINK3).ok
-    assert passes_fast(good, geometry(UNLINK3))
+    assert fast_verdict(good, geometry(UNLINK3))
     bad = AugCandidate(QQ, component_map(UNLINK3), R,
                        [one, one, QQ.scalar(Fraction(2, 3))], mu)
-    assert not passes_fast(bad, geometry(UNLINK3))
+    assert not fast_verdict(bad, geometry(UNLINK3))
     assert check_relations(bad, UNLINK3).failures == [
         {"family": "transport-row", "location": "strand 3 -> 3, col 2",
          "expected": "-2/3", "got": "-1"},
@@ -381,7 +386,7 @@ def test_row_column_vanishing_propagates_along_components():
     found = 0
     for _ in range(4000):
         cand = random_candidate(F3, braid, rng)
-        if not passes_fast(cand, geom):
+        if not fast_verdict(cand, geom):
             continue
         found += 1
         rows_zero = [all(x.is_zero() for x in cand.R.row(i)) for i in range(2)]

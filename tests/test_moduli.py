@@ -33,6 +33,8 @@ def test_search_space_and_budget():
     assert search_space_size(UNLINK3, F5) == 5 ** 6 * 4 ** 6
     with pytest.raises(BudgetExceededError):
         enumerate_augs(UNLINK3, F5, budget=10 ** 6)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        enumerate_augs(UNKNOT, F3, budget=-1)
 
 
 def test_unknot_counts():
