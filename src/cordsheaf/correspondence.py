@@ -197,21 +197,14 @@ def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
     """Read off the augmentation; degenerate summands give lambda = alpha.
     A trivialization that does not fit, or a vanishing lambda or mu, raises
     InvalidTrivializationError naming the strand or component."""
-    return _candidate(sheaf, *_read_values(sheaf, triv)[:3])
+    return _read_off(sheaf, triv)[0]
 
 
-def _candidate(sheaf: SheafData, rows: tuple, lam: list, mu: list) -> AugCandidate:
-    """The candidate of raw values read off sheaf."""
+def _read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate, list, list]:
+    """sheaf_to_aug's candidate, with the functionals f_j it checked and the
+    vectors d_j = (Id - M_j) finv_j, None at the degenerate strands."""
     field = sheaf.field
-    return AugCandidate(field, sheaf.components, Matrix._from_values(field, rows),
-                        [Scalar(field, x) for x in lam], [Scalar(field, x) for x in mu])
-
-
-def _read_values(sheaf: SheafData, triv: LocalTrivialization) -> tuple:
-    """The read-off on raw values: the rows of R and the lambda and mu of
-    each component, then the functionals f_j it checked and the vectors
-    d_j = (Id - M_j) finv_j, None at the degenerate strands."""
-    p = sheaf.field.p
+    p = field.p
     geom = geometry(sheaf.braid)
     comps = geom.components
     f, x = _check_trivialization(sheaf, triv)
@@ -220,26 +213,26 @@ def _read_values(sheaf: SheafData, triv: LocalTrivialization) -> tuple:
     # (Id - M_j) finv_j, None at the degenerate strands
     displaced = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
                  for M_j, x_j in zip(sheaf.M, x)]
-    rows = tuple(tuple(zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
-                       for d_j in displaced) for f_i in f)
+    R = Matrix._from_values(field, [[zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
+                                     for d_j in displaced] for f_i in f])
 
-    deg_alpha = {d.component: d.alpha.value for d in sheaf.deg}
+    deg_alpha = {d.component: d.alpha for d in sheaf.deg}
     lam, mu = [], []
     for s in range(1, comps.r + 1):
         if s in deg_alpha:
             lam.append(deg_alpha[s])
-            mu.append(one)
+            mu.append(field.one())
             continue
         b = comps.base_strand(s)
         lam_s = _dot(p, f[b - 1], _transported(sheaf._transport_vector, geom.longitudes[s],
                                                x[b - 1]))
-        mu_s = _sub(p, one, rows[b - 1][b - 1])  # R[b][b] = f_b d_b
+        mu_s = _sub(p, one, R.values[b - 1][b - 1])  # R[b][b] = f_b d_b
         if not lam_s or not mu_s:
             raise InvalidTrivializationError(f"{'mu' if lam_s else 'lambda'} of component {s} "
                                              f"vanishes at its base strand {b}")
-        lam.append(lam_s)
-        mu.append(mu_s)
-    return rows, lam, mu, f, displaced
+        lam.append(Scalar(field, lam_s))
+        mu.append(Scalar(field, mu_s))
+    return AugCandidate(field, comps, R, lam, mu), f, displaced
 
 
 def pure_cord_trace(sheaf: SheafData, component: int,
@@ -474,8 +467,7 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
         report.add("Gamma", "0", gamma.dim)
         return report, None
     # f_j and d_j = (Id - M_j) finv_j as values, None at the degenerate strands
-    rows, lam, mu, f, disp = _read_values(sheaf, choose_trivialization(sheaf))
-    eps = _candidate(sheaf, rows, lam, mu)
+    eps, f, disp = _read_off(sheaf, choose_trivialization(sheaf))
     p, units = field.p, _identity(field.p, sheaf.N)
     bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf.M, f, disp), 1) if d_t is not None
             and M_t.values != tuple(map(tuple, _minus_outer(p, d_t, f_t, units)))]
