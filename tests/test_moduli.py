@@ -138,9 +138,12 @@ def _quotient_by_canonical_form(points):
 @pytest.mark.parametrize("braid, field", SCANNED,
                          ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in SCANNED])
 def test_quotient_equals_the_canonical_form_reference(braid, field):
+    # in enumeration order an orbit's first member is canonical; reversed,
+    # it is not, and the representative must be built
     pts = enumerate_augs(braid, field)
-    orbits = quotient_by_dilation(pts)
-    assert [(o.rep.to_json(), o.size) for o in orbits] == _quotient_by_canonical_form(pts)
+    for points in (pts, pts[::-1]):
+        orbits = quotient_by_dilation(points)
+        assert [(o.rep.to_json(), o.size) for o in orbits] == _quotient_by_canonical_form(points)
 
 
 def test_enumeration_reaches_orbits_whose_forest_starts_off_component_1():
