@@ -58,7 +58,12 @@ class NonMonotoneComponentsError(ValueError):
 
 
 class MeridianWord:
-    """A reduced word in the free group on the disk meridians m_1..m_n."""
+    """A reduced word in the free group on the disk meridians m_1..m_n.
+
+    A letter is (strand, exponent) with an int strand >= 1 and an int
+    exponent +-1; the word does not know n, so the functions that apply it
+    reject a strand above theirs (check_strands).
+    """
 
     __slots__ = ("letters",)
 
@@ -67,8 +72,6 @@ class MeridianWord:
 
     @classmethod
     def generator(cls, strand: int, exponent: int = 1) -> "MeridianWord":
-        if exponent not in (1, -1):
-            raise ValueError("exponent must be +-1")
         return cls([(strand, exponent)])
 
     @classmethod
@@ -87,6 +90,12 @@ class MeridianWord:
 
     def is_identity(self) -> bool:
         return not self.letters
+
+    def check_strands(self, n: int) -> None:
+        """Raise ValueError if a letter names a strand above n."""
+        top = max((s for s, _ in self.letters), default=0)
+        if top > n:
+            raise ValueError(f"meridian word names strand {top}, but there are only {n}")
 
     def exponent_sums(self, n: int) -> list[int]:
         """Abelianization: total exponent on each of m_1..m_n."""
@@ -117,8 +126,8 @@ def _reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     shared: dict[tuple[int, int], tuple[int, int]] = {}
     for letter in letters:
         s, e = letter
-        if e not in (1, -1):
-            raise ValueError(f"letter exponent must be +-1, got {e}")
+        if type(s) is not int or s < 1 or type(e) is not int or e not in (1, -1):
+            raise ValueError(f"letter {letter!r} is not (strand >= 1, exponent +-1)")
         if out and out[-1][0] == s and out[-1][1] == -e:
             out.pop()
         else:
@@ -319,13 +328,22 @@ class BraidGeometry:
             in terms of the start meridians (the Wirtinger right-hand sides).
         segments: per strand, the longitude segment of its passage, with the
             framing correction folded into the base strand's segment.
+        row_reads: per strand i, which rows of R its transport-row identity
+            must update, and for how long.  A segment's operator acts on R
+            one letter at a time, from the last letter to the first (the
+            application order), and a letter on strand t reads row t.  A
+            pair (r, k), with r counted from 0, says that row r is updated
+            by the first k steps only: k is the last step that reads it, or
+            the segment's length for row i itself, which the identity
+            compares.  Rows with k = 0 are left out, and pairs come latest
+            first: at most n per strand, whatever the segment's length.
         writhe: per component, the signed self-crossing count.
         longitudes: per component, the full zero-framed longitude word based
             at the base strand.
     """
 
     __slots__ = ("braid", "tau", "components", "transported", "segments",
-                 "writhe", "longitudes")
+                 "row_reads", "writhe", "longitudes")
 
     def __init__(self, braid: BraidWord):
         self.braid = braid
@@ -369,9 +387,19 @@ class BraidGeometry:
             framing = ((i, 1 if w > 0 else -1),) * abs(w)
             segments[i] = MeridianWord(chain(framing, *(c.letters for c in contributions[i])))
         self.segments = segments
+        self.row_reads = tuple(_row_reads(i, segments[i].letters) for i in range(1, n + 1))
         # each cycle starts at its base strand, the least one
         self.longitudes = {s: MeridianWord(chain.from_iterable(segments[i].letters for i in cyc))
                            for s, cyc in enumerate(_cycles(self.tau), start=1)}
+
+
+def _row_reads(strand: int, letters: Sequence[tuple[int, int]]) -> tuple:
+    """BraidGeometry.row_reads of one strand, from its segment's letters."""
+    last = {}
+    for k, (t, _) in enumerate(reversed(letters)):
+        last[t - 1] = k  # step k reads row t; the last such step wins
+    last[strand - 1] = len(letters)
+    return tuple(sorted(((r, k) for r, k in last.items() if k), key=lambda rk: -rk[1]))
 
 
 @lru_cache(maxsize=256)

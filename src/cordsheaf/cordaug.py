@@ -24,11 +24,13 @@ normalization alone: they hold identically (a test pins this down), so no
 path evaluates them.  The transport and Wirtinger families are written
 once, as a generator of failures on raw values: the fast path, passes_fast,
 stops at its first item, and the full check itemizes every item alongside
-the other families.  passes_fast takes the raw rows, columns, mu^-1 and
-lambda rather than a candidate, so the enumerator certifies a tuple of
-residues without building an AugCandidate for it.  Likewise the canonical
-form under reduced dilations is computed on raw rows (_canonical_rows);
-canonical_form wraps it in a candidate.
+the other families.  A strand's transport identities never form its
+segment's product: the row identity updates only the rows it still reads,
+and the column identity carries one column.  passes_fast takes the raw
+rows, columns, mu^-1 and lambda rather than a candidate, so the enumerator
+certifies a tuple of residues without building an AugCandidate for it.
+Likewise the canonical form under reduced dilations is computed on raw
+rows (_canonical_rows); canonical_form wraps it in a candidate.
 """
 
 from __future__ import annotations
@@ -192,6 +194,9 @@ def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
     """loop_matrix(word) @ X via rank-one updates, O(n^2) per letter."""
     if X.field != cand.field:
         raise MixedFieldError(f"cannot mix {cand.field} and {X.field}")
+    if X.rows != cand.n:
+        raise ValueError(f"X has {X.rows} rows, not the candidate's {cand.n}")
+    word.check_strands(cand.n)
     p, _, cols, minv = _kernel_inputs(cand)
     return Matrix._from_values(cand.field, _loop_rows(p, cols, minv, word.letters, X.values),
                                cols=X.cols)
@@ -335,30 +340,32 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
 
     Each strand's longitude segment carries row i to row tau(i) and column
     tau(i) to column i, with the lambda unit appearing exactly on the marked
-    (base-strand) segment.  Wirtinger consistency compares each meridian with
-    its transport on the column span; strands whose transported meridian is
-    the generator itself hold trivially and are skipped.
+    (base-strand) segment.  Neither identity forms the segment's product:
+    the row identity updates row i and only the rows it still reads
+    (geom.row_reads), and the column identity carries column tau(i) alone,
+    O(n) per letter.  Both give exactly the entries of the full product, in
+    the same order.  Wirtinger consistency compares each meridian with its
+    transport on the column span; strands whose transported meridian is the
+    generator itself hold trivially and are skipped.
     """
     p, rows, cols, minv = inputs
     comps = geom.components
     n, tau = comps.n, geom.tau
-    for i in range(1, n + 1):
-        s = comps.component(i)
-        marked = (i == comps.base_strand(s))
-        seg = _loop_rows(p, cols, minv, geom.segments[i].letters, rows)
+    for i, s in enumerate(comps.labels, 1):
+        marked = (i == comps.base[s - 1])
+        letters = geom.segments[i].letters
         ti = tau[i - 1]
         lam_s = lam[s - 1]
-        want_row = _scale(p, lam_s, rows[ti - 1]) if marked else rows[ti - 1]
-        for j, (want, got) in enumerate(zip(want_row, seg[i - 1]), 1):
-            if want != got:
-                yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}",
-                               rows[ti - 1][j - 1],
+        row = _segment_row(p, cols, minv, letters, geom.row_reads[i - 1], rows)[i - 1]
+        for j, (want, got) in enumerate(zip(rows[ti - 1], row), 1):
+            if (_mul(p, lam_s, want) if marked else want) != got:
+                yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}", want,
                                _mul(p, _inv(p, lam_s), got) if marked else got)
+        col = _segment_col(p, cols, minv, letters, cols[ti - 1])
         want_col = _scale(p, lam_s, cols[i - 1]) if marked else cols[i - 1]
-        for k, (want, row) in enumerate(zip(want_col, seg), 1):
-            if want != row[ti - 1]:
-                yield lambda: ("transport-col", f"strand {i} -> {ti}, row {k}",
-                               want, row[ti - 1])
+        for k, (want, got) in enumerate(zip(want_col, col), 1):
+            if want != got:
+                yield lambda: ("transport-col", f"strand {i} -> {ti}, row {k}", want, got)
     for q in range(1, n + 1):
         word = geom.transported[q - 1].letters
         if word != ((q, 1),):
@@ -369,16 +376,47 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
                                [[str(x) for x in row] for row in rhs])
 
 
+def _segment_row(p: int | None, cols: list, minv: list, letters, reads, rows: list) -> list:
+    """_loop_rows restricted to the rows that reads (a BraidGeometry.row_reads
+    entry) names, each updated only while a later letter still reads it; the
+    other rows come back stale."""
+    if not letters:
+        return rows
+    rows = list(rows)
+    for k, (t, e) in enumerate(reversed(letters)):
+        row_t = rows[t - 1]
+        coeff = -1 if e == 1 else minv[t - 1]
+        col_t = cols[t - 1]
+        for r, until in reads:
+            if until <= k:
+                break
+            c = col_t[r]
+            if c:
+                rows[r] = _axpy(p, rows[r], coeff * c, row_t)
+    return rows
+
+
+def _segment_col(p: int | None, cols: list, minv: list, letters, col) -> list:
+    """loop_matrix(letters) @ col for one raw column col, O(n) per letter."""
+    for t, e in reversed(letters):
+        x = col[t - 1]
+        if x:
+            col = _axpy(p, col, (-1 if e == 1 else minv[t - 1]) * x, cols[t - 1])
+    return col
+
+
 def passes_fast(geom: BraidGeometry, lam: Sequence, inputs: tuple) -> bool:
     """Early-exit version of the certificate for the enumeration inner loop,
     on raw values: lam is the raw lambda of each component and inputs are
     the _kernel_inputs of R and mu.
 
     Stops at the first failure of the transport and Wirtinger families that
-    check_relations also itemizes; skips the identically-true meridian/skein
-    families, assumes the diagonal was built from mu, and drops the
-    full-longitude family (which chains from the per-segment transport
-    identities).  A test pins the two modes to the same candidate set.
+    check_relations also itemizes, so a tuple rejected at a strand's row
+    identity costs that one row's updates; skips the identically-true
+    meridian/skein families, assumes the diagonal was built from mu, and
+    drops the full-longitude family (which chains from the per-segment
+    transport identities).  A test pins the two modes to the same candidate
+    set.
     """
     return next(_transport_failures(geom, lam, inputs), None) is None
 

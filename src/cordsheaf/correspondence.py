@@ -244,6 +244,8 @@ def pure_cord_trace(sheaf: SheafData, component: int,
     stalk; mu is 1 - tr(Id - M_b); the cord value is tr((Id - M_b) rho(loop)).
     """
     field = sheaf.field
+    if not 1 <= component <= sheaf.components.r:
+        raise ValueError(f"no component {component} among {sheaf.components.r}")
     b = sheaf.components.base_strand(component)
     A = sheaf.transport(geometry(sheaf.braid).longitudes[component])
     W_b = sheaf.W[b - 1]

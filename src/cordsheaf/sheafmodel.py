@@ -100,6 +100,7 @@ class SheafData:
 
     def transport(self, word: MeridianWord) -> Matrix:
         """rho(word): ordered product of meridian matrices over the letters."""
+        word.check_strands(self.braid.n)
         p, N = self.field.p, self.N
         mats = [self.meridian_matrix(s, e).values for s, e in word.letters]
         out = mats[0] if mats else _identity(p, N)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,25 @@ def test_meridian_word_reduction():
     assert w == MeridianWord.generator(1)
     assert (w * w.inverse()).is_identity()
     assert MeridianWord.generator(1) ** -3 == MeridianWord([(1, -1)] * 3)
+
+
+@pytest.mark.parametrize("letter", [(0, 1), (-1, 1), (1.5, 1), (True, 1), (1, 2), (1, 0),
+                                    (1, True), (1, -1.0), ("1", 1)])
+def test_meridian_word_rejects_bad_letters(letter):
+    # strand 0 or a negative strand would index from the end downstream
+    with pytest.raises(ValueError, match=re.escape(repr(letter))):
+        MeridianWord([(1, 1), letter])
+    if letter[0] != 1:
+        with pytest.raises(ValueError, match="is not"):
+            MeridianWord.generator(letter[0])
+
+
+def test_meridian_word_checks_its_strands():
+    w = MeridianWord([(2, 1), (3, -1)])
+    w.check_strands(3)
+    with pytest.raises(ValueError, match="strand 3, but there are only 2"):
+        w.check_strands(2)
+    MeridianWord.identity().check_strands(1)
 
 
 def test_long_words_share_their_letters():

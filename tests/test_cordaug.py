@@ -12,6 +12,10 @@ from cordsheaf.cordaug import (AugCandidate, DilationParam, _kernel_inputs, appl
                                zero_row_components)
 from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix, _axpy, _identity, _inv
+from cordsheaf.moduli import enumerate_augs, search_space_size
+
+import certificate_reference as reference
+from certificate_reference import SCANNED
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -185,6 +189,21 @@ def test_apply_loop_matches_operator_product():
                 assert apply_loop(cand, MeridianWord(letters), X) == want
     with pytest.raises(MixedFieldError):
         apply_loop(GOLDEN, MeridianWord.generator(3), Matrix.identity(F3, 3))
+
+
+def test_loops_reject_strands_above_n_and_misshaped_x():
+    # strand 4 of a 3-strand candidate, and X with 4 rows, used to pass
+    # silently; strand 0 never reaches here (MeridianWord rejects it)
+    with pytest.raises(ValueError, match="strand 4, but there are only 3"):
+        loop_matrix(GOLDEN, MeridianWord.generator(4))
+    with pytest.raises(ValueError, match="strand 4, but there are only 3"):
+        apply_loop(GOLDEN, MeridianWord([(1, 1), (4, -1)]), GOLDEN.R)
+    with pytest.raises(ValueError, match="X has 4 rows, not the candidate's 3"):
+        apply_loop(GOLDEN, MeridianWord.generator(1), Matrix.identity(F5, 4))
+    with pytest.raises(ValueError, match="X has 2 rows"):
+        apply_loop(GOLDEN, MeridianWord.identity(), Matrix.zeros(F5, 2, 3))
+    with pytest.raises(ValueError, match="is not"):
+        loop_matrix(GOLDEN, MeridianWord([(0, 1)]))
 
 
 def test_eval_broken_cord_examples():
@@ -430,7 +449,6 @@ def test_candidate_json_roundtrip():
 
 def test_full_and_fast_certificates_report_the_same_failures():
     # _certified_layout certifies with full=False and reports what it finds
-    from cordsheaf.moduli import enumerate_augs
     rng = random.Random(11)
     accepted = rejected = 0
     for braid in (HOPF, UNLINK3, BraidWord(2, [1, 1, 1]), BraidWord(3, [1, -2, 1, -2]),
@@ -472,7 +490,6 @@ def _longitude_reference(cand, braid):
 def test_longitude_families_match_the_reference_on_every_component():
     # check_relations skips a one-strand component's longitude, its base
     # segment, when every transport identity holds; the reference never does
-    from cordsheaf.moduli import enumerate_augs
     rng = random.Random(13)
     accepted = rejected = itemized = 0
     for braid, field in ((UNLINK3, F2), (BraidWord(2, []), F5), (BraidWord(3, [1, 1, 2]), F3),
@@ -488,3 +505,46 @@ def test_longitude_families_match_the_reference_on_every_component():
             rejected += not report.ok
             itemized += bool(got)
     assert accepted >= 80 and rejected >= 200 and itemized >= 100
+
+
+# every braid the full scan covers, then longer words and words with inverse
+# letters: (s1 s2^-1)^3, a 4-strand knot, knots with an empty segment, and a
+# 4-strand link
+REFERENCE_BRAIDS = list(dict.fromkeys(b for b, _ in SCANNED)) + [
+    BraidWord(3, [1, -2] * 3), BraidWord(4, [1, -2, 3] * 3), BraidWord(3, [-1, -2, -1, 2]),
+    BraidWord(2, [-1, -1, -1]), BraidWord(4, [1, -2, 1, -2, -3, -3])]
+CERTIFIED = ("transport-row", "transport-col", "wirtinger")
+
+
+@pytest.mark.parametrize("braid", REFERENCE_BRAIDS,
+                         ids=[f"{list(b.word)}/{b.n}" for b in REFERENCE_BRAIDS])
+def test_transport_family_matches_the_full_product_reference(braid):
+    # check_relations's transport and Wirtinger items, in order, and
+    # passes_fast's verdict, against products of the whole segment operator
+    # with R; candidates are random (some not normalized), enumerated, and
+    # enumerated with one off-diagonal entry moved
+    rng = random.Random(f"{list(braid.word)}/{braid.n}")
+    geom = geometry(braid)
+    n = braid.n
+    small = F3 if search_space_size(braid, F3) <= 3000 else F2
+    points = enumerate_augs(braid, small)
+    cands = rng.sample(points, min(10, len(points)))
+    for cand in rng.sample(points, min(10, len(points))):
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            rows = [list(row) for row in cand.R.values]
+            rows[i][j] = (rows[i][j] + rng.randrange(1, small.p)) % small.p
+            cands.append(AugCandidate(small, cand.components, Matrix._from_values(small, rows),
+                                      cand.lam, cand.mu))
+    for field in (F2, F5, QQ):
+        cands += [random_candidate(field, braid, rng, normalize=k % 8 != 0) for k in range(16)]
+    passed = itemized = 0
+    for cand in cands:
+        report = check_relations(cand, braid)
+        got = [f for f in report.failures if f["family"] in CERTIFIED]
+        assert got == reference.items(cand, braid, CERTIFIED), cand.to_json()
+        if not (report.failures and report.failures[0]["family"] == "normalization"):
+            assert fast_verdict(cand, geom) == (not got), cand.to_json()
+        passed += report.ok
+        itemized += bool(got)
+    assert passed >= min(10, len(points)) and itemized >= 20

@@ -333,6 +333,16 @@ def test_pure_cord_traces_match_formula():
                 assert cord_t == direct
 
 
+def test_pure_cord_trace_rejects_strands_and_components_out_of_range():
+    sheaf = aug_to_sheaf(golden_candidate(), UNLINK3)
+    pure_cord_trace(sheaf, 3, MeridianWord.generator(3))
+    with pytest.raises(ValueError, match="strand 4, but there are only 3"):
+        pure_cord_trace(sheaf, 1, MeridianWord([(1, 1), (4, 1)]))
+    for component in (0, 4):
+        with pytest.raises(ValueError, match=f"no component {component} among 3"):
+            pure_cord_trace(sheaf, component, MeridianWord.identity())
+
+
 def test_roundtrip_aug_across_unlink_candidates():
     for field in (F2, F3):
         for cand in enumerate_augs(UNLINK3, field):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,9 @@ from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
                               quotient_by_dilation, search_space_size,
                               verify_bijection)
 from cordsheaf.sheafmodel import global_sections, isomorphic, stabilized_space
+
+import certificate_reference as reference
+from certificate_reference import SCANNED
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -75,15 +79,18 @@ def test_enumeration_closed_under_dilation():
                 assert (moved.R, moved.lam, moved.mu) in keys
 
 
-def _full_scan(braid, field):
-    """The enumeration as a scan certifying every tuple with the full
-    certificate, in lexicographic order: mu, then lambda, then the
-    off-diagonal entries of R row by row.  enumerate_augs certifies only
-    canonical tuples, on raw values, and must return exactly this list."""
+def _full_scan(braid, field, sample=100):
+    """The enumeration as a scan certifying every tuple with the test-side
+    reference verdict (full products, stopping at the first broken
+    identity), in lexicographic order: mu, then lambda, then the off-diagonal
+    entries of R row by row.  enumerate_augs certifies only canonical tuples,
+    on raw values, and must return exactly the kept list.  Also returns a
+    seeded sample of the rejected candidates, at most sample of them."""
     cm = component_map(braid)
     n, r, p = braid.n, cm.r, field.p
     units = list(field.elements(nonzero=True))
-    out = []
+    rng = random.Random(f"{list(braid.word)}/{n}/F{p}")
+    kept, rejected, seen = [], [], 0
     for mu in itertools.product(units, repeat=r):
         diag = [(1 - mu[s - 1].value) % p for s in cm.labels]
         for lam in itertools.product(units, repeat=r):
@@ -91,35 +98,32 @@ def _full_scan(braid, field):
                 rows = [values[i * (n - 1):i * n] + (x,) + values[i * n:(i + 1) * (n - 1)]
                         for i, x in enumerate(diag)]
                 cand = AugCandidate(field, cm, Matrix._from_values(field, rows), lam, mu)
-                if check_relations(cand, braid).ok:
-                    out.append(cand)
-    return out
-
-
-# every braid and field the suite enumerates (the 3-unlink over F5 only as a
-# budget refusal), and T(3,3), whose zero-row orbits all lack a sheaf
-SCANNED = [(UNKNOT, F2), (UNKNOT, F3), (UNKNOT, F5), (UNKNOT, F7),
-           (UNLINK2, F2), (UNLINK2, F3), (UNLINK2, F5), (UNLINK2, F7),
-           (BraidWord(2, [1]), F2), (BraidWord(2, [1]), F3),
-           (BraidWord(2, [-1]), F2), (BraidWord(2, [-1]), F3),
-           (HOPF, F2), (HOPF, F3), (HOPF, F5),
-           (TREFOIL, F2), (TREFOIL, F3), (TREFOIL, F5), (TREFOIL, F7),
-           (BraidWord(2, [1, 1, 1, 1]), F3), (BraidWord(2, [1, 1, 1, 1]), F5),
-           (UNLINK3, F2), (UNLINK3, F3),
-           (BraidWord(3, [1, 1]), F2), (BraidWord(3, [1, 1]), F3),
-           (BraidWord(3, [-2, 1, 1, 2]), F2), (BraidWord(3, [-2, 1, 1, 2]), F3),
-           (BraidWord(3, [1, 1, 2]), F2), (BraidWord(3, [1, 1, 2]), F3),
-           (BraidWord(3, [1, 2]), F3), (BraidWord(3, [1, -2, 1, -2]), F3),
-           (BraidWord(3, [1, 2, 1, 2, 1, 2]), F3)]
+                if reference.verdict(cand, braid):
+                    kept.append(cand)
+                    continue
+                # reservoir sampling: each rejected tuple is kept with equal odds
+                if seen < sample:
+                    rejected.append(cand)
+                else:
+                    k = rng.randrange(seen + 1)
+                    if k < sample:
+                        rejected[k] = cand
+                seen += 1
+    return kept, rejected
 
 
 @pytest.mark.parametrize("braid, field", SCANNED,
                          ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in SCANNED])
 def test_enumeration_equals_the_full_scan(braid, field):
     pts = enumerate_augs(braid, field)
-    assert pts == _full_scan(braid, field)
+    kept, rejected = _full_scan(braid, field)
+    assert pts == kept
+    # the reference's verdict is check_relations's on every kept tuple and
+    # on the sample of rejected ones
     for cand in pts:
         assert check_relations(cand, braid).ok, cand.to_json()
+    for cand in rejected:
+        assert not check_relations(cand, braid).ok, cand.to_json()
 
 
 def _quotient_by_canonical_form(points):

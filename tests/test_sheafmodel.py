@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cordsheaf.braid import BraidWord, component_map, geometry
+from cordsheaf.braid import BraidWord, MeridianWord, component_map, geometry
 from cordsheaf.cordaug import AugCandidate
 from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
 from cordsheaf.field import FieldSpec
@@ -31,6 +31,13 @@ def golden_sheaf(field=F5, e12=1, e13=1, e32=1, e33=2):
     cand = AugCandidate(field, cm, R, [one] * 3,
                         [one, one, one - field.scalar(e33)])
     return cand, aug_to_sheaf(cand, UNLINK3)
+
+
+def test_transport_rejects_a_strand_above_n():
+    _, sheaf = golden_sheaf()
+    assert sheaf.transport(MeridianWord([(3, 1), (1, -1)])).rows == 3
+    with pytest.raises(ValueError, match="strand 4, but there are only 3"):
+        sheaf.transport(MeridianWord([(1, 1), (4, 1)]))
 
 
 def test_golden_sheaf_valid_and_matches_display():
