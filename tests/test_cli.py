@@ -341,3 +341,23 @@ def test_signed_braid_letters_and_ascii_spacing_still_read(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["braid"]["word"] == [1, -1, 1] and data["field"]["p"] == 3
+
+
+def test_relabeled_braid_prints_a_note_and_the_relabeled_output(capsys):
+    assert main(["augs", "--braid", "1 2 1", "--strands", "3", "--field", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("note: strands relabeled by [1, 3, 2] to make components "
+                            "non-decreasing; braid word is now [-2, 1, 2, 1, 2]\n")
+    code, direct = run(capsys, "augs", "--braid", "-2 1 2 1 2", "--strands", "3", "--field", "2")
+    assert code == 0 and captured.out == direct
+
+
+def test_example_unlink3_json(capsys):
+    code, out = run(capsys, "example-unlink3", "--field", "5", "--e12", "1", "--e13", "1",
+                    "--e32", "1", "--e33", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert sorted(data) == ["candidate", "diff", "recovered", "sheaf", "sheaf_valid"]
+    assert data["sheaf_valid"] is True and data["diff"] == []
+    assert data["recovered"] == data["candidate"]
+    assert data["sheaf"]["N"] == 3 and data["candidate"]["R"][2] == ["0", "1", "2"]

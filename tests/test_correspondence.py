@@ -614,3 +614,15 @@ def test_rejected_sheaves_raise_one_exception_type():
     assert all(re.search(r"(strand|component) \d|\[\d\]", text) for text in messages)
     for kind in ("mu of component", "is singular", "codimension"):
         assert any(kind in text for text in messages), kind
+
+
+def test_diff_candidates_names_each_differing_entry():
+    cand, one = golden_candidate(), F5.one()
+    other = AugCandidate(F5, cand.components,
+                         Matrix.from_rows(F5, [[0, 1, 1], [0, 0, 0], [0, 3, 2]]),
+                         [one, F5.scalar(2), one], [one, F5.scalar(4), one - F5.scalar(2)])
+    assert diff_candidates(cand, other).to_json() == [
+        {"location": "R[3][2]", "expected": "1", "got": "3"},
+        {"location": "lambda[2]", "expected": "1", "got": "2"},
+        {"location": "mu[2]", "expected": "1", "got": "4"},
+    ]

@@ -557,3 +557,188 @@ def test_split_summand_search_equals_the_pairwise_folds():
         assert got == _split_summand_by_folds(sheaf)
         seen.add(got)
     assert seen == {False, True}
+
+
+# -- the isomorphism search and the constant-quotient search against exhaustive scans --
+
+ISO_CASES = ((UNLINK2, F5), (UNLINK2, F7), (BraidWord(2, [1, 1]), F5), (UNLINK3, F2),
+             (UNLINK3, F3), (BraidWord(2, [1, 1, 1, 1]), F5))
+
+
+def _full_rank_mod_p(rows, p):
+    """Whether a square matrix of residues mod p is invertible, by elimination."""
+    rows, n = [list(r) for r in rows], len(rows)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return True
+
+
+def _first_invertible_by_scan(F, basis):
+    """The first invertible combination of the intertwiner basis, scanning all
+    of F_p^k in lexicographic order, as entry rows; None when there is none."""
+    p, N = F.field.p, F.N
+    if not basis:
+        return None
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        flat = [sum(c * x for c, x in zip(coeffs, entry)) % p for entry in zip(*basis)]
+        rows = [flat[a * N:(a + 1) * N] for a in range(N)]
+        if _full_rank_mod_p(rows, p):
+            return rows
+    return None
+
+
+def _conjugate(sheaf, rng):
+    """sheaf carried by a random invertible matrix D: D M D^-1 and D(W)."""
+    D = _rand_matrix(sheaf.field, sheaf.N, rng, invertible=True)
+    Dinv = D.inverse()
+    return SheafData(sheaf.field, sheaf.braid, sheaf.N, [D * m * Dinv for m in sheaf.M],
+                     [w.apply(D) for w in sheaf.W], sheaf.deg)
+
+
+def _iso_pairs(seed=17, per_case=3):
+    """Seeded pairs of sheaves of equal dimension and degenerate data: the
+    sheaf representatives of verify_bijection on small links (the sheaves of
+    the orbit representatives), each paired with the others, with a random
+    conjugate, and the same after adding 1 or 2 constant directions."""
+    from cordsheaf.moduli import quotient_by_dilation
+    rng = random.Random(seed)
+    for braid, field in ISO_CASES:
+        reps = [aug_to_sheaf(o.rep, braid) for o in quotient_by_dilation(_pool(braid, field))]
+        reps = rng.sample([s for s in reps if s.N], per_case)
+        for extra in (0, 1, 2):
+            objs = [extend_by_constant(s, extra) for s in reps]
+            for F in objs:
+                yield F, _conjugate(F, rng)
+                for G in objs:
+                    if G is not F and (G.N, G.deg) == (F.N, F.deg):
+                        yield F, G
+
+
+def test_isomorphic_returns_the_first_invertible_intertwiner_in_lexicographic_order():
+    from cordsheaf.sheafmodel import _intertwiner_space
+    compared = found = 0
+    for F, G in _iso_pairs():
+        if [w.dim for w in F.W] != [w.dim for w in G.W]:
+            assert isomorphic(F, G) is None
+            continue
+        basis = _intertwiner_space(F, G)
+        if F.field.p ** len(basis) > 20000:
+            continue
+        want = _first_invertible_by_scan(F, basis)
+        got = isomorphic(F, G)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.values == tuple(map(tuple, want))
+            found += 1
+        compared += 1
+    assert compared >= 70 and found >= 40
+
+
+
+def _rank_one_sheaf(braid, field, N, rng):
+    """Valid data on an unlink: each meridian is Id - u f^T, or the identity
+    where that is singular, with its stalk ker f; small random entries."""
+    def vec():
+        return [_rand_value(field, rng) if rng.random() < 0.6 else 0 for _ in range(N)]
+    eye, M, W = Matrix.identity(field, N), [], []
+    for _ in range(braid.n):
+        f = vec()
+        while not any(f):
+            f = vec()
+        mat = eye - Matrix.from_rows(field, [[a * b for b in f] for a in vec()])
+        M.append(mat if mat.is_invertible() else eye)
+        W.append(Matrix.from_rows(field, [f]).kernel())
+    return SheafData(field, braid, N, M, W)
+
+
+def _quotient_by_scan(sheaf):
+    """A functional vanishing on V_0 and on no stalk, searched over every
+    combination of the annihilator's basis, all of F_p^k."""
+    p = sheaf.field.p
+    ann = stabilized_space(sheaf).annihilator().values
+    for coeffs in itertools.product(range(p), repeat=len(ann)):
+        psi = [sum(c * x for c, x in zip(coeffs, entry)) % p for entry in zip(*ann)]
+        if any(psi) and all(any(sum(a * b for a, b in zip(psi, w)) % p for w in sub._vectors)
+                            for sub in sheaf.W):
+            return True
+    return False
+
+
+def _quotient_closed_form(sheaf):
+    """The verdict over a field with more elements than there are stalks: no
+    stalk lies inside V_0 (n proper subspaces cannot cover the annihilator)."""
+    V0 = stabilized_space(sheaf)
+    return all(not V0.contains_subspace(w) for w in sheaf.W)
+
+
+def _quotient_objects(field, rng, count):
+    """Rank-one data on unlinks, and over a prime field the sheaves of
+    enumerated candidates, some with 1 or 2 constant directions added."""
+    for _ in range(count):
+        if field.p and rng.random() < 0.3:
+            braid = rng.choice([UNLINK2, BraidWord(2, [1, 1])] + [UNLINK3] * (field.p < 5))
+            sheaf = aug_to_sheaf(rng.choice(_pool(braid, field)), braid)
+        else:
+            braid = rng.choice([BraidWord(1, []), UNLINK2, UNLINK3])
+            sheaf = _rank_one_sheaf(braid, field, rng.randint(1, 3), rng)
+        if rng.random() < 0.4:
+            sheaf = extend_by_constant(sheaf, rng.randint(1, 2))
+        yield sheaf
+
+
+def test_constant_quotient_search_equals_the_scan_and_the_closed_form():
+    from cordsheaf.sheafmodel import _constant_quotient_exists
+    rng = random.Random(23)
+    reduced_seen = set()
+    for field in (F2, F3, F5, F7, QQ):
+        seen = set()
+        for sheaf in _quotient_objects(field, rng, 60):
+            refs = [_quotient_by_scan(sheaf)] if field.p else []
+            if field.p is None or field.p > sheaf.braid.n:
+                refs.append(_quotient_closed_form(sheaf))
+            got = _constant_quotient_exists(sheaf)
+            assert refs and all(got == ref for ref in refs)
+            gamma, split = global_sections(sheaf).dim, _split_constant_summand_exists(sheaf)
+            for ref in refs:
+                assert is_reduced(sheaf) == (not sheaf.deg and gamma == 0 and not ref
+                                             and not split)
+            seen.add(got)
+            reduced_seen.add(is_reduced(sheaf))
+        assert seen == {False, True}
+    assert reduced_seen == {False, True}
+
+
+def test_isomorphic_refuses_different_shapes_and_accepts_the_zero_sheaf():
+    _, sheaf = golden_sheaf()
+    assert isomorphic(sheaf, golden_sheaf(F7)[1]) is None  # another field
+    on_a_braid = SheafData(F5, BraidWord(3, [1]), 3, sheaf.M, sheaf.W)
+    assert isomorphic(sheaf, on_a_braid) is None  # another braid
+    assert isomorphic(sheaf, extend_by_constant(sheaf, 1)) is None  # another dimension
+    knot = BraidWord(1, [])
+
+    def zero_sheaf(alpha):
+        return SheafData(F3, knot, 0, [Matrix(F3, [])], [Subspace.zero(F3, 0)],
+                         [DegenerateSummand(1, F3.scalar(alpha))])
+    assert isomorphic(zero_sheaf(2), zero_sheaf(1)) is None  # other degenerate data
+    P = isomorphic(zero_sheaf(2), zero_sheaf(2))
+    assert P is not None and (P.rows, P.cols, P.field) == (0, 0, F3)
+    eye = [Matrix.identity(F3, 1)]
+    point, line = (SheafData(F3, knot, 1, eye, [W]) for W in (Subspace.zero(F3, 1),
+                                                              Subspace.full(F3, 1)))
+    assert isomorphic(point, line) is None  # stalks of other dimensions
+
+
+def test_sections_make_data_unreduced():
+    hyper = Subspace.from_vectors(F3, 2, [[F3.one(), F3.zero()]])
+    same = SheafData(F3, UNLINK2, 2, [Matrix.identity(F3, 2)] * 2, [hyper, hyper], ())
+    assert global_sections(same) == hyper and not same.deg
+    assert not is_reduced(same)
