@@ -38,8 +38,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .braid import BraidGeometry, BraidWord, ComponentMap, MeridianWord, geometry
-from .field import (FieldSpec, MixedFieldError, Scalar, WireFormatError, wire_get,
-                    wire_units)
+from .field import (FieldSpec, MixedFieldError, Scalar, WireFormatError, check_field,
+                    wire_get, wire_units)
 from .linalg import Matrix, _axpy, _inv, _mul, _one, _scale, _sub
 from .reports import ValidationReport
 
@@ -56,6 +56,7 @@ class AugCandidate:
             raise ValueError(f"R must be {n}x{n}")
         if len(lam) != r or len(mu) != r:
             raise ValueError(f"need {r} lambda and mu values")
+        check_field(field, (R, *lam, *mu), "candidate part")
         for x in tuple(lam) + tuple(mu):
             if x.is_zero():
                 raise ValueError("lambda and mu are units and cannot vanish")
@@ -428,6 +429,7 @@ def apply_dilation(cand: AugCandidate, d: DilationParam) -> AugCandidate:
     """Rescale mixed cords by d_s/d_t; lambda and mu are untouched."""
     if len(d.d) != cand.r:
         raise ValueError("dilation parameter has the wrong number of components")
+    check_field(cand.field, d.d, "dilation parameter")
     rows = _dilated_rows(cand.field.p, cand.components, [x.value for x in d.d], cand.R.values)
     return _with_rows(cand, rows)
 

@@ -42,6 +42,14 @@ class MixedFieldError(ValueError):
     """Raised when an operation combines scalars from different fields."""
 
 
+def check_field(field: "FieldSpec", parts, what: str) -> None:
+    """Raise MixedFieldError unless each part (a Scalar, Matrix or Subspace)
+    is over field; the identity test first keeps the common case cheap."""
+    for x in parts:
+        if x.field is not field and x.field != field:
+            raise MixedFieldError(f"{what} over {x.field} used over {field}")
+
+
 class NotEnumerableError(ValueError):
     """Raised when asked to enumerate an infinite field."""
 

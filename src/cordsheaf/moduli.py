@@ -244,11 +244,11 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
         report.bijection.append((k, k))
 
     # Injectivity: isomorphic sheaves induce dilation-equivalent augmentations,
-    # so distinct induced canonical forms separate the representatives; only
-    # canonical-form duplicates need the intertwiner search.  It looks for a
-    # genuine isomorphism, degenerate data included: comparing only the
-    # once-stabilized subobjects is too coarse, since distinct extensions over
-    # the zero-row strands share a stabilization (a test pins a concrete pair).
+    # so only canonical-form duplicates need the intertwiner search.  It is
+    # exact (a None is a proof; past its trial budget it raises) and matches
+    # degenerate data too: comparing once-stabilized subobjects is too coarse,
+    # since distinct extensions over the zero-row strands share a
+    # stabilization (a test pins a concrete pair).
     for group in induced_keys.values():
         for pos, a in enumerate(group):
             for b in group[pos + 1:]:

@@ -18,11 +18,11 @@ property-transport table expects.
 from __future__ import annotations
 
 import itertools
-import random
-from typing import Optional, Sequence
+import math
+from typing import Iterator, Optional, Sequence
 
-from .braid import BraidWord, MeridianWord, geometry
-from .field import FieldSpec, Scalar, WireFormatError, wire_get, wire_unit
+from .braid import BraidWord, BudgetExceededError, MeridianWord, geometry
+from .field import FieldSpec, Scalar, WireFormatError, check_field, wire_get, wire_unit
 from .linalg import (Matrix, Subspace, _axpy, _dot, _identity, _matmul, _matvec, _mul, _sub,
                      _transpose, _zero)
 from .reports import ValidationReport
@@ -76,6 +76,7 @@ class SheafData:
         for sub in self.W:
             if sub.ambient_dim != N:
                 raise ValueError("stalk subspace in the wrong ambient space")
+        check_field(field, self.M + self.W + tuple(d.alpha for d in self.deg), "sheaf part")
 
     @property
     def components(self):
@@ -302,31 +303,23 @@ def once_stabilized(sheaf: SheafData) -> SheafData:
 
 def is_stable(sheaf: SheafData) -> bool:
     """No global sections and V_0 is everything; false if summands split off."""
-    if sheaf.deg:
-        return False
-    return global_sections(sheaf).dim == 0 and stabilized_space(sheaf).dim == sheaf.N
+    return (not sheaf.deg and global_sections(sheaf).dim == 0
+            and stabilized_space(sheaf).dim == sheaf.N)
 
 
 def _constant_quotient_exists(sheaf: SheafData) -> bool:
-    """Is there a surjection onto a constant sheaf (trivial quotient rep that
-    stays surjective on every stalk)?"""
-    V0 = stabilized_space(sheaf)
-    if V0.dim == sheaf.N:
-        return False
-    ann = V0.annihilator()  # rows spanning functionals vanishing on V_0
-    p = sheaf.field.p
-    if p:
-        for coeffs in itertools.product(range(p), repeat=ann.rows):
-            psi = [0] * sheaf.N
-            for c, row in zip(coeffs, ann.values):
-                psi = _axpy(p, psi, c, row)
-            # a nonzero psi that is nonzero on every stalk
-            if any(coeffs) and all(any(_dot(p, psi, w) for w in sub._vectors) for sub in sheaf.W):
-                return True
-        return False
-    # Over an infinite field a generic functional in ann(V_0) works iff no
-    # stalk is trapped inside V_0.
-    return all(not V0.contains_subspace(sub) for sub in sheaf.W)
+    """Is there a surjection onto a constant sheaf: a functional vanishing
+    on V_0 and on no stalk?  In a basis of ann(V_0), psi vanishes on a stalk
+    inside a hyperplane, so _grid's points for the degree-n product of
+    linear forms, one per stalk, decide."""
+    ann, p = stabilized_space(sheaf).annihilator().values, sheaf.field.p
+    for coeffs in _grid(p, len(ann), len(sheaf.W))[1]:
+        psi = [_zero(p)] * sheaf.N
+        for c, row in zip(coeffs, ann):
+            psi = _axpy(p, psi, c, row)
+        if all(any(_dot(p, psi, w) for w in sub._vectors) for sub in sheaf.W):
+            return True
+    return False
 
 
 def _split_constant_summand_exists(sheaf: SheafData) -> bool:
@@ -367,13 +360,8 @@ def _split_constant_summand_exists(sheaf: SheafData) -> bool:
 def is_reduced(sheaf: SheafData) -> bool:
     """No constant subsheaf, no constant quotient, no split constant-on-a-
     sublink summand; objects with degenerate summands are not reduced."""
-    if sheaf.deg:
-        return False
-    if global_sections(sheaf).dim != 0:
-        return False
-    if _constant_quotient_exists(sheaf):
-        return False
-    return not _split_constant_summand_exists(sheaf)
+    return not (sheaf.deg or global_sections(sheaf).dim or _constant_quotient_exists(sheaf)
+                or _split_constant_summand_exists(sheaf))
 
 
 # -- isomorphism search ---------------------------------------------------------------
@@ -399,43 +387,41 @@ def _intertwiner_space(F: SheafData, G: SheafData) -> list[tuple]:
     return list(Matrix._from_values(F.field, rows).kernel()._vectors)
 
 
-# random combinations tried over the rationals and above the prime-field
-# cap, from a fixed seed
-_SAMPLES, _SEED = 800, 0
+_TRIALS = 20000
+
+
+def _grid(p: int | None, k: int, d: int) -> tuple[int, Iterator[tuple]]:
+    """(count, points in lexicographic order) of the coefficient vectors that
+    decide if a polynomial f of degree <= d in k variables vanishes: F_p^k
+    when p <= d, else, over QQ as over F_p, the points of {0..d}^k with
+    coordinate sum <= d.  f's first nonzero point in F_p^k is one of them
+    (grid Schwartz-Zippel lemma; induct on k: if x_1 = a there, f is
+    divisible by x_1 (x_1 - 1) ... (x_1 - a + 1), so f(a, ...) has degree
+    <= d - a)."""
+    if p is not None and p <= d:
+        return p ** k, itertools.product(range(p), repeat=k)
+    # stars and bars: the gaps of each c_1 < ... < c_k below d + k
+    bars = itertools.combinations(range(d + k), k)
+    return math.comb(d + k, k), (tuple(b - a - 1 for a, b in zip((-1, *c), c)) for c in bars)
 
 
 def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
-    """An invertible intertwiner matching meridians, stalks, and degenerate
-    data, or None.
+    """The first invertible intertwiner matching meridians, stalks, and
+    degenerate data, or None, which is a proof.
 
-    Over a prime field whose intertwiner space has at most 20 000 elements
-    the space is enumerated exhaustively, so a None answer is a proof.
-    Otherwise, over the rationals or above that cap, the basis vectors and
-    then random combinations are tried, which finds an isomorphism whenever
-    one exists with overwhelming probability (invertibility is generic in
-    the space).  An invertible P is enough: P(W_i^F) <= W_i^G is built into
-    the space, and the stalk dimensions agree, so the images coincide.
+    Over a basis B_i of the intertwiner space, det(sum x_i B_i) has degree
+    <= N, so _grid's points decide, and the first hit is the first in
+    F_p^k.  BudgetExceededError if _TRIALS points find none and more remain.
+    An invertible P is enough: P(W_i^F) <= W_i^G is built into the space,
+    and the stalk dimensions agree.
     """
-    if (F.field, F.braid, F.N) != (G.field, G.braid, G.N):
+    if ((F.field, F.braid, F.N, F.deg) != (G.field, G.braid, G.N, G.deg)
+            or [w.dim for w in F.W] != [w.dim for w in G.W]):
         return None
-    if [(d.component, d.alpha) for d in F.deg] != [(d.component, d.alpha) for d in G.deg]:
-        return None
-    if [w.dim for w in F.W] != [w.dim for w in G.W]:
-        return None
-    if F.N == 0:
-        return Matrix(F.field, [])
     basis = _intertwiner_space(F, G)
-    if not basis:
-        return None
-    field, N, p, k = F.field, F.N, F.field.p, len(basis)
-    if field.is_prime_field and p ** k <= 20000:
-        trials = itertools.product(range(p), repeat=k)
-    else:
-        rng = random.Random(_SEED)
-        pool = range(p) if field.is_prime_field else range(-3, 4)
-        draws = ([rng.choice(pool) for _ in basis] for _ in range(_SAMPLES))
-        trials = itertools.chain(_identity(p, k), draws)
-    for coeffs in trials:
+    field, N, p = F.field, F.N, F.field.p
+    size, points = _grid(p, len(basis), N)
+    for coeffs in itertools.islice(points, _TRIALS):
         flat = [_zero(p)] * (N * N)
         for c, v in zip(coeffs, basis):
             if c:
@@ -443,4 +429,6 @@ def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
         P = Matrix._from_values(field, [flat[a * N:(a + 1) * N] for a in range(N)])
         if P.is_invertible():
             return P
+    if size > _TRIALS:
+        raise BudgetExceededError(size, _TRIALS, "trials", "isomorphism search")
     return None

@@ -548,3 +548,17 @@ def test_transport_family_matches_the_full_product_reference(braid):
         passed += report.ok
         itemized += bool(got)
     assert passed >= min(10, len(points)) and itemized >= 20
+
+
+def test_candidate_parts_over_another_field_are_refused():
+    cm, one = component_map(UNLINK3), F5.one()
+    R3 = Matrix.from_rows(F3, [[0, 1, 1], [0, 0, 0], [0, 1, 2]])
+    with pytest.raises(MixedFieldError, match="candidate part over F3 used over F5"):
+        AugCandidate(F5, cm, R3, [one] * 3, [one, one, F5.scalar(4)])
+    with pytest.raises(MixedFieldError):
+        AugCandidate(F5, cm, GOLDEN.R, [one, F3.one(), one], [one, one, F5.scalar(4)])
+
+
+def test_dilation_over_another_field_is_refused():
+    with pytest.raises(MixedFieldError, match="dilation parameter over F3 used over F5"):
+        apply_dilation(GOLDEN, DilationParam([F3.one(), F3.scalar(2), F3.one()]))

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from cordsheaf.braid import BraidWord, MeridianWord, component_map, geometry
+from cordsheaf.braid import (BraidWord, BudgetExceededError, MeridianWord, component_map,
+                             geometry)
 from cordsheaf.cordaug import AugCandidate
 from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
-from cordsheaf.field import FieldSpec
+from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix, Subspace
-from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, _first_moved, _fixing_det,
+from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, _constant_quotient_exists,
+                                  _first_moved, _fixing_det, _intertwiner_space,
                                   _split_constant_summand_exists, global_sections, is_reduced,
                                   is_stable, isomorphic, once_stabilized, stabilized_space,
                                   validate)
@@ -252,27 +254,28 @@ def test_isomorphic_distinguishes_stalk_configurations():
 
 # (field, constant directions added) -> the isomorphism found between the
 # golden sheaf and its conjugate by D = 2 Id + (ones above the diagonal).
-# The intertwiner spaces have dimension 1, 3 and 7: F5 at 7 and F101 at 3 or
-# more exceed the exhaustive search's cap, so there and over the rationals
-# the pinned matrix is the first hit of the seeded random search.
+# The intertwiner spaces have dimension 1, 3 and 7, and the search returns
+# the first invertible combination of their basis in lexicographic order:
+# over F5 with 2 directions (p <= N) it scans F_5^7, and over F101 and the
+# rationals the points of {0..N}^k with coordinate sum at most N.
 PINNED_ISOMORPHISMS = {
     ("QQ", 0): [["1", "1/2", "0"], ["0", "1", "1/2"], ["0", "0", "1"]],
-    ("QQ", 1): [["3", "3/2", "0", "0"], ["0", "3", "3/2", "0"], ["0", "0", "3", "3"],
-                ["0", "0", "0", "6"]],
-    ("QQ", 2): [["3", "3/2", "0", "0", "0"], ["0", "3", "3/2", "0", "0"],
-                ["0", "0", "3", "3", "0"], ["-3", "0", "0", "-1", "1"],
-                ["-6", "0", "0", "-14", "2"]],
+    ("QQ", 1): [["1", "1/2", "0", "0"], ["0", "1", "1/2", "0"], ["0", "0", "1", "1"],
+                ["0", "0", "0", "2"]],
+    ("QQ", 2): [["1", "1/2", "0", "0", "0"], ["0", "1", "1/2", "0", "0"],
+                ["0", "0", "1", "0", "1"], ["0", "0", "0", "1", "0"],
+                ["0", "0", "0", "2", "-4"]],
     ("F5", 0): [["1", "3", "0"], ["0", "1", "3"], ["0", "0", "1"]],
     ("F5", 1): [["1", "3", "0", "0"], ["0", "1", "3", "0"], ["0", "0", "1", "1"],
                 ["0", "0", "0", "2"]],
-    ("F5", 2): [["3", "4", "0", "0", "0"], ["0", "3", "4", "0", "0"], ["3", "0", "3", "0", "2"],
-                ["4", "0", "0", "3", "3"], ["1", "0", "0", "1", "3"]],
+    ("F5", 2): [["1", "3", "0", "0", "0"], ["0", "1", "3", "0", "0"], ["0", "0", "1", "0", "1"],
+                ["0", "0", "0", "1", "0"], ["0", "0", "0", "2", "1"]],
     ("F101", 0): [["1", "51", "0"], ["0", "1", "51"], ["0", "0", "1"]],
-    ("F101", 1): [["49", "75", "0", "0"], ["0", "49", "75", "0"], ["97", "0", "49", "53"],
-                  ["93", "0", "0", "5"]],
-    ("F101", 2): [["49", "75", "0", "0", "0"], ["0", "49", "75", "0", "0"],
-                  ["97", "0", "49", "53", "5"], ["33", "0", "0", "65", "62"],
-                  ["82", "0", "0", "19", "3"]],
+    ("F101", 1): [["1", "51", "0", "0"], ["0", "1", "51", "0"], ["0", "0", "1", "1"],
+                  ["0", "0", "0", "2"]],
+    ("F101", 2): [["1", "51", "0", "0", "0"], ["0", "1", "51", "0", "0"],
+                  ["0", "0", "1", "0", "1"], ["0", "0", "0", "1", "0"],
+                  ["0", "0", "0", "2", "97"]],
 }
 
 
@@ -623,7 +626,6 @@ def _iso_pairs(seed=17, per_case=3):
 
 
 def test_isomorphic_returns_the_first_invertible_intertwiner_in_lexicographic_order():
-    from cordsheaf.sheafmodel import _intertwiner_space
     compared = found = 0
     for F, G in _iso_pairs():
         if [w.dim for w in F.W] != [w.dim for w in G.W]:
@@ -641,7 +643,6 @@ def test_isomorphic_returns_the_first_invertible_intertwiner_in_lexicographic_or
             found += 1
         compared += 1
     assert compared >= 70 and found >= 40
-
 
 
 def _rank_one_sheaf(braid, field, N, rng):
@@ -696,7 +697,6 @@ def _quotient_objects(field, rng, count):
 
 
 def test_constant_quotient_search_equals_the_scan_and_the_closed_form():
-    from cordsheaf.sheafmodel import _constant_quotient_exists
     rng = random.Random(23)
     reduced_seen = set()
     for field in (F2, F3, F5, F7, QQ):
@@ -742,3 +742,51 @@ def test_sections_make_data_unreduced():
     same = SheafData(F3, UNLINK2, 2, [Matrix.identity(F3, 2)] * 2, [hyper, hyper], ())
     assert global_sections(same) == hyper and not same.deg
     assert not is_reduced(same)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), QQ], ids=repr)
+def test_isomorphic_none_above_the_old_cap_is_exact(field):
+    F = extend_by_constant(golden_sheaf(field)[1], 2)
+    other = extend_by_constant(golden_sheaf(field, e33=3)[1], 2)
+    k = len(_intertwiner_space(F, other))
+    assert k == 6 and (field.p is None or field.p ** k > 20000)
+    # the third meridians have different spectra, so no isomorphism exists;
+    # the search tries all C(5 + 6, 6) = 462 points of its grid
+    assert F.M[2].charpoly() != other.M[2].charpoly()
+    assert isomorphic(F, other) is None
+
+
+def test_isomorphic_raises_when_its_trial_budget_is_spent():
+    from cordsheaf.moduli import enumerate_sheaves_direct
+    first, second = enumerate_sheaves_direct(UNLINK3, F2)[:2]
+    A, B = extend_by_constant(first, 4), extend_by_constant(second, 4)
+    assert (A.N, len(_intertwiner_space(A, B))) == (6, 20)  # p <= N: all of F_2^20
+    with pytest.raises(BudgetExceededError, match="isomorphism search of 1048576 trials "
+                                                  "exceeds the budget 20000"):
+        isomorphic(A, B)
+
+
+def test_no_module_imports_random():
+    import ast
+    import pathlib
+    import cordsheaf
+    for path in pathlib.Path(cordsheaf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "random" not in names, path.name
+
+
+def test_sheaf_parts_over_another_field_are_refused():
+    _, sheaf = golden_sheaf()
+    _, other = golden_sheaf(F3)
+    with pytest.raises(MixedFieldError, match="sheaf part over F3 used over F5"):
+        SheafData(F5, UNLINK3, 3, [other.M[0], *sheaf.M[1:]], sheaf.W)
+    with pytest.raises(MixedFieldError):
+        SheafData(F5, UNLINK3, 3, sheaf.M, [*sheaf.W[:2], other.W[2]])
+
+
+def test_degenerate_summand_over_another_field_is_refused():
+    with pytest.raises(MixedFieldError, match="sheaf part over F3 used over F5"):
+        SheafData(F5, BraidWord(1, []), 0, [Matrix(F5, [])], [Subspace.zero(F5, 0)],
+                  [DegenerateSummand(1, F3.scalar(2))])
