@@ -126,6 +126,31 @@ def test_enumeration_equals_the_full_scan(braid, field):
         assert not check_relations(cand, braid).ok, cand.to_json()
 
 
+# passes_fast calls of one enumeration: on links, one per canonical tuple
+# plus one per other member of each orbit that passes; on a knot every tuple
+CERTIFIED_COUNTS = [(UNLINK2, F5, 2080), (UNLINK2, F7, 13104), (UNLINK3, F3, 16464),
+                    (HOPF, F5, 1861), (BraidWord(3, [1, 1]), F3, 12765),
+                    (BraidWord(3, [1, 2]), F3, 2916)]
+
+
+@pytest.mark.parametrize("braid, field, calls", CERTIFIED_COUNTS,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f, _ in CERTIFIED_COUNTS])
+def test_enumeration_certifies_one_tuple_per_orbit(monkeypatch, braid, field, calls):
+    import cordsheaf.moduli as moduli
+    seen = []
+
+    def counted(*args):
+        seen.append(None)
+        return passes_fast(*args)
+
+    passes_fast = moduli.passes_fast
+    monkeypatch.setattr(moduli, "passes_fast", counted)
+    enumerate_augs(braid, field)
+    assert len(seen) == calls
+    if component_map(braid).r == 1:
+        assert calls == search_space_size(braid, field)
+
+
 def _quotient_by_canonical_form(points):
     """The orbits as (representative JSON, size), in first-seen order, keyed
     on canonical_form's representative."""
