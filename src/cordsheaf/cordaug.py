@@ -28,9 +28,10 @@ the other families.  A strand's transport identities never form its
 segment's product: the row identity updates only the rows it still reads,
 and the column identity carries one column.  passes_fast takes the raw
 rows, columns, mu^-1 and lambda rather than a candidate, so the enumerator
-certifies a tuple of residues without building an AugCandidate for it.
-Likewise the canonical form under reduced dilations is computed on raw
-rows (_canonical_rows); canonical_form wraps it in a candidate.
+certifies rows of residues without building an AugCandidate for it.
+Reduced dilations likewise have one canonicity test (_forest_dilation) and
+one action (_dilation_factors, applied by _dilated_rows) on raw rows of R,
+shared by the enumerator, the quotient, canonical_form and apply_dilation.
 """
 
 from __future__ import annotations
@@ -430,8 +431,8 @@ def apply_dilation(cand: AugCandidate, d: DilationParam) -> AugCandidate:
     if len(d.d) != cand.r:
         raise ValueError("dilation parameter has the wrong number of components")
     check_field(cand.field, d.d, "dilation parameter")
-    rows = _dilated_rows(cand.field.p, cand.components, [x.value for x in d.d], cand.R.values)
-    return _with_rows(cand, rows)
+    factors = _dilation_factors(cand.field.p, cand.components, [x.value for x in d.d])
+    return _with_rows(cand, _dilated_rows(cand.field.p, factors, cand.R.values))
 
 
 def _with_rows(cand: AugCandidate, rows) -> AugCandidate:
@@ -440,25 +441,40 @@ def _with_rows(cand: AugCandidate, rows) -> AugCandidate:
                         cand.lam, cand.mu)
 
 
-def _dilated_rows(p: int | None, components: ComponentMap, d: Sequence, rows) -> tuple:
-    """The raw rows of R rescaled by d_s/d_t, for raw units d per component."""
+def _dilation_factors(p: int | None, components: ComponentMap, d: Sequence) -> list:
+    """The dilation by raw units d, per row i of R: (j, d_s / d_t) for each
+    column j whose factor is not 1, s and t the components of strands i, j."""
     scale = [d[s - 1] for s in components.labels]
     inv = [_inv(p, x) for x in scale]
-    return tuple(tuple(_mul(p, _mul(p, di, dj), x) for dj, x in zip(inv, row))
-                 for di, row in zip(scale, rows))
+    return [[(j, f) for j, f in enumerate(_scale(p, di, inv)) if f != 1] for di in scale]
 
 
-def _forest_dilation(p: int | None, r: int, edges) -> list:
-    """The raw d of canonical_form, from the nonzero mixed entries of R.
+def _dilated_rows(p: int | None, factors: list, rows) -> tuple:
+    """The raw rows of R rescaled by a _dilation_factors table."""
+    out = []
+    for row, moves in zip(rows, factors):
+        if moves:
+            row = list(row)
+            for j, f in moves:
+                row[j] = _mul(p, f, row[j])
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
-    edges holds (c, c', x), in row-major order, for each nonzero entry x of
-    R whose row and column strands lie on different components, numbered
-    from 0 as c and c'.  Growing the forest reads nothing else, so the
-    enumerator tests its raw tuples for canonicity with the same code.
+
+def _forest_dilation(p: int | None, components: ComponentMap, rows) -> list:
+    """The raw d of canonical_form, from the raw rows of R.
+
+    The edges are the nonzero entries x of R, in row-major order, whose row
+    and column strands lie on different components c and c', numbered from
+    0; growing the forest reads nothing else, the diagonal included.
     """
+    labels = [s - 1 for s in components.labels]
+    edges = [(ci, cj, x) for ci, row in zip(labels, rows)
+             for cj, x in zip(labels, row) if x and ci != cj]
     one = _one(p)
-    d: list = [None] * r
-    for s in range(r):
+    d: list = [None] * components.r
+    for s in range(components.r):
         if d[s] is not None:
             continue
         d[s] = one
@@ -485,14 +501,11 @@ def _canonical_rows(cand: AugCandidate) -> tuple[list, tuple]:
     When d is all ones, cand is its own representative and the rows are
     cand.R.values itself.
     """
-    labels = [s - 1 for s in cand.components.labels]
     p, rows = cand.field.p, cand.R.values
-    edges = [(ci, cj, x) for ci, row in zip(labels, rows)
-             for cj, x in zip(labels, row) if x and ci != cj]
-    d = _forest_dilation(p, cand.r, edges)
+    d = _forest_dilation(p, cand.components, rows)
     if all(x == 1 for x in d):
         return d, rows
-    return d, _dilated_rows(p, cand.components, d, rows)
+    return d, _dilated_rows(p, _dilation_factors(p, cand.components, d), rows)
 
 
 def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:

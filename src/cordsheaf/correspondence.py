@@ -136,7 +136,7 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     coherent families induce augmentations.  The base functional is the
     stalk annihilator scaled so its first nonzero entry is 1; right inverses
     are e_a / f_a at the functional's first nonzero coordinate a, the
-    deterministic solver's solution.
+    solution elimination gives with free variables zero.
 
     Each functional is carried through its segment's letters as a row
     vector, f <- f M, at O(N^2) per letter, and stays a vector of field

@@ -141,18 +141,6 @@ def _rref(p: int | None, rows: Sequence[Sequence], cols: int) -> tuple[list, lis
     return m, pivots
 
 
-def _solve(p: int | None, rows: Sequence[Sequence], cols: int,
-           rhs: Sequence) -> Optional[list]:
-    """One solution x of rows @ x = rhs, free variables zero, or None."""
-    red, pivots = _rref(p, [tuple(row) + (b,) for row, b in zip(rows, rhs)], cols + 1)
-    if pivots and pivots[-1] == cols:
-        return None
-    x = [_zero(p)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
-
-
 def _null_vectors(p: int | None, red: Sequence[Sequence], pivots: Sequence[int],
                   cols: int) -> list:
     """A basis of the right null space from a reduced row echelon form."""
@@ -210,8 +198,9 @@ def _hyperplane(p: int | None, phi: Sequence, units: Sequence) -> tuple:
 
 
 def _right_inverse(p: int | None, phi: Sequence) -> Optional[list]:
-    """_solve's solution of phi x = 1, without elimination: e_a / phi_a at
-    phi's first nonzero coordinate a, or None for a zero row."""
+    """The solution of phi x = 1 that elimination gives, with free variables
+    zero, but without elimination: e_a / phi_a at phi's first nonzero
+    coordinate a, or None for a zero row."""
     for a, v in enumerate(phi):
         if v:
             x = [_zero(p)] * len(phi)

@@ -2,9 +2,9 @@
 quotient by reduced dilations, sheaf representatives, and the bijection check.
 
 Enumeration fixes the diagonal of R from mu (the normalization is a hard
-constraint), loops over the off-diagonal entries and the unit tuples, and
-keeps the candidates passing the relation certificate.  It certifies raw
-tuples: a candidate object exists only for a tuple that is kept.  The
+constraint), loops over the rows of R and the unit tuples, and keeps the
+candidates passing the relation certificate.  It certifies raw rows: a
+candidate object exists only for a tuple that is kept.  The
 quotient keys each orbit on the raw rows of its canonical R and builds one
 representative per orbit, and the bijection check builds each candidate's
 sheaf once, reusing it for the orbit the candidate represents.  The moduli
@@ -24,12 +24,12 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .braid import BraidWord, BudgetExceededError, component_map, geometry
-from .cordaug import (AugCandidate, _canonical_rows, _forest_dilation, _strand_minv,
-                      _with_rows, canonical_form, degenerate_components, index_sets,
-                      passes_fast)
+from .cordaug import (AugCandidate, _canonical_rows, _dilated_rows, _dilation_factors,
+                      _forest_dilation, _strand_minv, _with_rows, canonical_form,
+                      degenerate_components, index_sets, passes_fast)
 from .correspondence import _AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf
 from .field import FieldSpec
-from .linalg import Matrix, Subspace, _hyperplane, _identity, _inv, _mul, _sub
+from .linalg import Matrix, Subspace, _hyperplane, _identity, _sub
 from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
                          validate)
 
@@ -53,9 +53,11 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     before they are kept.  Sorting the block by its tuples gives the order
     of a scan over every tuple.  On a knot every tuple is canonical.
 
-    The certificate runs on raw values: the rows of R are built as tuples
-    of residues, mu^-1 and lambda once per block, and a Matrix and an
-    AugCandidate are built only for the tuples that are kept.
+    Tuples are walked as rows: each strand's rows of R, with the diagonal
+    in place, are built once per mu, and the certificate runs on them with
+    mu^-1 and lambda read once per block.  A Matrix and an AugCandidate are
+    built only for the tuples that are kept.  Canonicity and the orbits are
+    cordaug's raw-rows forms, _forest_dilation and _dilated_rows.
     """
     if not field.is_prime_field:
         raise ValueError("enumeration needs a finite field")
@@ -69,56 +71,37 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
 
     n, r, p = braid.n, cm.r, field.p
     units = list(field.elements(nonzero=True))
-    # the off-diagonal residues, row by row: row i is values[a:b] + (R[i][i],)
-    # + values[b:c]
-    cuts = [(i * (n - 1), i * n, (i + 1) * (n - 1)) for i in range(n)]
-    labels = [s - 1 for s in cm.labels]
-    off = [(labels[i], labels[j]) for i in range(n) for j in range(n) if i != j]
-    # (position in values, component of the row, component of the column)
-    mixed = [(k, ci, cj) for k, (ci, cj) in enumerate(off) if ci != cj]
-    # each reduced dilation (d_1 = 1) as its factors d_ci / d_cj on the mixed
-    # positions; on a knot the one dilation is the identity, with no factor
-    factors = []
-    for rest in itertools.product(range(1, p), repeat=r - 1):
-        d = (1,) + rest
-        factors.append([_mul(p, d[ci], _inv(p, d[cj])) for _, ci, cj in mixed])
-    # a tuple is its own canonical form when its forest dilation is all ones
+
+    def strand_rows(diag: list) -> list:  # per strand, its rows in order
+        return [[v[:i] + (x,) + v[i:] for v in itertools.product(range(p), repeat=n - 1)]
+                for i, x in enumerate(diag)]
+
+    # the reduced dilations (d_1 = 1); on a knot the one dilation is the identity
+    dilations = [_dilation_factors(p, cm, (1,) + rest)
+                 for rest in itertools.product(range(1, p), repeat=r - 1)]
+    # canonicity never reads the diagonal, so one bitmap serves every block
     ones = [1] * r
-    canonical = bytearray(
-        _forest_dilation(p, r, [(ci, cj, values[k]) for k, ci, cj in mixed if values[k]]) == ones
-        for values in itertools.product(range(p), repeat=len(off)))
+    canonical = bytearray(_forest_dilation(p, cm, rows) == ones
+                          for rows in itertools.product(*strand_rows([0] * n)))
 
-    def orbit(values: tuple):
-        for scale in factors:
-            moved = list(values)
-            for (k, _, _), x in zip(mixed, scale):
-                moved[k] = _mul(p, moved[k], x)
-            yield tuple(moved)
-
-    # diag, minv and raw_lam below are those of the (mu, lambda) block in scan
-    def rows_of(values: tuple) -> list:
-        return [values[a:b] + (x,) + values[b:c] for x, (a, b, c) in zip(diag, cuts)]
-
-    def certified(values: tuple) -> bool:
-        rows = rows_of(values)
+    # minv and raw_lam below are those of the (mu, lambda) block in scan
+    def certified(rows: tuple) -> bool:
         return passes_fast(geom, raw_lam, (p, rows, list(zip(*rows)), minv))
 
     out = []
     for mu in itertools.product(units, repeat=r):
-        diag = [_sub(p, 1, mu[s - 1].value) for s in cm.labels]
         minv = _strand_minv(p, cm, mu)
+        choices = strand_rows([_sub(p, 1, mu[s - 1].value) for s in cm.labels])
         for lam in itertools.product(units, repeat=r):
             raw_lam = [x.value for x in lam]
-            block: dict = {}  # tuple -> True once certified, else None
-            for values in itertools.compress(
-                    itertools.product(range(p), repeat=len(off)), canonical):
-                if certified(values):
-                    block.update(dict.fromkeys(orbit(values)))
-                    block[values] = True
-            for values in sorted(block):
-                if block[values] or certified(values):
-                    out.append(AugCandidate(field, cm, Matrix._from_values(field, rows_of(values)),
-                                            lam, mu))
+            block: dict = {}  # rows -> True once certified, else None
+            for rows in itertools.compress(itertools.product(*choices), canonical):
+                if certified(rows):
+                    block.update(dict.fromkeys(_dilated_rows(p, f, rows) for f in dilations))
+                    block[rows] = True
+            for rows in sorted(block):
+                if block[rows] or certified(rows):
+                    out.append(AugCandidate(field, cm, Matrix._from_values(field, rows), lam, mu))
     return out
 
 

@@ -405,6 +405,12 @@ def _grid(p: int | None, k: int, d: int) -> tuple[int, Iterator[tuple]]:
     return math.comb(d + k, k), (tuple(b - a - 1 for a, b in zip((-1, *c), c)) for c in bars)
 
 
+def _moved_ranks(sheaf: SheafData) -> list[int]:
+    """rank(Id - M_i) for each strand i."""
+    one = Matrix.identity(sheaf.field, sheaf.N)
+    return [(one - m).rank() for m in sheaf.M]
+
+
 def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
     """The first invertible intertwiner matching meridians, stalks, and
     degenerate data, or None, which is a proof.
@@ -413,10 +419,12 @@ def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
     <= N, so _grid's points decide, and the first hit is the first in
     F_p^k.  BudgetExceededError if _TRIALS points find none and more remain.
     An invertible P is enough: P(W_i^F) <= W_i^G is built into the space,
-    and the stalk dimensions agree.
+    and the stalk dimensions agree.  Conjugacy invariants answer None first:
+    the stalk dimensions and the rank of Id - M_i per strand.
     """
     if ((F.field, F.braid, F.N, F.deg) != (G.field, G.braid, G.N, G.deg)
-            or [w.dim for w in F.W] != [w.dim for w in G.W]):
+            or [w.dim for w in F.W] != [w.dim for w in G.W]
+            or _moved_ranks(F) != _moved_ranks(G)):
         return None
     basis = _intertwiner_space(F, G)
     field, N, p = F.field, F.N, F.field.p

@@ -17,10 +17,12 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       sheaf_to_aug)
 from cordsheaf.correspondence import _AugLayout
 from cordsheaf.field import FieldSpec, MixedFieldError
-from cordsheaf.linalg import Matrix, Subspace, _solve
+from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
 from cordsheaf.reports import DiffReport
 from cordsheaf.sheafmodel import DegenerateSummand, SheafData, validate
+
+from linalg_reference import solve
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -530,7 +532,7 @@ def _elimination_sheaf(cand, braid, extended):
     mats, stalks = [], []
     for t in range(1, n + 1):
         col = [row[t - 1] for row in cand.R.values]
-        c = lead + _solve(field.p, basis.values, len(pivots), col)
+        c = lead + solve(field.p, basis.values, len(pivots), col)
         g = lead + [cand.R.values[t - 1][j] for j in pivots]
         if lead and t in zero_rows:
             g = [-1] + [0] * len(pivots)

@@ -7,7 +7,9 @@ import pytest
 from cordsheaf import linalg
 from cordsheaf.field import FieldSpec, MixedFieldError, Scalar
 from cordsheaf.linalg import (Matrix, Subspace, _hyperplane, _identity, _null_vectors, _one,
-                              _right_inverse, _rref, _solve, _zero)
+                              _right_inverse, _rref, _zero)
+
+from linalg_reference import solve
 
 F5 = FieldSpec.prime(5)
 F3 = FieldSpec.prime(3)
@@ -92,15 +94,15 @@ def test_public_subspace_constructor_canonicalizes_its_basis():
 
 
 def test_solve_examples_and_property():
-    # the elimination kernel that the closed-form right inverse is pinned to
-    assert _solve(5, _identity(5, 3), 3, [2, 0, 4]) == [2, 0, 4]
-    assert _solve(5, [[0, 0], [0, 0]], 2, [1, 0]) is None
-    assert _solve(5, [[1], [2]], 1, [2, 4]) == [2]
+    # the elimination reference that the closed-form right inverse is pinned to
+    assert solve(5, _identity(5, 3), 3, [2, 0, 4]) == [2, 0, 4]
+    assert solve(5, [[0, 0], [0, 0]], 2, [1, 0]) is None
+    assert solve(5, [[1], [2]], 1, [2, 4]) == [2]
     rng = random.Random(5)
     for _ in range(300):
         m = rand_matrix(F3, 3, rng.randint(1, 4), rng)
         b = linalg._matvec(3, m.values, [rng.randrange(3) for _ in range(m.cols)])
-        got = _solve(3, m.values, m.cols, b)
+        got = solve(3, m.values, m.cols, b)
         assert got is not None
         assert linalg._matvec(3, m.values, got) == b
 
@@ -235,7 +237,7 @@ def ref_det(field, rows):
     return total
 
 
-def ref_solve(field, rows, cols, rhs):
+def refsolve(field, rows, cols, rhs):
     red, pivots = ref_rref(field, [list(r) + [b] for r, b in zip(rows, rhs)], cols + 1)
     if cols in pivots:
         return None
@@ -308,8 +310,8 @@ def test_value_kernels_match_scalar_reference():
             assert basis(m.image()) == ref_span(field, [list(col) for col in zip(*rows)]
                                                 if r else [[]] * c, r)
             rhs = [rand_scalar(field, rng) for _ in range(r)]
-            want = ref_solve(field, rows, c, rhs)
-            assert _solve(field.p, m.values, c, [x.value for x in rhs]) == \
+            want = refsolve(field, rows, c, rhs)
+            assert solve(field.p, m.values, c, [x.value for x in rhs]) == \
                 (None if want is None else [x.value for x in want])
 
             # square matrices
@@ -353,7 +355,7 @@ def test_subspace_operations_match_scalar_reference():
             assert U.coordinates(inside) == tuple(coeffs)
             probe = [rand_scalar(field, rng) for _ in range(n)]
             cols = [list(col) for col in zip(*basis(U))] if U.dim else [[]] * n
-            want = ref_solve(field, cols, U.dim, probe)
+            want = refsolve(field, cols, U.dim, probe)
             assert U.coordinates(probe) == want
             assert U.contains(probe) == (want is not None)
             assert U.contains_subspace(U.intersect(V))
@@ -444,7 +446,7 @@ def test_codimension_one_closed_forms_match_elimination(eliminations):
             assert (ker._vectors, ker._pivots) == (want._vectors, want._pivots)
             assert basis(ker) == basis(want)
             assert scalars(ann) == scalars(elimination_annihilator(ker))
-            assert _right_inverse(p, row) == _solve(p, [row], n, [_one(p)])
+            assert _right_inverse(p, row) == solve(p, [row], n, [_one(p)])
 
             # an (n-1)-dimensional subspace from a random spanning set
             U = Subspace.from_vectors(field, n, rand_rows(field, n - 1, n, rng))
@@ -468,4 +470,4 @@ def test_zero_row_and_one_dimension_take_elimination(eliminations):
             ann = ker.annihilator()
             assert eliminations
             assert scalars(ann) == scalars(elimination_annihilator(ker))
-            assert _right_inverse(p, row) == _solve(p, [row], n, [_one(p)])
+            assert _right_inverse(p, row) == solve(p, [row], n, [_one(p)])

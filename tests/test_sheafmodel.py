@@ -11,7 +11,7 @@ from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
 from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, _constant_quotient_exists,
-                                  _first_moved, _fixing_det, _intertwiner_space,
+                                  _first_moved, _fixing_det, _intertwiner_space, _moved_ranks,
                                   _split_constant_summand_exists, global_sections, is_reduced,
                                   is_stable, isomorphic, once_stabilized, stabilized_space,
                                   validate)
@@ -758,12 +758,24 @@ def test_isomorphic_none_above_the_old_cap_is_exact(field):
 
 def test_isomorphic_raises_when_its_trial_budget_is_spent():
     from cordsheaf.moduli import enumerate_sheaves_direct
-    first, second = enumerate_sheaves_direct(UNLINK3, F2)[:2]
-    A, B = extend_by_constant(first, 4), extend_by_constant(second, 4)
+    classes = enumerate_sheaves_direct(UNLINK3, F2)
+    A, B = extend_by_constant(classes[0], 4), extend_by_constant(classes[11], 4)
+    assert _moved_ranks(A) == _moved_ranks(B) == [1, 1, 0]  # no invariant separates them
     assert (A.N, len(_intertwiner_space(A, B))) == (6, 20)  # p <= N: all of F_2^20
     with pytest.raises(BudgetExceededError, match="isomorphism search of 1048576 trials "
                                                   "exceeds the budget 20000"):
         isomorphic(A, B)
+
+
+def test_isomorphic_answers_none_when_the_ranks_of_id_minus_m_differ():
+    # rank(Id - M_3) separates this pair before any trial, although its
+    # grid of 2^20 points is above the trial budget
+    from cordsheaf.moduli import enumerate_sheaves_direct
+    first, second = enumerate_sheaves_direct(UNLINK3, F2)[:2]
+    A, B = extend_by_constant(first, 4), extend_by_constant(second, 4)
+    assert (_moved_ranks(A), _moved_ranks(B)) == ([1, 1, 0], [1, 1, 1])
+    assert len(_intertwiner_space(A, B)) == 20
+    assert isomorphic(A, B) is None
 
 
 def test_no_module_imports_random():
