@@ -419,8 +419,8 @@ def isomorphic(F: SheafData, G: SheafData) -> Optional[Matrix]:
     <= N, so _grid's points decide, and the first hit is the first in
     F_p^k.  BudgetExceededError if _TRIALS points find none and more remain.
     An invertible P is enough: P(W_i^F) <= W_i^G is built into the space,
-    and the stalk dimensions agree.  Conjugacy invariants answer None first:
-    the stalk dimensions and the rank of Id - M_i per strand.
+    and the stalk dimensions agree.  Where they, or the ranks of Id - M_i
+    per strand, differ, no trial is needed.
     """
     if ((F.field, F.braid, F.N, F.deg) != (G.field, G.braid, G.N, G.deg)
             or [w.dim for w in F.W] != [w.dim for w in G.W]
