@@ -27,7 +27,7 @@ from .field import FieldSpec, decimal_integer
 from .linalg import Matrix
 from .moduli import (BudgetExceededError, DEFAULT_BUDGET, enumerate_augs,
                      markov_compare, quotient_by_dilation, verify_bijection)
-from .sheafmodel import SheafData, validate
+from .sheafmodel import SheafData, check_size, validate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -70,9 +70,14 @@ def _braid(word_text: str, strands: int, option: str = "--braid") -> BraidWord:
 
 def _read_json(path: str) -> dict:
     if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.loads(handle.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("JSON nested too deeply to decode") from None
 
 
 def _emit(payload) -> None:
@@ -97,6 +102,7 @@ def cmd_augs(args) -> int:
 
 def cmd_sheaf(args) -> int:
     cand = AugCandidate.from_json(_read_json(args.aug))
+    check_size(cand.n + 1, cand.n)  # the reply has N <= n + 1, so to-aug reads it
     braid = _braid(args.braid, args.strands)
     try:
         sheaf = aug_to_sheaf(cand, braid)

@@ -17,7 +17,7 @@ Matrix stores (residues in 0..p-1 reduced mod p, or exact Fractions over the
 rationals, which every function here still supports), with mu^-1 computed
 once per strand and the row updates done by linalg's shared kernels.
 apply_loop runs it on X's stored values, and the relation certificate runs
-it on R's.
+it on R's, reading each coefficient R[i][t] off R's rows.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone: they hold identically (a test pins this down), so no
@@ -27,7 +27,7 @@ stops at its first item, and the full check itemizes every item alongside
 the other families.  A strand's transport identities never form its
 segment's product: the row identity updates only the rows it still reads,
 and the column identity carries one column.  passes_fast takes the raw
-rows, columns, mu^-1 and lambda rather than a candidate, so the enumerator
+rows, mu^-1 and lambda rather than a candidate, so the enumerator
 certifies rows of residues without building an AugCandidate for it.
 Reduced dilations likewise have one canonicity test (_forest_dilation) and
 one action (_dilation_factors, applied by _dilated_rows) on raw rows of R,
@@ -114,9 +114,9 @@ class AugCandidate:
         if n < 1:
             raise WireFormatError("$.n", f"strand count must be >= 1, got {n}")
         labels = wire_get(data, "component_map", "$", list)
-        if len(labels) != n or any(type(s) is not int or s < 1 for s in labels):
+        if len(labels) != n or any(type(s) is not int or not 0 < s <= n for s in labels):
             raise WireFormatError("$.component_map",
-                                  f"expected {n} component labels >= 1, got {labels}")
+                                  f"expected {n} component labels in 1..{n}, got {labels}")
         components = ComponentMap(n, labels)
         R = Matrix.from_json(field, wire_get(data, "R", "$"), n, n, "$.R")
         lam, mu = (wire_units(field, wire_get(data, key, "$"), f"$.{key}", components.r)
@@ -159,12 +159,12 @@ class DilationParam:
 # -- broken cords ----------------------------------------------------------------------
 
 
-def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> list:
+def _loop_rows(p: int | None, R, minv: list, letters, rows: list) -> list:
     """The rows of loop_matrix(word) @ X from the raw rows of X.
 
     Works on plain field values: residues reduced mod p for a prime field,
-    exact Fractions for the rationals (p is None).  cols are the raw columns
-    of R and minv the raw mu^-1 of each strand.  Each letter is one rank-one
+    exact Fractions for the rationals (p is None).  R holds the raw rows of
+    R and minv the raw mu^-1 of each strand.  Each letter is one rank-one
     update; a row it touches is replaced by a new list, never changed in
     place, so the caller's rows are left as they were.  Rows it leaves alone
     keep their type, so compare rows as tuples.
@@ -173,8 +173,8 @@ def _loop_rows(p: int | None, cols: list, minv: list, letters, rows: list) -> li
     for t, e in reversed(letters):
         row_t = rows[t - 1]
         coeff = -1 if e == 1 else minv[t - 1]
-        for i, c in enumerate(cols[t - 1]):
-            if c:
+        for i, R_i in enumerate(R):
+            if c := R_i[t - 1]:
                 rows[i] = _axpy(p, rows[i], coeff * c, row_t)
     return rows
 
@@ -186,10 +186,9 @@ def _strand_minv(p: int | None, components: ComponentMap, mu: Sequence[Scalar]) 
 
 
 def _kernel_inputs(cand: AugCandidate) -> tuple:
-    """(p, raw rows of R, raw columns of R, raw mu^-1 per strand)."""
+    """(p, raw rows of R, raw mu^-1 per strand)."""
     p = cand.field.p
-    rows = cand.R.values
-    return p, rows, list(zip(*rows)), _strand_minv(p, cand.components, cand.mu)
+    return p, cand.R.values, _strand_minv(p, cand.components, cand.mu)
 
 
 def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
@@ -199,8 +198,8 @@ def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
     if X.rows != cand.n:
         raise ValueError(f"X has {X.rows} rows, not the candidate's {cand.n}")
     word.check_strands(cand.n)
-    p, _, cols, minv = _kernel_inputs(cand)
-    return Matrix._from_values(cand.field, _loop_rows(p, cols, minv, word.letters, X.values),
+    p, R, minv = _kernel_inputs(cand)
+    return Matrix._from_values(cand.field, _loop_rows(p, R, minv, word.letters, X.values),
                                cols=X.cols)
 
 
@@ -286,7 +285,7 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     if geom.components != cand.components:
         raise ValueError("candidate component map does not match the braid")
     n = cand.n
-    inputs = p, rows, cols, minv = _kernel_inputs(cand)
+    inputs = p, rows, minv = _kernel_inputs(cand)
     report.sets = sets = index_sets(cand)
     mu = [cand.mu[s - 1].value for s in cand.components.labels]
 
@@ -312,13 +311,13 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
         if transport_ok and geom.tau[b - 1] == b:
             continue
         lam = cand.lam[s - 1].value
-        ell_R = _loop_rows(p, cols, minv, geom.longitudes[s].letters, rows)
+        ell_R = _loop_rows(p, rows, minv, geom.longitudes[s].letters, rows)
         for j, (want, got) in enumerate(zip(_scale(p, lam, rows[b - 1]), ell_R[b - 1]), 1):
             if want != got:
                 report.fail("longitude-left", f"(l_{s}; {b},{j})", want, got)
-        for i, (want, row) in enumerate(zip(_scale(p, lam, cols[b - 1]), ell_R), 1):
-            if want != row[b - 1]:
-                report.fail("longitude-right", f"({i},{b}; l_{s})", want, row[b - 1])
+        for i, (row, got) in enumerate(zip(rows, ell_R), 1):
+            if (want := _mul(p, lam, row[b - 1])) != got[b - 1]:
+                report.fail("longitude-right", f"({i},{b}; l_{s})", want, got[b - 1])
 
     for s in _degenerate_components(cand, sets):
         report.note(
@@ -350,7 +349,8 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
     transport on the column span; strands whose transported meridian is the
     generator itself hold trivially and are skipped.
     """
-    p, rows, cols, minv = inputs
+    p, rows, minv = inputs
+    cols = None  # R's columns, built at the first column identity reached
     comps = geom.components
     n, tau = comps.n, geom.tau
     for i, s in enumerate(comps.labels, 1):
@@ -358,11 +358,12 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
         letters = geom.segments[i].letters
         ti = tau[i - 1]
         lam_s = lam[s - 1]
-        row = _segment_row(p, cols, minv, letters, geom.row_reads[i - 1], rows)[i - 1]
+        row = _segment_row(p, rows, minv, letters, geom.row_reads[i - 1])[i - 1]
         for j, (want, got) in enumerate(zip(rows[ti - 1], row), 1):
             if (_mul(p, lam_s, want) if marked else want) != got:
                 yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}", want,
                                _mul(p, _inv(p, lam_s), got) if marked else got)
+        cols = cols or list(zip(*rows))
         col = _segment_col(p, cols, minv, letters, cols[ti - 1])
         want_col = _scale(p, lam_s, cols[i - 1]) if marked else cols[i - 1]
         for k, (want, got) in enumerate(zip(want_col, col), 1):
@@ -371,29 +372,28 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
     for q in range(1, n + 1):
         word = geom.transported[q - 1].letters
         if word != ((q, 1),):
-            lhs = _loop_rows(p, cols, minv, ((q, 1),), rows)
-            rhs = _loop_rows(p, cols, minv, word, rows)
+            lhs = _loop_rows(p, rows, minv, ((q, 1),), rows)
+            rhs = _loop_rows(p, rows, minv, word, rows)
             if any(tuple(a) != tuple(b) for a, b in zip(lhs, rhs)):
                 yield lambda: ("wirtinger", f"m_{q}", [[str(x) for x in row] for row in lhs],
                                [[str(x) for x in row] for row in rhs])
 
 
-def _segment_row(p: int | None, cols: list, minv: list, letters, reads, rows: list) -> list:
-    """_loop_rows restricted to the rows that reads (a BraidGeometry.row_reads
-    entry) names, each updated only while a later letter still reads it; the
-    other rows come back stale."""
+def _segment_row(p: int | None, R, minv: list, letters, reads) -> list:
+    """_loop_rows(p, R, minv, letters, R) restricted to the rows that reads (a
+    BraidGeometry.row_reads entry) names, each updated only while a later
+    letter still reads it; the other rows come back stale."""
     if not letters:
-        return rows
-    rows = list(rows)
+        return R
+    rows = list(R)
     for k, (t, e) in enumerate(reversed(letters)):
         row_t = rows[t - 1]
         coeff = -1 if e == 1 else minv[t - 1]
-        col_t = cols[t - 1]
+        t -= 1
         for r, until in reads:
             if until <= k:
                 break
-            c = col_t[r]
-            if c:
+            if c := R[r][t]:
                 rows[r] = _axpy(p, rows[r], coeff * c, row_t)
     return rows
 

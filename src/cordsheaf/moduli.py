@@ -51,7 +51,7 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     that are their own canonical form are certified; each one that passes
     brings in its whole orbit, whose other members are certified in turn
     before they are kept.  Sorting the block by its tuples gives the order
-    of a scan over every tuple.  On a knot every tuple is canonical.
+    of a scan over every tuple.  A knot skips the test: all are canonical.
 
     Tuples are walked as rows: each strand's rows of R, with the diagonal
     in place, are built once per mu, and the certificate runs on them with
@@ -81,12 +81,12 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
                  for rest in itertools.product(range(1, p), repeat=r - 1)]
     # canonicity never reads the diagonal, so one bitmap serves every block
     ones = [1] * r
-    canonical = bytearray(_forest_dilation(p, cm, rows) == ones
-                          for rows in itertools.product(*strand_rows([0] * n)))
+    canonical = itertools.repeat(1) if r == 1 else bytearray(
+        _forest_dilation(p, cm, rows) == ones for rows in itertools.product(*strand_rows([0] * n)))
 
     # minv and raw_lam below are those of the (mu, lambda) block in scan
     def certified(rows: tuple) -> bool:
-        return passes_fast(geom, raw_lam, (p, rows, list(zip(*rows)), minv))
+        return passes_fast(geom, raw_lam, (p, rows, minv))
 
     out = []
     for mu in itertools.product(units, repeat=r):

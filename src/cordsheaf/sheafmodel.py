@@ -27,6 +27,17 @@ from .linalg import (Matrix, Subspace, _axpy, _dot, _identity, _matmul, _matvec,
                      _transpose, _zero)
 from .reports import ValidationReport
 
+# the largest N * n of sheaf data on the wire: validating a dense document
+# takes about n N^3 steps, 0.3 s for N = 128 on one strand (2-core Xeon host)
+MAX_SHEAF_SIZE = 128
+
+
+def check_size(N: int, n: int) -> None:
+    """Refuse sheaf data of dimension N on n strands above MAX_SHEAF_SIZE."""
+    if N * n > MAX_SHEAF_SIZE:
+        raise BudgetExceededError(N * n, MAX_SHEAF_SIZE, "stalk coordinates (N times strands)",
+                                  "sheaf data")
+
 
 class DegenerateSummand:
     """A component unlinked by the object, carrying a rank-1 monodromy."""
@@ -148,6 +159,7 @@ class SheafData:
         N = wire_get(data, "N", "$", int)
         if N < 0:
             raise WireFormatError("$.N", f"dimension must be >= 0, got {N}")
+        check_size(N, braid.n)
         M, W = (wire_get(data, key, "$", list) for key in ("M", "W"))
         for key, items in (("M", M), ("W", W)):
             if len(items) != braid.n:

@@ -300,6 +300,53 @@ def test_geometry_budget_exit_code(tmp_path, capsys):
     assert "budget exceeded: braid geometry of" in captured.err
 
 
+def _unlink_candidate(n):
+    """A candidate on the n-component unlink over F5 whose R has rank n."""
+    R = [["2" if i == j else "1" if i < j else "0" for j in range(n)] for i in range(n)]
+    return {"field": {"kind": "prime", "p": 5}, "n": n, "component_map": list(range(1, n + 1)),
+            "R": R, "lambda": ["1"] * n, "mu": ["4"] * n}
+
+
+def test_sheaf_size_cap_exit_code(tmp_path, capsys):
+    # the largest sheaf sheaf builds has N <= n + 1, so it refuses n (n + 1)
+    # above MAX_SHEAF_SIZE = 128; the largest reply it gives, N = n = 10 here,
+    # is within the cap that to-aug applies
+    aug_file, sheaf_file = tmp_path / "aug.json", tmp_path / "sheaf.json"
+    aug_file.write_text(json.dumps(_unlink_candidate(10)))
+    code, out = run(capsys, "sheaf", "--aug", str(aug_file), "--braid", "", "--strands", "10")
+    assert code == 0 and json.loads(out)["N"] == 10
+    sheaf_file.write_text(out)
+    assert run(capsys, "to-aug", "--sheaf", str(sheaf_file)) == (0, json.dumps(
+        _unlink_candidate(10) | {"r": 10}, indent=2, sort_keys=True) + "\n")
+
+    aug_file.write_text(json.dumps(_unlink_candidate(11)))
+    code = main(["sheaf", "--aug", str(aug_file), "--braid", "", "--strands", "11"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("budget exceeded: sheaf data of 132 stalk coordinates "
+                            "(N times strands) exceeds the budget 128\n")
+
+    eye = [["1" if i == j else "0" for j in range(65)] for i in range(65)]
+    sheaf_file.write_text(json.dumps({"field": {"kind": "prime", "p": 5},
+                                      "braid": {"n": 2, "word": []}, "N": 65, "M": [eye] * 2,
+                                      "W": [[row[1:] for row in eye]] * 2, "deg": []}))
+    code = main(["to-aug", "--sheaf", str(sheaf_file)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("budget exceeded: sheaf data of 130 stalk coordinates")
+
+
+def test_deeply_nested_documents_exit_2(tmp_path, capsys):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["to-aug", "--sheaf", str(doc_file)],
+                 ["sheaf", "--aug", str(doc_file), *TREFOIL]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "input error: JSON nested too deeply to decode\n"
+
+
 # -- integer arguments -------------------------------------------------------------------
 
 # (argument, text outside ASCII [+-]?[0-9]+): Python's int reads every one

@@ -151,6 +151,24 @@ def test_enumeration_certifies_one_tuple_per_orbit(monkeypatch, braid, field, ca
         assert calls == search_space_size(braid, field)
 
 
+def test_canonicity_is_tested_on_links_only(monkeypatch):
+    # a knot has one component, so every tuple is canonical and the bitmap
+    # is skipped; a link tests each tuple of rows with a zero diagonal once
+    import cordsheaf.moduli as moduli
+    seen = []
+
+    def counted(*args):
+        seen.append(None)
+        return forest_dilation(*args)
+
+    forest_dilation = moduli._forest_dilation
+    monkeypatch.setattr(moduli, "_forest_dilation", counted)
+    assert enumerate_augs(BraidWord(3, [1, -2, 1, -2]), F3)
+    assert seen == []
+    assert enumerate_augs(UNLINK2, F3)
+    assert len(seen) == 3 ** 2
+
+
 def _quotient_by_canonical_form(points):
     """The orbits as (representative JSON, size), in first-seen order, keyed
     on canonical_form's representative."""

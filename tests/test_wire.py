@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from cordsheaf.braid import BraidWord, component_map
+from cordsheaf.braid import BraidWord, BudgetExceededError, component_map
 from cordsheaf.cordaug import AugCandidate
 from cordsheaf.correspondence import aug_to_sheaf, extend_by_constant
 from cordsheaf.field import FieldSpec, WireFormatError
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs
-from cordsheaf.sheafmodel import SheafData
+from cordsheaf.sheafmodel import MAX_SHEAF_SIZE, SheafData
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -176,3 +176,28 @@ def test_one_pass_row_parse_matches_parse(field):
         v = _parsed(field, x, "$.lambda[0]")
         want = WireFormatError("$.lambda[0]", "must be a unit, got 0") if v == 0 else v
         _same(lambda: AugCandidate.from_json(doc).lam[0].value, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sheaf_data_past_the_size_cap_is_refused(n):
+    # N * n = MAX_SHEAF_SIZE decodes; one dimension more is refused before
+    # any matrix is read, so before their wrong shape is seen
+    N = MAX_SHEAF_SIZE // n
+    eye = [["1" if i == j else "0" for j in range(N)] for i in range(N)]
+    doc = {"field": F5.to_json(), "braid": {"n": n, "word": []}, "N": N, "M": [eye] * n,
+           "W": [[row[1:] for row in eye]] * n, "deg": []}
+    assert SheafData.from_json(doc).N == N
+    doc["N"] = N + 1
+    with pytest.raises(BudgetExceededError, match=f"sheaf data of {(N + 1) * n} stalk "
+                       f"coordinates \\(N times strands\\) exceeds the budget 128"):
+        SheafData.from_json(doc)
+
+
+def test_component_labels_above_the_strand_count_are_refused():
+    # a label is a component of the closure, so at most n; a larger one
+    # would size the component map by it
+    doc = {"field": F5.to_json(), "n": 2, "component_map": [1, 10 ** 10], "R": [["0", "0"]] * 2,
+           "lambda": ["1"] * 2, "mu": ["1"] * 2}
+    with pytest.raises(WireFormatError, match=r"\$.component_map: expected 2 component labels "
+                       r"in 1..2, got \[1, 10000000000\]"):
+        AugCandidate.from_json(doc)
