@@ -172,14 +172,3 @@ def test_mutated_documents_are_decoded_or_rejected_cleanly(capsys, monkeypatch, 
             else:
                 _check_decoders(data, field)
             _check_verb(capsys, monkeypatch, text, braid, "N" in doc)
-
-
-@pytest.mark.parametrize("name, braid, p", INSTANCES, ids=[i[0] for i in INSTANCES])
-def test_sheaf_documents_inflated_past_the_cap_exit_3(capsys, monkeypatch, name, braid, p):
-    # a well-formed document one dimension past MAX_SHEAF_SIZE // n is
-    # refused before it is decoded (test_wire reads one at the cap)
-    doc = _seeds(braid, p)[-1]
-    n, N = braid.n, MAX_SHEAF_SIZE // braid.n + 1
-    eye = [["1" if i == j else "0" for j in range(N)] for i in range(N)]
-    doc.update(N=N, M=[eye] * n, W=[[row[1:] for row in eye]] * n, deg=[])
-    assert _run(capsys, monkeypatch, json.dumps(doc), "to-aug", "--sheaf", "-")[0] == 3
