@@ -328,22 +328,13 @@ class BraidGeometry:
             in terms of the start meridians (the Wirtinger right-hand sides).
         segments: per strand, the longitude segment of its passage, with the
             framing correction folded into the base strand's segment.
-        row_reads: per strand i, which rows of R its transport-row identity
-            must update, and for how long.  A segment's operator acts on R
-            one letter at a time, from the last letter to the first (the
-            application order), and a letter on strand t reads row t.  A
-            pair (r, k), with r counted from 0, says that row r is updated
-            by the first k steps only: k is the last step that reads it, or
-            the segment's length for row i itself, which the identity
-            compares.  Rows with k = 0 are left out, and pairs come latest
-            first: at most n per strand, whatever the segment's length.
         writhe: per component, the signed self-crossing count.
         longitudes: per component, the full zero-framed longitude word based
             at the base strand.
     """
 
-    __slots__ = ("braid", "tau", "components", "transported", "segments",
-                 "row_reads", "writhe", "longitudes")
+    __slots__ = ("braid", "tau", "components", "transported", "segments", "writhe",
+                 "longitudes")
 
     def __init__(self, braid: BraidWord):
         self.braid = braid
@@ -387,19 +378,9 @@ class BraidGeometry:
             framing = ((i, 1 if w > 0 else -1),) * abs(w)
             segments[i] = MeridianWord(chain(framing, *(c.letters for c in contributions[i])))
         self.segments = segments
-        self.row_reads = tuple(_row_reads(i, segments[i].letters) for i in range(1, n + 1))
         # each cycle starts at its base strand, the least one
         self.longitudes = {s: MeridianWord(chain.from_iterable(segments[i].letters for i in cyc))
                            for s, cyc in enumerate(_cycles(self.tau), start=1)}
-
-
-def _row_reads(strand: int, letters: Sequence[tuple[int, int]]) -> tuple:
-    """BraidGeometry.row_reads of one strand, from its segment's letters."""
-    last = {}
-    for k, (t, _) in enumerate(reversed(letters)):
-        last[t - 1] = k  # step k reads row t; the last such step wins
-    last[strand - 1] = len(letters)
-    return tuple(sorted(((r, k) for r, k in last.items() if k), key=lambda rk: -rk[1]))
 
 
 @lru_cache(maxsize=256)

@@ -11,24 +11,25 @@ of R by the rank-one updates
     rho(m_t) R_j = R_j - R[t][j] R_t,
     rho(m_t^-1) R_j = R_j + mu_t^-1 R[t][j] R_t,
 
-so every broken-cord value is a finite matrix computation.  One private
-kernel applies these updates to rows of plain field values, the values a
-Matrix stores (residues in 0..p-1 reduced mod p, or exact Fractions over the
-rationals, which every function here still supports), with mu^-1 computed
-once per strand and the row updates done by linalg's shared kernels.
-apply_loop runs it on X's stored values, and the relation certificate runs
-it on R's, reading each coefficient R[i][t] off R's rows.
+so every broken-cord value is a finite matrix computation.  The updates run
+on plain field values, the values a Matrix stores (residues in 0..p-1
+reduced mod p, or exact Fractions over the rationals, which every function
+here still supports), with mu^-1 computed once per strand and the vector
+updates done by linalg's shared kernels.  apply_loop forms the full product
+loop_matrix(w) @ X.  The relation certificate never does: each update
+satisfies E_t R = R (Id + c e_t R_{t.}), so one kernel, _carry, reads a row
+of loop_matrix(w) @ R by carrying that row of R forward through w by R's
+rows, and a column by carrying that column of R back by R's columns, O(n)
+per letter.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone: they hold identically (a test pins this down), so no
 path evaluates them.  The transport and Wirtinger families are written
 once, as a generator of failures on raw values: the fast path, passes_fast,
 stops at its first item, and the full check itemizes every item alongside
-the other families.  A strand's transport identities never form its
-segment's product: the row identity updates only the rows it still reads,
-and the column identity carries one column.  passes_fast takes the raw
-rows, mu^-1 and lambda rather than a candidate, so the enumerator
-certifies rows of residues without building an AugCandidate for it.
+the other families.  passes_fast takes the raw rows, mu^-1 and lambda
+rather than a candidate, so the enumerator certifies rows of residues
+without building an AugCandidate for it.
 Reduced dilations likewise have one canonicity test (_forest_dilation) and
 one action (_dilation_factors, applied by _dilated_rows) on raw rows of R,
 shared by the enumerator, the quotient, canonical_form and apply_dilation.
@@ -160,14 +161,14 @@ class DilationParam:
 
 
 def _loop_rows(p: int | None, R, minv: list, letters, rows: list) -> list:
-    """The rows of loop_matrix(word) @ X from the raw rows of X.
+    """The rows of loop_matrix(word) @ X from the raw rows of X, for apply_loop.
 
     Works on plain field values: residues reduced mod p for a prime field,
     exact Fractions for the rationals (p is None).  R holds the raw rows of
     R and minv the raw mu^-1 of each strand.  Each letter is one rank-one
     update; a row it touches is replaced by a new list, never changed in
-    place, so the caller's rows are left as they were.  Rows it leaves alone
-    keep their type, so compare rows as tuples.
+    place, so the caller's rows are left as they were.  The certificate
+    reads single rows and columns of these products through _carry instead.
     """
     rows = list(rows)
     for t, e in reversed(letters):
@@ -302,22 +303,26 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     for describe in _transport_failures(geom, [x.value for x in cand.lam], inputs):
         report.fail(*describe())
 
-    # (c) longitude relations at the base strands, both sides.  A one-strand
+    # (c) longitude relations at the base strands, both sides: row b and
+    # column b of loop_matrix(l_s) @ R, one carry each.  A one-strand
     # component's longitude is its base segment, so these are then the base
     # strand's transport identities, already checked when none failed.
     transport_ok = report.ok
+    cols = list(zip(*rows))
     for s in range(1, cand.r + 1):
         b = cand.components.base_strand(s)
         if transport_ok and geom.tau[b - 1] == b:
             continue
         lam = cand.lam[s - 1].value
-        ell_R = _loop_rows(p, rows, minv, geom.longitudes[s].letters, rows)
-        for j, (want, got) in enumerate(zip(_scale(p, lam, rows[b - 1]), ell_R[b - 1]), 1):
+        letters = geom.longitudes[s].letters
+        row = _carry(p, rows, minv, letters, rows[b - 1])
+        for j, (want, got) in enumerate(zip(_scale(p, lam, rows[b - 1]), row), 1):
             if want != got:
                 report.fail("longitude-left", f"(l_{s}; {b},{j})", want, got)
-        for i, (row, got) in enumerate(zip(rows, ell_R), 1):
-            if (want := _mul(p, lam, row[b - 1])) != got[b - 1]:
-                report.fail("longitude-right", f"({i},{b}; l_{s})", want, got[b - 1])
+        col = _carry(p, cols, minv, reversed(letters), cols[b - 1])
+        for i, (want, got) in enumerate(zip(_scale(p, lam, cols[b - 1]), col), 1):
+            if want != got:
+                report.fail("longitude-right", f"({i},{b}; l_{s})", want, got)
 
     for s in _degenerate_components(cand, sets):
         report.note(
@@ -342,12 +347,11 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
     Each strand's longitude segment carries row i to row tau(i) and column
     tau(i) to column i, with the lambda unit appearing exactly on the marked
     (base-strand) segment.  Neither identity forms the segment's product:
-    the row identity updates row i and only the rows it still reads
-    (geom.row_reads), and the column identity carries column tau(i) alone,
-    O(n) per letter.  Both give exactly the entries of the full product, in
-    the same order.  Wirtinger consistency compares each meridian with its
-    transport on the column span; strands whose transported meridian is the
-    generator itself hold trivially and are skipped.
+    both read one vector of loop_matrix(segment) @ R through _carry, the row
+    carried forward by R's rows and the column back by R's columns, O(n) per
+    letter.  Wirtinger consistency compares each meridian with its transport
+    on the column span, carrying every row of R; strands whose transported
+    meridian is the generator itself hold trivially and are skipped.
     """
     p, rows, minv = inputs
     cols = None  # R's columns, built at the first column identity reached
@@ -358,13 +362,13 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
         letters = geom.segments[i].letters
         ti = tau[i - 1]
         lam_s = lam[s - 1]
-        row = _segment_row(p, rows, minv, letters, geom.row_reads[i - 1])[i - 1]
+        row = _carry(p, rows, minv, letters, rows[i - 1])
         for j, (want, got) in enumerate(zip(rows[ti - 1], row), 1):
             if (_mul(p, lam_s, want) if marked else want) != got:
                 yield lambda: ("transport-row", f"strand {i} -> {ti}, col {j}", want,
                                _mul(p, _inv(p, lam_s), got) if marked else got)
         cols = cols or list(zip(*rows))
-        col = _segment_col(p, cols, minv, letters, cols[ti - 1])
+        col = _carry(p, cols, minv, reversed(letters), cols[ti - 1])
         want_col = _scale(p, lam_s, cols[i - 1]) if marked else cols[i - 1]
         for k, (want, got) in enumerate(zip(want_col, col), 1):
             if want != got:
@@ -372,39 +376,27 @@ def _transport_failures(geom: BraidGeometry, lam: Sequence, inputs: tuple):
     for q in range(1, n + 1):
         word = geom.transported[q - 1].letters
         if word != ((q, 1),):
-            lhs = _loop_rows(p, rows, minv, ((q, 1),), rows)
-            rhs = _loop_rows(p, rows, minv, word, rows)
+            lhs = [_carry(p, rows, minv, ((q, 1),), row) for row in rows]
+            rhs = [_carry(p, rows, minv, word, row) for row in rows]
             if any(tuple(a) != tuple(b) for a, b in zip(lhs, rhs)):
                 yield lambda: ("wirtinger", f"m_{q}", [[str(x) for x in row] for row in lhs],
                                [[str(x) for x in row] for row in rhs])
 
 
-def _segment_row(p: int | None, R, minv: list, letters, reads) -> list:
-    """_loop_rows(p, R, minv, letters, R) restricted to the rows that reads (a
-    BraidGeometry.row_reads entry) names, each updated only while a later
-    letter still reads it; the other rows come back stale."""
-    if not letters:
-        return R
-    rows = list(R)
-    for k, (t, e) in enumerate(reversed(letters)):
-        row_t = rows[t - 1]
-        coeff = -1 if e == 1 else minv[t - 1]
-        t -= 1
-        for r, until in reads:
-            if until <= k:
-                break
-            if c := R[r][t]:
-                rows[r] = _axpy(p, rows[r], coeff * c, row_t)
-    return rows
+def _carry(p: int | None, by, minv: list, letters, vec):
+    """The raw vector vec carried through letters, in order, by the rank-one
+    factors that by holds.
 
-
-def _segment_col(p: int | None, cols: list, minv: list, letters, col) -> list:
-    """loop_matrix(letters) @ col for one raw column col, O(n) per letter."""
-    for t, e in reversed(letters):
-        x = col[t - 1]
-        if x:
-            col = _axpy(p, col, (-1 if e == 1 else minv[t - 1]) * x, cols[t - 1])
-    return col
+    Each update E_t = Id + c R_{.t} e_t^T (c = -1 for m_t, mu_t^-1 for
+    m_t^-1) satisfies E_t R = R (Id + c e_t R_{t.}), so loop_matrix(w) @ R
+    is R times those factors in w's order.  So with by the rows of R, row i
+    of R carried through w is row i of loop_matrix(w) @ R; with by the
+    columns of R, column j of R carried through w reversed is its column j.
+    """
+    for t, e in letters:
+        if x := vec[t - 1]:
+            vec = _axpy(p, vec, (-1 if e == 1 else minv[t - 1]) * x, by[t - 1])
+    return vec
 
 
 def passes_fast(geom: BraidGeometry, lam: Sequence, inputs: tuple) -> bool:
@@ -414,11 +406,11 @@ def passes_fast(geom: BraidGeometry, lam: Sequence, inputs: tuple) -> bool:
 
     Stops at the first failure of the transport and Wirtinger families that
     check_relations also itemizes, so a tuple rejected at a strand's row
-    identity costs that one row's updates; skips the identically-true
-    meridian/skein families, assumes the diagonal was built from mu, and
-    drops the full-longitude family (which chains from the per-segment
-    transport identities).  A test pins the two modes to the same candidate
-    set.
+    identity costs one row carried through that strand's segment; skips the
+    identically-true meridian/skein families, assumes the diagonal was built
+    from mu, and drops the full-longitude family (which chains from the
+    per-segment transport identities).  A test pins the two modes to the
+    same candidate set.
     """
     return next(_transport_failures(geom, lam, inputs), None) is None
 

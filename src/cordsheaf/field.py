@@ -63,15 +63,36 @@ class WireFormatError(ValueError):
         self.path = path
 
 
+# Miller-Rabin with the first twelve primes as bases decides every n below
+# PRIME_LIMIT, the least composite that passes all twelve (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality check; fields here are tiny by design."""
+    """Deterministic Miller-Rabin test, exact below PRIME_LIMIT; a larger p
+    raises ValueError naming the limit."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"characteristic must be below {PRIME_LIMIT}, got {p}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -4,8 +4,9 @@ Every identity is evaluated from full products: each segment, meridian and
 longitude operator is applied to the whole of R with apply_loop, which is
 loop_matrix(word) @ R (test_apply_loop_matches_operator_product pins the
 two), and failures are itemized in Scalars.  apply_loop runs through
-cordaug._loop_rows, so the reference shares nothing with the certificate's
-per-strand row and column evaluation or with the enumerator's raw tuples.
+cordaug._loop_rows, so the reference shares no kernel with the certificate,
+which reads single rows and columns of these products through cordaug._carry,
+and nothing with the enumerator's raw tuples.
 """
 
 from cordsheaf.braid import BraidWord, MeridianWord, geometry

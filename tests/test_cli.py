@@ -34,6 +34,9 @@ def test_budget_exit_code(capsys):
     code = main(["verify", "--braid", "", "--strands", "3", "--field", "5",
                  "--budget", "100"])
     assert code == 3
+    # a large prime characteristic is decided at once, then refused by the budget
+    code = main(["augs", "--braid", "", "--strands", "1", "--field", "2305843009213693951"])
+    assert code == 3
 
 
 def test_negative_budget_is_an_input_error(capsys):
@@ -48,6 +51,8 @@ def test_input_error_exit_code(capsys):
     code = main(["augs", "--braid", "1", "--strands", "2", "--field", "4"])
     assert code == 2
     code = main(["augs", "--braid", "7", "--strands", "2", "--field", "3"])
+    assert code == 2
+    code = main(["augs", "--braid", "", "--strands", "1", "--field", "3215031751"])
     assert code == 2
 
 

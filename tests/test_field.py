@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from cordsheaf.field import FieldSpec, MixedFieldError, NotEnumerableError
+from cordsheaf.field import (PRIME_LIMIT, FieldSpec, MixedFieldError, NotEnumerableError,
+                             WireFormatError, is_prime)
 
 
 F5 = FieldSpec.prime(5)
@@ -36,8 +38,42 @@ def test_primality_enforced():
         FieldSpec.prime(6)
     with pytest.raises(ValueError):
         FieldSpec.prime(1)
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    for n in (3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match=f"must be prime, got {n}"):
+            FieldSpec.prime(n)
     FieldSpec.prime(2)
     FieldSpec.prime(101)
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(20000) if is_prime(n) != trial(n)] == []
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** k, n) == n - 1 for k in range(1, s))
+
+
+def test_large_characteristics_are_decided_or_refused_quickly():
+    start = time.perf_counter()
+    assert FieldSpec.prime(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.05
+    # the limit is composite and passes all twelve bases, so the test
+    # cannot decide it; it and anything larger are refused by name
+    assert PRIME_LIMIT == 399165290221 * 798330580441
+    assert all(_strong_probable_prime(PRIME_LIMIT, a)
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    for p in (PRIME_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"must be below {PRIME_LIMIT}, got {p}"):
+            FieldSpec.prime(p)
+        with pytest.raises(WireFormatError, match=r"^\$\.field\.p: characteristic must be below"):
+            FieldSpec.from_json({"kind": "prime", "p": p}, "$.field")
 
 
 def test_mixed_field_rejected():
