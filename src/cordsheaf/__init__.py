@@ -3,9 +3,8 @@ microlocal sheaves for braid closures, and brute-force verification of the
 correspondence between them over small finite fields."""
 
 from .braid import (BraidWord, ComponentMap, MeridianWord,
-                    NonMonotoneComponentsError, artin_action, component_map,
-                    longitude_word, permutation, relabel_for_components,
-                    segment_word, wirtinger_relations)
+                    NonMonotoneComponentsError, component_map, permutation,
+                    relabel_for_components)
 from .cordaug import (AugCandidate, DilationParam, IndexSets, apply_dilation,
                       canonical_form, check_relations, degenerate_components,
                       index_sets, loop_matrix, zero_column_components,
@@ -29,8 +28,7 @@ from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
 # (cordsheaf.moduli) but are not part of a star import
 __all__ = [
     "BraidWord", "ComponentMap", "MeridianWord", "NonMonotoneComponentsError",
-    "artin_action", "component_map", "longitude_word", "permutation",
-    "relabel_for_components", "segment_word", "wirtinger_relations",
+    "component_map", "permutation", "relabel_for_components",
     "AugCandidate", "DilationParam", "IndexSets", "apply_dilation", "canonical_form",
     "check_relations", "degenerate_components", "index_sets", "loop_matrix",
     "zero_column_components", "zero_row_components",

@@ -15,7 +15,8 @@ Conventions, fixed once and tested rather than argued:
   does.  The induced rewrite of the per-position meridian words is the
   substitution ``m_k -> m_k m_{k+1} m_k^-1``, ``m_{k+1} -> m_k`` (and its
   inverse for negative letters); composing these positionally through the
-  word gives ``artin_action``.
+  word gives ``BraidGeometry.transported``, the images of the generators
+  under the braid's automorphism of the free group on the disk meridians.
 
 * The longitude of a component is assembled from per-strand segments: the
   segment of strand ``i`` collects, in traversal order, the current meridian
@@ -53,6 +54,12 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+def check_letters(letters: int) -> None:
+    """Refuse a geometry past MAX_LETTERS letters; it starts with one per strand."""
+    if letters > MAX_LETTERS:
+        raise BudgetExceededError(letters, MAX_LETTERS, "letters", "braid geometry")
+
+
 class NonMonotoneComponentsError(ValueError):
     """Cycle labels cannot be made non-decreasing without relabeling strands."""
 
@@ -85,9 +92,6 @@ class MeridianWord:
         flip = {letter: (letter[0], -letter[1]) for letter in set(self.letters)}
         return MeridianWord([flip[letter] for letter in reversed(self.letters)])
 
-    def __pow__(self, n: int) -> "MeridianWord":
-        return MeridianWord((self if n >= 0 else self.inverse()).letters * abs(n))
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -96,13 +100,6 @@ class MeridianWord:
         top = max((s for s, _ in self.letters), default=0)
         if top > n:
             raise ValueError(f"meridian word names strand {top}, but there are only {n}")
-
-    def exponent_sums(self, n: int) -> list[int]:
-        """Abelianization: total exponent on each of m_1..m_n."""
-        sums = [0] * n
-        for s, e in self.letters:
-            sums[s - 1] += e
-        return sums
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -254,8 +251,7 @@ def _cycles(tau: Sequence[int]) -> list[list[int]]:
             cyc.append(j)
             j = tau[j - 1]
         cycles.append(cyc)
-    cycles.sort(key=min)
-    return cycles
+    return cycles  # each starts at its least strand, so they come in that order
 
 
 def _component_labels(braid: BraidWord) -> list[int]:
@@ -337,6 +333,7 @@ class BraidGeometry:
                  "longitudes")
 
     def __init__(self, braid: BraidWord):
+        check_letters(braid.n)
         self.braid = braid
         self.tau = permutation(braid)
         # The transport pass itself works for any labeling; the monotone
@@ -364,8 +361,7 @@ class BraidGeometry:
             letters += len(over_word) - len(theta[k]) - len(theta[k + 1])
             _positional_step(theta, g)
             letters += len(theta[k]) + len(theta[k + 1])
-            if letters > MAX_LETTERS:
-                raise BudgetExceededError(letters, MAX_LETTERS, "letters", "braid geometry")
+            check_letters(letters)
             occupant[k], occupant[k + 1] = occupant[k + 1], occupant[k]
 
         self.transported = tuple(theta)
@@ -386,26 +382,3 @@ class BraidGeometry:
 @lru_cache(maxsize=256)
 def geometry(braid: BraidWord) -> BraidGeometry:
     return BraidGeometry(braid)
-
-
-def artin_action(braid: BraidWord, word: MeridianWord) -> MeridianWord:
-    """The braid's automorphism of the free group on the disk meridians."""
-    images = geometry(braid).transported
-    return MeridianWord(chain.from_iterable(
-        (images[s - 1] if e == 1 else images[s - 1].inverse()).letters for s, e in word.letters))
-
-
-def wirtinger_relations(braid: BraidWord) -> list[tuple[MeridianWord, MeridianWord]]:
-    """Pairs (m_i, phi_B(m_i)); their equality presents the link group."""
-    images = geometry(braid).transported
-    return [(MeridianWord.generator(i + 1), images[i]) for i in range(braid.n)]
-
-
-def longitude_word(braid: BraidWord, component: int) -> MeridianWord:
-    """Zero-framed longitude of a closure component, based at its base strand."""
-    return geometry(braid).longitudes[component]
-
-
-def segment_word(braid: BraidWord, strand: int) -> MeridianWord:
-    """The longitude segment of one strand's passage through the braid."""
-    return geometry(braid).segments[strand]

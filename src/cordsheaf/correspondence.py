@@ -20,6 +20,9 @@ strands it is normalized by f_i(R_0) = -1 so that its right inverse -R_0
 satisfies (Id - M_i) finv_i = R_i, which is what makes the round trip exact
 entry by entry.  (The scale of any f_i is immaterial by dilation
 equivalence.)
+
+Both directions run on field values: _read_off, the one read-off, serves
+sheaf_to_aug and the round trips of the bijection check alike.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .braid import BraidWord, MeridianWord, geometry
 from .cordaug import (AugCandidate, IndexSets, _degenerate_components, check_relations,
                       degenerate_components, index_sets)
 from .field import MixedFieldError, Scalar
-from .linalg import (Matrix, Subspace, _axpy, _dot, _hyperplane, _identity, _inv, _matvec,
-                     _neg, _one, _right_inverse, _rref, _scale, _sub, _transpose, _zero)
+from .linalg import (Matrix, Subspace, _axpy, _dot, _hyperplane, _identity, _inv, _matmul,
+                     _matvec, _neg, _null_vectors, _one, _right_inverse, _rref, _scale, _sub,
+                     _transpose, _zero)
 from .reports import DiffReport
-from .sheafmodel import (DegenerateSummand, SheafData, global_sections,
-                         stabilized_space)
+from .sheafmodel import DegenerateSummand, SheafData, _stabilized, _transport_values
 
 
 class NotAnAugmentationError(ValueError):
@@ -91,23 +94,16 @@ class LocalTrivialization:
         return f"LocalTrivialization(f={parts})"
 
 
-def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> tuple[list, list]:
-    """Check triv on sheaf; its functionals and right inverses as vectors of
-    values, None at the degenerate strands."""
-    field, N = sheaf.field, sheaf.N
-    p = field.p
-    if triv.field is not None and triv.field != field:
-        raise MixedFieldError(f"trivialization over {triv.field} used on a sheaf over {field}")
-    deg_strands = sheaf.deg_strands()
-    f, x = [], []
-    for i in range(1, sheaf.braid.n + 1):
-        f_i, x_i = triv._f[i - 1], triv._finv[i - 1]
+def _check_trivialization(p: int | None, N: int, W: Sequence, deg_strands, f: Sequence,
+                          x: Sequence) -> None:
+    """Check functionals f and right inverses x, vectors of values with None
+    at the degenerate strands, against the stalks' basis vectors W."""
+    for i in range(1, len(W) + 1):
+        f_i, x_i = f[i - 1], x[i - 1]
         if i in deg_strands:
             if f_i is not None or x_i is not None:
                 raise InvalidTrivializationError(
                     f"strand {i} is degenerate and admits no trivialization")
-            f.append(None)
-            x.append(None)
             continue
         if f_i is None or x_i is None:
             raise InvalidTrivializationError(f"strand {i} needs a functional")
@@ -116,14 +112,11 @@ def _check_trivialization(sheaf: SheafData, triv: LocalTrivialization) -> tuple[
                 f"f[{i}] must be 1x{N} and finv[{i}] {N}x1")
         if not any(f_i):
             raise InvalidTrivializationError(f"f[{i}] vanishes")
-        for w in sheaf.W[i - 1]._vectors:
+        for w in W[i - 1]:
             if _dot(p, f_i, w):
                 raise InvalidTrivializationError(f"f[{i}] does not kill W[{i}]")
         if _dot(p, f_i, x_i) != 1:
             raise InvalidTrivializationError(f"finv[{i}] is not a right inverse")
-        f.append(f_i)
-        x.append(x_i)
-    return f, x
 
 
 def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
@@ -184,11 +177,11 @@ def choose_trivialization(sheaf: SheafData) -> LocalTrivialization:
     return LocalTrivialization._from_values(field, f, finv)
 
 
-def _transported(transport, word: MeridianWord, vec) -> list:
-    """A sheaf's _transport_vector or _transport_row of vec along word; an
+def _transported(transport, *args) -> list:
+    """transport(*args), a vector carried along a word of meridians; an
     inverse letter of a singular meridian raises InvalidTrivializationError."""
     try:
-        return transport(word, vec)
+        return transport(*args)
     except ZeroDivisionError as err:
         raise InvalidTrivializationError(str(err)) from None
 
@@ -197,42 +190,58 @@ def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
     """Read off the augmentation; degenerate summands give lambda = alpha.
     A trivialization that does not fit, or a vanishing lambda or mu, raises
     InvalidTrivializationError naming the strand or component."""
-    return _read_off(sheaf, triv)[0]
+    return _sheaf_read_off(sheaf, triv)[0]
 
 
-def _read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate, list, list]:
-    """sheaf_to_aug's candidate, with the functionals f_j it checked and the
-    vectors d_j = (Id - M_j) finv_j, None at the degenerate strands."""
-    field = sheaf.field
-    p = field.p
-    geom = geometry(sheaf.braid)
+def _sheaf_read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate, list]:
+    """sheaf_to_aug's candidate, read off the values of sheaf and triv, and
+    the d_j of _read_off."""
+    field, geom, n = sheaf.field, geometry(sheaf.braid), sheaf.braid.n
+    if triv.field is not None and triv.field != field:
+        raise MixedFieldError(f"trivialization over {triv.field} used on a sheaf over {field}")
+    rows, lam, mu, disp = _read_off(field.p, geom, sheaf.N, sheaf._values,
+                                    [w._vectors for w in sheaf.W],
+                                    {d.component: d.alpha.value for d in sheaf.deg},
+                                    triv._f[:n], triv._finv[:n], sheaf._minv)
+    return _candidate(field, geom.components, rows, lam, mu), disp
+
+
+def _candidate(field, components, rows, lam, mu) -> AugCandidate:
+    """The AugCandidate of R's rows and lambda and mu, as values."""
+    return AugCandidate(field, components, Matrix._from_values(field, rows),
+                        [Scalar(field, v) for v in lam], [Scalar(field, v) for v in mu])
+
+
+def _read_off(p: int | None, geom, N: int, M: Sequence, W: Sequence, deg: dict,
+              f: Sequence, x: Sequence, minv: dict) -> tuple[tuple, list, list, list]:
+    """R's rows, lambda, mu and the d_j = (Id - M_j) x_j, read off as values
+    from the meridians' rows M, the stalks' basis vectors W, the alpha of
+    each degenerate component in deg, and the trivialization's f and x (None
+    at the degenerate strands); minv caches inverse meridians (sheafmodel)."""
     comps = geom.components
-    f, x = _check_trivialization(sheaf, triv)
+    deg_strands = {i for i, s in enumerate(comps.labels, 1) if s in deg} if deg else ()
+    _check_trivialization(p, N, W, deg_strands, f, x)
     zero, one = _zero(p), _one(p)
-
-    # (Id - M_j) finv_j, None at the degenerate strands
-    displaced = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j.values, x_j))
-                 for M_j, x_j in zip(sheaf.M, x)]
-    R = Matrix._from_values(field, [[zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
-                                     for d_j in displaced] for f_i in f])
-
-    deg_alpha = {d.component: d.alpha for d in sheaf.deg}
+    displaced = [None if x_j is None else _axpy(p, x_j, -1, _matvec(p, M_j, x_j))
+                 for M_j, x_j in zip(M, x)]
+    rows = tuple([tuple([zero if f_i is None or d_j is None else _dot(p, f_i, d_j)
+                         for d_j in displaced]) for f_i in f])
     lam, mu = [], []
     for s in range(1, comps.r + 1):
-        if s in deg_alpha:
-            lam.append(deg_alpha[s])
-            mu.append(field.one())
+        if s in deg:
+            lam.append(deg[s])
+            mu.append(one)
             continue
         b = comps.base_strand(s)
-        lam_s = _dot(p, f[b - 1], _transported(sheaf._transport_vector, geom.longitudes[s],
-                                               x[b - 1]))
-        mu_s = _sub(p, one, R.values[b - 1][b - 1])  # R[b][b] = f_b d_b
+        lam_s = _dot(p, f[b - 1], _transported(_transport_values, p, M, minv,
+                                               geom.longitudes[s].letters, x[b - 1]))
+        mu_s = _sub(p, one, rows[b - 1][b - 1])  # R[b][b] = f_b d_b
         if not lam_s or not mu_s:
             raise InvalidTrivializationError(f"{'mu' if lam_s else 'lambda'} of component {s} "
                                              f"vanishes at its base strand {b}")
-        lam.append(Scalar(field, lam_s))
-        mu.append(Scalar(field, mu_s))
-    return AugCandidate(field, comps, R, lam, mu), f, displaced
+        lam.append(lam_s)
+        mu.append(mu_s)
+    return rows, lam, mu, displaced
 
 
 def pure_cord_trace(sheaf: SheafData, component: int,
@@ -319,63 +328,61 @@ class _AugLayout:
             return [_neg(p, _one(p))] + [_zero(p)] * self.dim_sub
         return [_zero(p)] + self._row(t) if self.extended else self._row(t)
 
-    def _degenerate_summands(self) -> list[DegenerateSummand]:
-        return [DegenerateSummand(s, self.cand.lam[s - 1]) for s in self.deg_comps]
-
     def subsheaf(self, braid: BraidWord) -> SheafData:
-        return self._build(braid, extended=False)
+        return self._sheaf(braid, self.values(extended=False))
 
-    def sheaf(self, braid: BraidWord) -> SheafData:
-        return self._build(braid, self.extended)
+    def sheaf(self, braid: BraidWord, values: tuple | None = None) -> SheafData:
+        """The sheaf, from its values(self.extended) when given."""
+        return self._sheaf(braid, values or self.values(self.extended))
 
-    def _build(self, braid: BraidWord, extended: bool) -> SheafData:
-        """The sheaf on the pivot coordinates, with R_0 ahead of them when
-        extended, written straight from the coordinates and one set of unit
-        rows.  A strand with a nonzero functional g gets the rank-one update
-        Id - R_t g and the stalk ker g in closed form (linalg._hyperplane),
-        already reduced; a zero functional (a degenerate strand, or a zero
-        row without R_0) gets the shared identity and the full space, made
-        only then."""
-        field, p = self.cand.field, self.p
+    def values(self, extended: bool) -> tuple[int, list, list, list]:
+        """(N, functionals g_t, meridian rows, stalk rows and pivots) of the
+        sheaf on the pivot coordinates, with R_0 ahead of them when extended.
+        A nonzero g gets the rank-one update Id - R_t g and the stalk ker g,
+        in closed form (linalg._hyperplane); a zero g (a degenerate strand,
+        or a zero row without R_0) gets the unit rows as both."""
+        p = self.p
         N = self.dim_sub + extended
         units = _identity(p, N)
-        eye = full = None
         lead = (_zero(p),) if extended else ()
-        mats, stalks = [], []
+        gs, mats, stalks = [], [], []
         for t in range(1, self.cand.n + 1):
             g = self.functional(t) if extended else self._row(t)
-            if not any(g):
-                if eye is None:
-                    eye = Matrix._from_values(field, units, cols=N)
-                    full = Subspace._from_echelon(field, N, units, range(N))
-                mats.append(eye)
-                stalks.append(full)
-                continue
-            mats.append(Matrix._from_values(
-                field, _minus_outer(p, lead + self.coords[t - 1], g, units), cols=N))
-            stalks.append(Subspace._from_echelon(field, N, *_hyperplane(p, g, units)))
-        return SheafData(field, braid, N, mats, stalks, self._degenerate_summands())
+            gs.append(g)
+            mats.append(_minus_outer(p, lead + self.coords[t - 1], g, units) if any(g) else units)
+            stalks.append(_hyperplane(p, g, units) if any(g) else (units, range(N)))
+        return N, gs, mats, stalks
+
+    def _sheaf(self, braid: BraidWord, values: tuple) -> SheafData:
+        field, (N, _, mats, stalks) = self.cand.field, values
+        return SheafData(field, braid, N, [Matrix._from_values(field, m, cols=N) for m in mats],
+                         [Subspace._from_echelon(field, N, *w) for w in stalks],
+                         [DegenerateSummand(s, self.cand.lam[s - 1]) for s in self.deg_comps])
 
     def trivialization(self) -> LocalTrivialization:
-        """The functionals g_t with right inverses e_a / g_t[a] at the last
+        return LocalTrivialization._from_values(self.cand.field, *self._inverses(
+            [self.functional(t) for t in range(1, self.cand.n + 1)]))
+
+    def _inverses(self, gs: Sequence) -> tuple[list, list]:
+        """The trivialization's functionals, gs at the non-degenerate
+        strands, and their right inverses e_a / g_t[a] at the last
         coordinate a where g_t is nonzero: R_{j_a} / R[t][j_a] on a pivot
         column (a nonzero row is nonzero on some pivot column), -R_0 at a
         zero-row strand.  Pivot columns are basis vectors, so
         (Id - M_t) finv_t = R_t falls out for every strand."""
         p = self.p
         f, finv = [], []
-        for t in range(1, self.cand.n + 1):
+        for t, g in enumerate(gs, 1):
             if t in self.deg_strands:
                 f.append(None)
                 finv.append(None)
                 continue
-            g = self.functional(t)
             last = max(a for a, v in enumerate(g) if v)
             col = [_zero(p)] * self.N
             col[last] = _inv(p, g[last])
             f.append(g)
             finv.append(col)
-        return LocalTrivialization._from_values(self.cand.field, f, finv)
+        return f, finv
 
 
 def _certified_layout(cand: AugCandidate, braid: BraidWord) -> _AugLayout:
@@ -433,13 +440,22 @@ def roundtrip_aug(cand: AugCandidate, braid: BraidWord) -> DiffReport:
     """Build the sheaf with its canonical trivialization and read the
     augmentation back; the diff is empty exactly when the round trip is."""
     lay = _certified_layout(cand, braid)
-    return _roundtrip_layout(lay, lay.sheaf(braid))
+    return diff_candidates(cand, sheaf_to_aug(lay.sheaf(braid), lay.trivialization()))
 
 
-def _roundtrip_layout(lay: _AugLayout, sheaf: SheafData) -> DiffReport:
-    """roundtrip_aug for the layout of a candidate known to pass the
-    relation certificate, and its sheaf."""
-    return diff_candidates(lay.cand, sheaf_to_aug(sheaf, lay.trivialization()))
+def _roundtrip_values(lay: _AugLayout, geom, values: tuple) -> Optional[DiffReport]:
+    """roundtrip_aug on field values, for the layout of a candidate known to
+    pass the relation certificate and the values(lay.extended) of its sheaf:
+    None when _read_off gives the candidate back, else the diff."""
+    cand = lay.cand
+    N, gs, mats, stalks = values
+    rows, lam, mu, _ = _read_off(lay.p, geom, N, mats, [w for w, _ in stalks],
+                                 {s: cand.lam[s - 1].value for s in lay.deg_comps},
+                                 *lay._inverses(gs), {})
+    if (rows == cand.R.values and lam == [x.value for x in cand.lam]
+            and mu == [x.value for x in cand.mu]):
+        return None
+    return diff_candidates(cand, _candidate(cand.field, cand.components, rows, lam, mu))
 
 
 def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
@@ -461,18 +477,22 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
 
 def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]:
     """roundtrip_sheaf's report, plus the induced augmentation it read
-    (None when Gamma != 0 stopped it first)."""
+    (None when Gamma != 0 stopped it first).  Every comparison runs on field
+    values; a Subspace is built only for a stalk mismatch's entry."""
     report = DiffReport()
-    field = sheaf.field
-    gamma = global_sections(sheaf)
-    if gamma.dim != 0:
-        report.add("Gamma", "0", gamma.dim)
+    field, p, N, n = sheaf.field, sheaf.field.p, sheaf.N, sheaf.braid.n
+    normals = [_null_vectors(p, w._vectors, w._pivots, N) for w in sheaf.W]
+    # Gamma, the meet of the stalks, has dimension N minus the rank of their normals
+    gamma = N - len(_rref(p, [v for rows in normals for v in rows], N)[1])
+    if gamma:
+        report.add("Gamma", "0", gamma)
         return report, None
     # f_j and d_j = (Id - M_j) finv_j as values, None at the degenerate strands
-    eps, f, disp = _read_off(sheaf, choose_trivialization(sheaf))
-    p, units = field.p, _identity(field.p, sheaf.N)
-    bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf.M, f, disp), 1) if d_t is not None
-            and M_t.values != tuple(map(tuple, _minus_outer(p, d_t, f_t, units)))]
+    triv = choose_trivialization(sheaf)
+    eps, disp = _sheaf_read_off(sheaf, triv)
+    units = _identity(p, N)
+    bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf._values, triv._f, disp), 1)
+            if d_t is not None and M_t != tuple(map(tuple, _minus_outer(p, d_t, f_t, units)))]
     if bent:
         report.add("rank-one meridians", "M[j] = Id - d_j f_j", f"fails at strands {bent}")
 
@@ -486,31 +506,34 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
     except NotAnAugmentationError as err:
         report.add("induced augmentation", "valid candidate", err.report.failures[:3])
         return report, eps
-    sub = lay.subsheaf(sheaf.braid)
-    V0 = stabilized_space(sheaf)
-    if sub.N != V0.dim:
-        report.add("dim V_0", sub.N, V0.dim)
+    dim, _, sub_M, sub_W = lay.values(extended=False)
+    V0, V0_pivots = _stabilized(p, N, sheaf._values)
+    if dim != len(V0_pivots):
+        report.add("dim V_0", dim, len(V0_pivots))
         return report, eps
-    if sub.N == 0:
+    if dim == 0:
         return report, eps
 
     # R = (f_i d_j), so the d_j at R's pivot columns are independent: Phi is
-    # injective
-    Phi = Matrix._from_values(field, _transpose([disp[j - 1] for j in lay.pivots], sheaf.N))
-    if Phi.image() != V0:
+    # injective, so an image equals a space of its dimension when inside it
+    cols = [disp[j - 1] for j in lay.pivots]
+    if len(_rref(p, [*V0, *cols], N)[1]) != dim:
         report.add("image", "V_0", "smaller space")
-    for t in range(1, sheaf.braid.n + 1):
-        if sheaf.M[t - 1] * Phi != Phi * sub.M[t - 1]:
+    Phi = _transpose(cols, N)
+    for t in range(1, n + 1):
+        if _matmul(p, sheaf._values[t - 1], Phi, dim) != _matmul(p, Phi, sub_M[t - 1], dim):
             report.add(f"intertwine M[{t}]", "equal products", "mismatch")
-    normals = V0.annihilator().values  # V_0's, stacked with each stalk's
-    for i in range(1, sheaf.braid.n + 1):
-        lhs = sub.W[i - 1].apply(Phi)
-        rhs = sheaf.W[i - 1]._meet(normals)
-        if lhs != rhs:
-            report.add(f"stalk match W[{i}]", rhs.to_json(), lhs.to_json())
+    V0_normals = _null_vectors(p, V0, V0_pivots, N)  # stacked with each stalk's
+    for i in range(1, n + 1):
+        meet = normals[i - 1] + V0_normals  # W_i meets V_0 in their kernel
+        image = [_matvec(p, Phi, w) for w in sub_W[i - 1][0]]
+        if (N - len(_rref(p, meet, N)[1]) != len(image)
+                or any(_dot(p, row, v) for row in meet for v in image)):
+            report.add(f"stalk match W[{i}]", sheaf.W[i - 1]._meet(tuple(V0_normals)).to_json(),
+                       Subspace._from_values(field, N, image).to_json())
 
-    outside = {i for i in range(1, sheaf.braid.n + 1)
-               if sheaf.W[i - 1].contains_subspace(V0)}
+    outside = {i for i in range(1, n + 1)
+               if all(sheaf.W[i - 1]._coordinates(v) is not None for v in V0)}
     zero_rows = set(index_sets(eps).I_dprime)
     if outside != zero_rows:
         report.add("extension strands", sorted(zero_rows), sorted(outside))

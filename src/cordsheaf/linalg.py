@@ -181,6 +181,16 @@ def _det(p: int | None, rows: Sequence[Sequence]):
     return det
 
 
+def _inverse(p: int | None, rows: Sequence[Sequence]) -> list:
+    """The rows of the inverse of a square matrix of values, by elimination
+    beside the unit rows; ZeroDivisionError if it is singular."""
+    n = len(rows)
+    red, pivots = _rref(p, [(*row, *unit) for row, unit in zip(rows, _identity(p, n))], 2 * n)
+    if len(pivots) < n or any(c >= n for c in pivots):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in red]
+
+
 def _hyperplane(p: int | None, phi: Sequence, units: Sequence) -> tuple:
     """ker phi for a nonzero row phi, in reduced row echelon form, and its
     pivots, without elimination, from the unit rows of k^n.
@@ -395,12 +405,7 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        p, n = self.field.p, self.rows
-        aug = [row + unit for row, unit in zip(self.values, _identity(p, n))]
-        red, pivots = _rref(p, aug, 2 * n)
-        if len(pivots) < n or any(c >= n for c in pivots):
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix._from_values(self.field, [row[n:] for row in red], cols=n)
+        return Matrix._from_values(self.field, _inverse(self.field.p, self.values), cols=self.rows)
 
     def kernel(self) -> "Subspace":
         """The right null space, canonicalized."""

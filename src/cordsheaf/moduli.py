@@ -27,7 +27,7 @@ from .braid import BraidWord, BudgetExceededError, component_map, geometry
 from .cordaug import (AugCandidate, _canonical_rows, _dilated_rows, _dilation_factors,
                       _forest_dilation, _strand_minv, _with_rows, canonical_form,
                       degenerate_components, index_sets, passes_fast)
-from .correspondence import _AugLayout, _roundtrip_layout, _roundtrip_sheaf, aug_to_subsheaf
+from .correspondence import _AugLayout, _roundtrip_sheaf, _roundtrip_values, aug_to_subsheaf
 from .field import FieldSpec
 from .linalg import Matrix, Subspace, _hyperplane, _identity, _sub
 from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
@@ -64,12 +64,15 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     cm = component_map(braid)
-    geom = geometry(braid)
-    space = search_space_size(braid, field)
-    if space > budget:
-        raise BudgetExceededError(space, budget)
-
     n, r, p = braid.n, cm.r, field.p
+    # search_space_size against the budget, with each power cut where 2^k
+    # passes the budget; a space that may pass 128 bits is written as powers
+    a, b, cap = n * n - n, 2 * r, budget.bit_length() + 1
+    if p ** min(a, cap) * (p - 1) ** min(b, cap) > budget:
+        small = a * p.bit_length() + b * (p - 1).bit_length() <= 128
+        raise BudgetExceededError(p ** a * (p - 1) ** b if small else f"{p}^{a} * {p - 1}^{b}",
+                                  budget)
+    geom = geometry(braid)
     units = list(field.elements(nonzero=True))
 
     def strand_rows(diag: list) -> list:  # per strand, its rows in order
@@ -121,20 +124,25 @@ class Orbit:
 def quotient_by_dilation(points: Sequence[AugCandidate]) -> list[Orbit]:
     """Group candidates by canonical form; first-seen order of representatives.
 
-    Orbits are keyed on the raw rows of the canonical R.  Each orbit's
-    representative is built once, when its first-seen member is not already
-    canonical; a canonical member is its own representative.
+    Orbits are keyed on raw values (_orbit_key).  Each orbit's representative
+    is built once, when its first-seen member is not already canonical; a
+    canonical member is its own representative.
     """
     orbits: dict = {}
     for cand in points:
         _, rows = _canonical_rows(cand)
-        key = (rows, cand.lam, cand.mu)
+        key = _orbit_key(rows, cand)
         orbit = orbits.get(key)
         if orbit is None:
             rep = cand if rows is cand.R.values else _with_rows(cand, rows)
             orbits[key] = orbit = Orbit(rep, 0)
         orbit.size += 1
     return list(orbits.values())
+
+
+def _orbit_key(rows, cand: AugCandidate) -> tuple:
+    """rows, the raw rows of R in cand's orbit representative, with raw lambda and mu."""
+    return rows, tuple([x.value for x in cand.lam]), tuple([x.value for x in cand.mu])
 
 
 class ModuliReport:
@@ -187,19 +195,21 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
         f"{len(report.aug_points)} candidates, {len(report.orbits)} dilation orbits")
 
     # enumerate_augs kept only candidates passing the relation certificate.
-    # Each orbit representative is itself an enumerated candidate, so its
-    # sheaf is the one built here for its round trip.
-    rep_index = {(o.rep.R.values, o.rep.lam, o.rep.mu): k for k, o in enumerate(report.orbits)}
+    # Each candidate's sheaf is written as field values and read back on
+    # them; only an orbit representative, itself an enumerated candidate,
+    # gets its sheaf built as SheafData.
+    geom = geometry(braid)
+    rep_index = {_orbit_key(o.rep.R.values, o.rep): k for k, o in enumerate(report.orbits)}
     rep_sheaves: list = [None] * len(report.orbits)
     for idx, cand in enumerate(report.aug_points):
         lay = _AugLayout(cand, index_sets(cand))
-        sheaf = lay.sheaf(braid)
-        diff = _roundtrip_layout(lay, sheaf)
-        if not diff.empty:
+        values = lay.values(lay.extended)
+        diff = _roundtrip_values(lay, geom, values)
+        if diff is not None:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
-        k = rep_index.get((cand.R.values, cand.lam, cand.mu))
+        k = rep_index.get(_orbit_key(cand.R.values, cand))
         if k is not None:
-            rep_sheaves[k] = sheaf
+            rep_sheaves[k] = lay.sheaf(braid, values)
 
     for k, sheaf in enumerate(rep_sheaves):
         vrep = validate(sheaf)
@@ -216,9 +226,9 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
             _, rows = _canonical_rows(eps)
-            key = (rows, eps.lam, eps.mu)
+            key = _orbit_key(rows, eps)
             rep = report.orbits[k].rep
-            if key != (rep.R.values, rep.lam, rep.mu):
+            if key != _orbit_key(rep.R.values, rep):
                 report.fail("wrong-orbit", f"representative {k}",
                             {"expected": rep.to_json(), "got": canonical_form(eps)[0].to_json()})
             induced_keys.setdefault(key, []).append(k)

@@ -23,8 +23,8 @@ from typing import Iterator, Optional, Sequence
 
 from .braid import BraidWord, BudgetExceededError, MeridianWord, geometry
 from .field import FieldSpec, Scalar, WireFormatError, check_field, wire_get, wire_unit
-from .linalg import (Matrix, Subspace, _axpy, _dot, _identity, _matmul, _matvec, _mul, _sub,
-                     _transpose, _zero)
+from .linalg import (Matrix, Subspace, _axpy, _dot, _identity, _inverse, _matmul, _matvec, _mul,
+                     _rref, _sub, _transpose, _zero)
 from .reports import ValidationReport
 
 # the largest N * n of sheaf data on the wire: validating a dense document
@@ -67,7 +67,7 @@ class DegenerateSummand:
 class SheafData:
     """Meridian matrices, stalk subspaces, and degenerate summands."""
 
-    __slots__ = ("field", "braid", "N", "M", "W", "deg", "_minv")
+    __slots__ = ("field", "braid", "N", "M", "W", "deg", "_values", "_minv")
 
     def __init__(self, field: FieldSpec, braid: BraidWord, N: int,
                  M: Sequence[Matrix], W: Sequence[Subspace],
@@ -78,7 +78,7 @@ class SheafData:
         self.M = tuple(M)
         self.W = tuple(W)
         self.deg = tuple(sorted(deg, key=lambda d: d.component)) if deg else ()
-        self._minv: dict[tuple[int, int], Matrix] = {}
+        self._minv: dict[int, list] = {}  # strand -> rows of its inverse meridian
         if len(self.M) != braid.n or len(self.W) != braid.n:
             raise ValueError("need one meridian matrix and one stalk subspace per strand")
         for mat in self.M:
@@ -88,6 +88,7 @@ class SheafData:
             if sub.ambient_dim != N:
                 raise ValueError("stalk subspace in the wrong ambient space")
         check_field(field, self.M + self.W + tuple(d.alpha for d in self.deg), "sheaf part")
+        self._values = tuple([m.values for m in self.M])  # for transports and the read-off
 
     @property
     def components(self):
@@ -99,22 +100,11 @@ class SheafData:
         comps, deg = self.components, {d.component for d in self.deg}
         return frozenset(i for i in range(1, self.braid.n + 1) if comps.component(i) in deg)
 
-    def meridian_matrix(self, strand: int, exponent: int = 1) -> Matrix:
-        if exponent == 1:
-            return self.M[strand - 1]
-        key = (strand, exponent)
-        if key not in self._minv:
-            try:
-                self._minv[key] = self.M[strand - 1].inverse()
-            except ZeroDivisionError:
-                raise ZeroDivisionError(f"meridian M[{strand}] is singular") from None
-        return self._minv[key]
-
     def transport(self, word: MeridianWord) -> Matrix:
         """rho(word): ordered product of meridian matrices over the letters."""
         word.check_strands(self.braid.n)
         p, N = self.field.p, self.N
-        mats = [self.meridian_matrix(s, e).values for s, e in word.letters]
+        mats = [_meridian_rows(p, self._values, self._minv, s, e) for s, e in word.letters]
         out = mats[0] if mats else _identity(p, N)
         for mat in mats[1:]:
             out = _matmul(p, out, mat, N)
@@ -122,15 +112,14 @@ class SheafData:
 
     def _transport_vector(self, word: MeridianWord, vec) -> list:
         """rho(word) applied to a vector of field values."""
-        for s, e in reversed(word.letters):
-            vec = _matvec(self.field.p, self.meridian_matrix(s, e).values, vec)
-        return list(vec)
+        return _transport_values(self.field.p, self._values, self._minv, word.letters, vec)
 
     def _transport_row(self, word: MeridianWord, row) -> list:
         """A row vector of field values times rho(word), letter by letter."""
         p = self.field.p
         for s, e in word.letters:
-            row = [_dot(p, row, col) for col in zip(*self.meridian_matrix(s, e).values)]
+            row = [_dot(p, row, col)
+                   for col in zip(*_meridian_rows(p, self._values, self._minv, s, e))]
         return list(row)
 
     def __eq__(self, other: object) -> bool:
@@ -173,6 +162,28 @@ class SheafData:
             deg.append(DegenerateSummand(wire_get(d, "component", at, int),
                                          wire_unit(field, wire_get(d, "alpha", at), f"{at}.alpha")))
         return cls(field, braid, N, M, W, deg)
+
+
+def _meridian_rows(p: int | None, M: Sequence, minv: dict, strand: int, exponent: int):
+    """The rows of M_strand ** exponent (exponent +-1) for the meridians'
+    rows of values M.  Each inverse is computed once into minv, and a
+    singular meridian raises ZeroDivisionError naming it."""
+    if exponent == 1:
+        return M[strand - 1]
+    if strand not in minv:
+        try:
+            minv[strand] = _inverse(p, M[strand - 1])
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"meridian M[{strand}] is singular") from None
+    return minv[strand]
+
+
+def _transport_values(p: int | None, M: Sequence, minv: dict, letters, vec) -> list:
+    """rho(word) applied to a vector of values, letter by letter, for the
+    meridians' rows of values M (see _meridian_rows)."""
+    for s, e in reversed(letters):
+        vec = _matvec(p, _meridian_rows(p, M, minv, s, e), vec)
+    return list(vec)
 
 
 def validate(sheaf: SheafData) -> ValidationReport:
@@ -287,9 +298,17 @@ def global_sections(sheaf: SheafData) -> Subspace:
 
 def stabilized_space(sheaf: SheafData) -> Subspace:
     """V_0: the span of the meridian displacements e_j - M_t e_j."""
-    eye = Matrix.identity(sheaf.field, sheaf.N)
-    return Subspace._from_values(sheaf.field, sheaf.N, [
-        col for mat in sheaf.M for col in _transpose((eye - mat).values, sheaf.N)])
+    return Subspace._from_echelon(sheaf.field, sheaf.N,
+                                  *_stabilized(sheaf.field.p, sheaf.N, sheaf._values))
+
+
+def _stabilized(p: int | None, N: int, M: Sequence) -> tuple[list, list]:
+    """V_0's reduced basis rows and their pivots, from the meridians' rows
+    of values M."""
+    units = _identity(p, N)
+    red, pivots = _rref(p, [col for rows in M for col in _transpose(
+        [_axpy(p, e, -1, row) for e, row in zip(units, rows)], N)], N)
+    return red[:len(pivots)], pivots
 
 
 def once_stabilized(sheaf: SheafData) -> SheafData:

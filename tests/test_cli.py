@@ -1,5 +1,9 @@
 import gc
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -303,6 +307,36 @@ def test_geometry_budget_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget exceeded: braid geometry of" in captured.err
+
+
+# --strands -> the budget that stops `--braid "" --field 2` first: the search
+# space 2^(n^2 - n) * 1^(2n), whose power the check never forms, or the
+# letter cap of the braid geometry, which holds a letter per strand
+LARGE_STRANDS = {"3000": "search space of 2^8997000 * 1^6000 tuples exceeds the budget 100000000",
+                 "300000": "search space of 2^89999700000 * 1^600000 tuples exceeds the "
+                           "budget 100000000",
+                 "3000000": "braid geometry of 3000000 letters exceeds the budget 1000000"}
+ADDRESS_SPACE = 1500 * 2 ** 20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("verb", ["augs", "verify"])
+@pytest.mark.parametrize("strands", list(LARGE_STRANDS))
+def test_large_strand_counts_exit_3(verb, strands):
+    # in a process of its own under a 1.5 GB address-space limit, so that a
+    # check that forms the power or builds the geometry fails with a
+    # MemoryError instead of exhausting the machine's memory
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cordsheaf.cli", verb, "--braid", "", "--strands", strands,
+         "--field", "2"], capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"budget exceeded: {LARGE_STRANDS[strands]}\n"
+    assert len(proc.stderr) < 200
 
 
 def _unlink_candidate(n):

@@ -324,7 +324,7 @@ def test_pure_cord_traces_match_formula():
             b = comps.base_strand(s)
             loops = [MeridianWord.identity(), MeridianWord.generator(b),
                      geom.longitudes[s],
-                     MeridianWord.generator(b) ** -1 * geom.longitudes[s]]
+                     MeridianWord.generator(b, -1) * geom.longitudes[s]]
             for loop in loops:
                 lam_t, mu_t, cord_t = pure_cord_trace(sheaf, s, loop)
                 assert lam_t == induced.lam[s - 1]

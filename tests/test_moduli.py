@@ -9,7 +9,7 @@ from cordsheaf.braid import BraidWord, component_map
 from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation, canonical_form,
                                check_relations, degenerate_components, index_sets,
                                zero_row_components)
-from cordsheaf.correspondence import _AugLayout, aug_to_sheaf
+from cordsheaf.correspondence import _AugLayout, aug_to_sheaf, roundtrip_aug
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix
 from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
@@ -35,8 +35,22 @@ TREFOIL = BraidWord(2, [1, 1, 1])
 
 def test_search_space_and_budget():
     assert search_space_size(UNLINK3, F5) == 5 ** 6 * 4 ** 6
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="search space of 64000000 tuples exceeds "
+                                                  "the budget 1000000$"):
         enumerate_augs(UNLINK3, F5, budget=10 ** 6)
+    # the space exactly at the budget is enumerated
+    assert enumerate_augs(UNLINK2, F3, budget=search_space_size(UNLINK2, F3))
+    with pytest.raises(BudgetExceededError, match="of 144 tuples exceeds the budget 143$"):
+        enumerate_augs(UNLINK2, F3, budget=143)
+    # past 128 bits the space is written as its powers, which are not formed
+    with pytest.raises(BudgetExceededError, match=r"of 3\^8997000 \* 2\^6000 tuples"):
+        enumerate_augs(BraidWord(3000, []), F3)
+
+
+def test_search_space_of_the_benchmark_instances():
+    # the benchmark counts an instance's work in these tuples
+    assert search_space_size(UNLINK2, F7) == 63504
+    assert search_space_size(BraidWord(3, [1, -2, 1, -2]), F5) == 250000
     with pytest.raises(ValueError, match="budget must be >= 0"):
         enumerate_augs(UNKNOT, F3, budget=-1)
 
@@ -412,6 +426,31 @@ def test_layout_sheaves_have_no_global_sections(braid, field):
     for cand in enumerate_augs(braid, field):
         sheaf = _AugLayout(cand, index_sets(cand)).sheaf(braid)
         assert global_sections(sheaf).dim == 0, cand.to_json()
+
+
+# (strands, word, p) -> candidates whose round trip fails
+CANDIDATE_ROUND_TRIPS = {(2, (1, 1), 3): 4, (2, (1, 1), 5): 24, (2, (1, 1, 1, 1), 5): 16,
+                         (3, (1, 1, 2), 3): 4, (2, (), 5): 0}
+
+
+@pytest.mark.parametrize("key", list(CANDIDATE_ROUND_TRIPS),
+                         ids=lambda key: f"{list(key[1])}/{key[0]}/F{key[2]}")
+def test_verify_candidate_round_trips_are_the_public_ones(key):
+    # verify_bijection writes each candidate's sheaf and reads it back on
+    # field values; roundtrip_aug builds the SheafData and the
+    # LocalTrivialization and reads through sheaf_to_aug.  The two must fail
+    # on the same candidates, with the same details.
+    n, word, p = key
+    braid = BraidWord(n, list(word))
+    report = verify_bijection(braid, FieldSpec.prime(p))
+    failed = {f["location"]: f["detail"] for f in report.failures
+              if f["location"].startswith("candidate ")}
+    assert {f["kind"] for f in report.failures if f["location"] in failed} <= {"roundtrip-aug"}
+    public = {f"candidate {k}": str(diff.entries[:4])
+              for k, diff in enumerate(roundtrip_aug(c, braid) for c in report.aug_points)
+              if not diff.empty}
+    assert failed == public
+    assert len(public) == CANDIDATE_ROUND_TRIPS[key]
 
 
 # (braid, field) -> number of failures and SHA-1 of the report's JSON
