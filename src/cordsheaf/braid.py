@@ -254,10 +254,9 @@ def _cycles(tau: Sequence[int]) -> list[list[int]]:
     return cycles  # each starts at its least strand, so they come in that order
 
 
-def _component_labels(braid: BraidWord) -> list[int]:
-    tau = permutation(braid)
-    labels = [0] * braid.n
-    for s, cyc in enumerate(_cycles(tau), start=1):
+def _component_labels(cycles: list[list[int]]) -> list[int]:
+    labels = [0] * sum(map(len, cycles))
+    for s, cyc in enumerate(cycles, start=1):
         for strand in cyc:
             labels[strand - 1] = s
     return labels
@@ -267,9 +266,11 @@ def component_map(braid: BraidWord) -> ComponentMap:
     """Components of the closure; raises if the labeling is not non-decreasing.
 
     ``relabel_for_components`` produces a conjugated braid word with interval
-    components when this raises.
+    components when this raises.  As the first per-strand step on a braid,
+    it refuses more strands than MAX_LETTERS before building anything.
     """
-    labels = _component_labels(braid)
+    check_letters(braid.n)
+    labels = _component_labels(_cycles(permutation(braid)))
     for i in range(1, braid.n):
         if labels[i] < labels[i - 1]:
             raise NonMonotoneComponentsError(
@@ -336,9 +337,10 @@ class BraidGeometry:
         check_letters(braid.n)
         self.braid = braid
         self.tau = permutation(braid)
+        cycles = _cycles(self.tau)
         # The transport pass itself works for any labeling; the monotone
         # requirement is enforced where lambda/mu get indexed per component.
-        self.components = ComponentMap(braid.n, _component_labels(braid))
+        self.components = ComponentMap(braid.n, _component_labels(cycles))
         n = braid.n
 
         theta = [MeridianWord.generator(i) for i in range(1, n + 1)]
@@ -376,7 +378,7 @@ class BraidGeometry:
         self.segments = segments
         # each cycle starts at its base strand, the least one
         self.longitudes = {s: MeridianWord(chain.from_iterable(segments[i].letters for i in cyc))
-                           for s, cyc in enumerate(_cycles(self.tau), start=1)}
+                           for s, cyc in enumerate(cycles, start=1)}
 
 
 @lru_cache(maxsize=256)

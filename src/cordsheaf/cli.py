@@ -18,8 +18,7 @@ import argparse
 import json
 import sys
 
-from .braid import (BraidWord, NonMonotoneComponentsError, check_letters, component_map,
-                    relabel_for_components)
+from .braid import BraidWord, NonMonotoneComponentsError, component_map, relabel_for_components
 from .cordaug import AugCandidate
 from .correspondence import (NotAnAugmentationError, aug_to_sheaf,
                              canonical_trivialization, choose_trivialization,
@@ -60,7 +59,6 @@ def _braid(word_text: str, strands: int, option: str = "--braid") -> BraidWord:
         braid = BraidWord.parse(strands, word_text)
     except ValueError as err:
         raise InputError(f"{option}: {err}")
-    check_letters(braid.n)  # every verb needs the geometry: refuse it before any per-strand map
     try:
         component_map(braid)
     except NonMonotoneComponentsError:

@@ -15,21 +15,22 @@ so every broken-cord value is a finite matrix computation.  The updates run
 on plain field values, the values a Matrix stores (residues in 0..p-1
 reduced mod p, or exact Fractions over the rationals, which every function
 here still supports), with mu^-1 computed once per strand and the vector
-updates done by linalg's shared kernels.  apply_loop forms the full product
-loop_matrix(w) @ X.  The relation certificate never does: each update
-satisfies E_t R = R (Id + c e_t R_{t.}), so one kernel, _carry, reads a row
-of loop_matrix(w) @ R by carrying that row of R forward through w by R's
-rows, and a column by carrying that column of R back by R's columns, O(n)
-per letter.
+updates done by linalg's shared kernels.  One kernel, _carry, carries a
+vector through a word, O(n) per letter.  Each update satisfies
+E_t R = R (Id + c e_t R_{t.}) and E_t x = x + c x_t R_{.t}: so a row of
+loop_matrix(w) @ R is that row of R carried forward through w by R's rows,
+and a column of loop_matrix(w) @ X, which apply_loop forms, is that column
+of X carried back by R's columns.
 
 The meridian and skein families are consequences of the diagonal
 normalization alone: they hold identically (a test pins this down), so no
-path evaluates them.  The transport and Wirtinger families are written
-once, as a generator of failures on raw values: the fast path, passes_fast,
-stops at its first item, and the full check itemizes every item alongside
-the other families.  passes_fast takes the raw rows, mu^-1 and lambda
-rather than a candidate, so the enumerator certifies rows of residues
-without building an AugCandidate for it.
+path evaluates them, and the longitude families follow from the transport
+identities, so only a failing certificate itemizes them.  The transport
+and Wirtinger families are written once, as a generator of failures on
+raw values: the fast path, passes_fast, stops at its first item, and the
+full check itemizes every item alongside the other families.  passes_fast
+takes the raw rows, mu^-1 and lambda rather than a candidate, so the
+enumerator certifies rows of residues without building an AugCandidate.
 Reduced dilations likewise have one canonicity test (_forest_dilation) and
 one action (_dilation_factors, applied by _dilated_rows) on raw rows of R,
 shared by the enumerator, the quotient, canonical_form and apply_dilation.
@@ -42,7 +43,7 @@ from typing import Sequence
 from .braid import BraidGeometry, BraidWord, ComponentMap, MeridianWord, geometry
 from .field import (FieldSpec, MixedFieldError, Scalar, WireFormatError, check_field,
                     wire_get, wire_units)
-from .linalg import Matrix, _axpy, _inv, _mul, _one, _scale, _sub
+from .linalg import Matrix, _axpy, _inv, _mul, _one, _scale, _sub, _transpose
 from .reports import ValidationReport
 
 
@@ -160,26 +161,6 @@ class DilationParam:
 # -- broken cords ----------------------------------------------------------------------
 
 
-def _loop_rows(p: int | None, R, minv: list, letters, rows: list) -> list:
-    """The rows of loop_matrix(word) @ X from the raw rows of X, for apply_loop.
-
-    Works on plain field values: residues reduced mod p for a prime field,
-    exact Fractions for the rationals (p is None).  R holds the raw rows of
-    R and minv the raw mu^-1 of each strand.  Each letter is one rank-one
-    update; a row it touches is replaced by a new list, never changed in
-    place, so the caller's rows are left as they were.  The certificate
-    reads single rows and columns of these products through _carry instead.
-    """
-    rows = list(rows)
-    for t, e in reversed(letters):
-        row_t = rows[t - 1]
-        coeff = -1 if e == 1 else minv[t - 1]
-        for i, R_i in enumerate(R):
-            if c := R_i[t - 1]:
-                rows[i] = _axpy(p, rows[i], coeff * c, row_t)
-    return rows
-
-
 def _strand_minv(p: int | None, components: ComponentMap, mu: Sequence[Scalar]) -> list:
     """The raw mu^-1 of each strand, from the units mu of the components."""
     inv = [_inv(p, m.value) for m in mu]
@@ -193,15 +174,16 @@ def _kernel_inputs(cand: AugCandidate) -> tuple:
 
 
 def apply_loop(cand: AugCandidate, word: MeridianWord, X: Matrix) -> Matrix:
-    """loop_matrix(word) @ X via rank-one updates, O(n^2) per letter."""
+    """loop_matrix(word) @ X: each column of X carried back by R's columns."""
     if X.field != cand.field:
         raise MixedFieldError(f"cannot mix {cand.field} and {X.field}")
     if X.rows != cand.n:
         raise ValueError(f"X has {X.rows} rows, not the candidate's {cand.n}")
     word.check_strands(cand.n)
     p, R, minv = _kernel_inputs(cand)
-    return Matrix._from_values(cand.field, _loop_rows(p, R, minv, word.letters, X.values),
-                               cols=X.cols)
+    by, back = list(zip(*R)), word.letters[::-1]
+    cols = [_carry(p, by, minv, back, col) for col in _transpose(X.values, X.cols)]
+    return Matrix._from_values(cand.field, _transpose(cols, cand.n), cols=X.cols)
 
 
 def loop_matrix(cand: AugCandidate, word: MeridianWord) -> Matrix:
@@ -275,7 +257,10 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     when it fails, they are identities of the rank-one update,
     R[i][j] - R[i][t] R[t][j] + R[i][t] R[t][j] = R[i][j] and
     (1 - R[i][i]) R[i][j] = mu_i R[i][j].  So both values of ``full``, kept
-    for the callers that pass it, itemize the same failures.
+    for the callers that pass it, itemize the same failures.  A longitude
+    is its cycle's segments in a row, reduced, and m_t m_t^-1 carries to
+    the identity under the normalization; so the transport identities imply
+    the longitude relations, which only a failing report itemizes.
 
     One pass over the candidate's raw values serves the whole certificate:
     the kernel inputs feed the transport, Wirtinger and longitude families,
@@ -303,16 +288,20 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
     for describe in _transport_failures(geom, [x.value for x in cand.lam], inputs):
         report.fail(*describe())
 
+    for s in _degenerate_components(cand, sets):
+        report.note(
+            f"component {s} is degenerate (zero rows and columns); its meridian "
+            f"unit is 1 by the normalization, and lambda_{s} parametrizes the split-off "
+            "rank-1 summand"
+        )
+    if report.ok:
+        return report  # the transport identities imply the longitude ones
+
     # (c) longitude relations at the base strands, both sides: row b and
-    # column b of loop_matrix(l_s) @ R, one carry each.  A one-strand
-    # component's longitude is its base segment, so these are then the base
-    # strand's transport identities, already checked when none failed.
-    transport_ok = report.ok
+    # column b of loop_matrix(l_s) @ R, one carry each
     cols = list(zip(*rows))
     for s in range(1, cand.r + 1):
         b = cand.components.base_strand(s)
-        if transport_ok and geom.tau[b - 1] == b:
-            continue
         lam = cand.lam[s - 1].value
         letters = geom.longitudes[s].letters
         row = _carry(p, rows, minv, letters, rows[b - 1])
@@ -323,13 +312,6 @@ def check_relations(cand: AugCandidate, braid: BraidWord,
         for i, (want, got) in enumerate(zip(_scale(p, lam, cols[b - 1]), col), 1):
             if want != got:
                 report.fail("longitude-right", f"({i},{b}; l_{s})", want, got)
-
-    for s in _degenerate_components(cand, sets):
-        report.note(
-            f"component {s} is degenerate (zero rows and columns); its meridian "
-            f"unit is 1 by the normalization, and lambda_{s} parametrizes the split-off "
-            "rank-1 summand"
-        )
     return report
 
 

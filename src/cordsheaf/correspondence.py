@@ -515,11 +515,9 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
         return report, eps
 
     # R = (f_i d_j), so the d_j at R's pivot columns are independent: Phi is
-    # injective, so an image equals a space of its dimension when inside it
-    cols = [disp[j - 1] for j in lay.pivots]
-    if len(_rref(p, [*V0, *cols], N)[1]) != dim:
-        report.add("image", "V_0", "smaller space")
-    Phi = _transpose(cols, N)
+    # injective, and each d_j = (Id - M_j) finv_j lies in V_0, so with the
+    # dimensions equal Phi's image is V_0
+    Phi = _transpose([disp[j - 1] for j in lay.pivots], N)
     for t in range(1, n + 1):
         if _matmul(p, sheaf._values[t - 1], Phi, dim) != _matmul(p, Phi, sub_M[t - 1], dim):
             report.add(f"intertwine M[{t}]", "equal products", "mismatch")

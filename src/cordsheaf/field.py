@@ -365,14 +365,8 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return self.inv() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        p = self.field.p
+        return Scalar(self.field, pow(self.value, n, p) if p else self.value ** n)
 
     def is_zero(self) -> bool:
         return self.value == 0

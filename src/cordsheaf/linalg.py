@@ -414,11 +414,6 @@ class Matrix:
         return Subspace._from_values(self.field, self.cols,
                                      _null_vectors(p, red, pivots, self.cols))
 
-    def image(self) -> "Subspace":
-        """The column span, canonicalized."""
-        return Subspace._from_values(self.field, self.rows,
-                                     _transpose(self.values, self.cols))
-
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> list[list[str]]:

@@ -1,17 +1,19 @@
 """A test-side reference for the relation certificate.
 
 Every identity is evaluated from full products: each segment, meridian and
-longitude operator is applied to the whole of R with apply_loop, which is
-loop_matrix(word) @ R (test_apply_loop_matches_operator_product pins the
-two), and failures are itemized in Scalars.  apply_loop runs through
-cordaug._loop_rows, so the reference shares no kernel with the certificate,
-which reads single rows and columns of these products through cordaug._carry,
-and nothing with the enumerator's raw tuples.
+longitude operator is applied to the whole of R by the reference's own
+product kernel, loop_product, one rank-one update of every row per letter,
+and failures are itemized in Scalars.  The package's apply_loop and its
+certificate both read products through cordaug._carry, a column or row at
+a time; the reference never calls _carry, and shares nothing with the
+enumerator's raw tuples.  It evaluates the longitude families on every
+candidate, where check_relations does so only when a transport or
+Wirtinger item failed.
 """
 
 from cordsheaf.braid import BraidWord, MeridianWord, geometry
-from cordsheaf.cordaug import apply_loop
 from cordsheaf.field import FieldSpec
+from cordsheaf.linalg import Matrix, _axpy, _inv
 
 F2, F3, F5, F7 = (FieldSpec.prime(p) for p in (2, 3, 5, 7))
 UNKNOT = BraidWord(1, [])
@@ -40,14 +42,29 @@ SCANNED = [(UNKNOT, F2), (UNKNOT, F3), (UNKNOT, F5), (UNKNOT, F7),
            (BraidWord(4, [1, 2, 3]), F2), (BraidWord(4, [1, -2, 3]), F2)]
 
 
+def loop_product(cand, word, X):
+    """loop_matrix(cand, word) @ X: the update of a letter m_t^e adds
+    c R[i][t] times row t to each row i, with c = -1 for e = 1 and
+    c = mu_t^-1 for e = -1, and the word's last letter acts first."""
+    p, R, comps = cand.field.p, cand.R.values, cand.components
+    rows = list(X.values)
+    for t, e in reversed(word.letters):
+        row_t = rows[t - 1]
+        coeff = -1 if e == 1 else _inv(p, cand.mu[comps.component(t) - 1].value)
+        for i, R_i in enumerate(R):
+            if c := R_i[t - 1]:
+                rows[i] = _axpy(p, rows[i], coeff * c, row_t)
+    return Matrix._from_values(cand.field, rows, cols=X.cols)
+
+
 def failures(cand, braid):
     """Yield check_relations's failures as (family, location, want, got), in
     its order, from full products; it stops after a broken normalization,
-    and it also yields the longitude families of one-strand components, which
-    check_relations skips once every transport identity holds.  Rows and
-    columns of the stored values are compared whole first, and itemized in
-    Scalars only when they differ.  Each distinct word's product is formed
-    once per candidate."""
+    and it evaluates the longitude families on every candidate, where
+    check_relations skips them once every transport and Wirtinger identity
+    holds.  Rows and columns of the stored values are compared whole first,
+    and itemized in Scalars only when they differ.  Each distinct word's
+    product is formed once per candidate."""
     geom = geometry(braid)
     comps, n, R = cand.components, cand.n, cand.R
     one = cand.field.one()
@@ -56,7 +73,7 @@ def failures(cand, braid):
     def applied(word):
         """loop_matrix(cand, word) @ R."""
         if word not in products:
-            products[word] = apply_loop(cand, word, R)
+            products[word] = loop_product(cand, word, R)
         return products[word]
 
     units = [one - mu for mu in cand.mu]

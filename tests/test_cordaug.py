@@ -187,6 +187,9 @@ def test_apply_loop_matches_operator_product():
                     want = want * meridian_operator(cand, t, e)
                 want = want * X
                 assert apply_loop(cand, MeridianWord(letters), X) == want
+                assert reference.loop_product(cand, MeridianWord(letters), X) == want
+    empty = apply_loop(GOLDEN, MeridianWord([(1, 1), (3, -1)]), Matrix.zeros(F5, 3, 0))
+    assert (empty.rows, empty.cols) == (3, 0)
     with pytest.raises(MixedFieldError):
         apply_loop(GOLDEN, MeridianWord.generator(3), Matrix.identity(F3, 3))
 
@@ -493,12 +496,16 @@ def test_full_and_fast_certificates_report_the_same_failures():
 
 
 def test_longitude_families_match_the_reference_on_every_component():
-    # check_relations skips a one-strand component's longitude, its base
-    # segment, when every transport identity holds; the reference never does
+    # check_relations itemizes the longitude families only when a transport
+    # or Wirtinger item failed: a longitude is its cycle's segments in a row,
+    # so the transport identities imply its identities.  The reference
+    # evaluates them on every candidate, accepted ones included, and on
+    # components of one strand and of several
     rng = random.Random(13)
     accepted = rejected = itemized = 0
     for braid, field in ((UNLINK3, F2), (BraidWord(2, []), F5), (BraidWord(3, [1, 1, 2]), F3),
-                         (BraidWord(2, [1, 1, 1]), F5), (HOPF, F3), (BraidWord(3, [1, -2, 1, -2]), F3)):
+                         (BraidWord(2, [1, 1, 1]), F5), (HOPF, F3), (BraidWord(3, [1, -2, 1, -2]), F3),
+                         (BraidWord(4, [1, 2, 3]), F2)):
         cands = [random_candidate(field, braid, rng) for _ in range(60)]
         points = enumerate_augs(braid, field)
         cands += rng.sample(points, min(15, len(points)))

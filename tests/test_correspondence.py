@@ -15,12 +15,13 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       extend_by_constant, pure_cord_trace,
                                       roundtrip_aug, roundtrip_sheaf,
                                       sheaf_to_aug)
-from cordsheaf.correspondence import _AugLayout
+from cordsheaf.correspondence import _AugLayout, _certified_layout, _sheaf_read_off
 from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
 from cordsheaf.reports import DiffReport
-from cordsheaf.sheafmodel import DegenerateSummand, SheafData, validate
+from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, global_sections,
+                                  stabilized_space, validate)
 
 from linalg_reference import solve
 
@@ -584,6 +585,62 @@ def _corrupted(sheaf, rng):
         for sub in stalks:
             yield SheafData(field, sheaf.braid, N, sheaf.M,
                             sheaf.W[:t] + (sub,) + sheaf.W[t + 1:], sheaf.deg)
+
+
+def _phi_and_v0(sheaf):
+    """Phi's columns, the d_j at the induced augmentation's pivots, and V_0
+    as a Subspace, where roundtrip_sheaf reaches its comparison of the two:
+    Gamma = 0, the read-off is a valid augmentation, and dim V_0 is the
+    subsheaf's.  Else None."""
+    field, N = sheaf.field, sheaf.N
+    if global_sections(sheaf).dim:
+        return None
+    try:
+        eps, disp = _sheaf_read_off(sheaf, choose_trivialization(sheaf))
+        lay = _certified_layout(eps, sheaf.braid)
+    except (InvalidTrivializationError, NotAnAugmentationError):
+        return None
+    V0 = stabilized_space(sheaf)
+    if lay.values(extended=False)[0] != V0.dim:
+        return None
+    return [disp[j - 1] for j in lay.pivots], V0
+
+
+def _conjugated(sheaf, rng):
+    """sheaf moved by a random change of basis: an isomorphic object whose
+    matrices are no longer in the layout's shape."""
+    field, N = sheaf.field, sheaf.N
+    P = Matrix.identity(field, N)
+    while N:
+        P = Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(N)] for _ in range(N)])
+        if P.is_invertible():
+            break
+    Pi = P.inverse()
+    return SheafData(field, sheaf.braid, N, [P * M * Pi for M in sheaf.M],
+                     [W.apply(P) for W in sheaf.W], sheaf.deg)
+
+
+def test_phi_spans_v0_wherever_the_round_trip_compares_dimensions():
+    # each d_j = (Id - M_j) finv_j lies in V_0, and the d_j at R's pivot
+    # columns are independent since R = (f_i d_j); so once dim V_0 is the
+    # subsheaf's dimension, Phi's image is all of V_0, and roundtrip_sheaf
+    # need not compare them.  Layout sheaves, their conjugates and their
+    # one-entry corruptions, all over the suite's links
+    rng = random.Random(23)
+    sheaves = [sheaf for _, sheaf in _suite_sheaves(rng, max_items=None)]
+    for braid, field in ((BraidWord(2, [1, 1]), F3), (BraidWord(3, [1, -2, 1, -2]), F3),
+                         (BraidWord(3, [1, 1, 2]), F3), (BraidWord(2, [1, 1, 1, 1]), F5)):
+        sheaves += [aug_to_sheaf(cand, braid) for cand in enumerate_augs(braid, field)]
+    sheaves += [_conjugated(sheaf, rng) for sheaf in rng.sample(sheaves, 300)]
+    sheaves += [bad for sheaf in rng.sample(sheaves, 20) for bad in _corrupted(sheaf, rng)]
+    compared = 0
+    for sheaf in sheaves:
+        found = _phi_and_v0(sheaf)
+        if found is not None:
+            cols, V0 = found
+            assert Subspace._from_values(sheaf.field, sheaf.N, cols) == V0
+            compared += bool(cols)
+    assert compared >= 2000
 
 
 def test_rejected_sheaves_raise_one_exception_type():

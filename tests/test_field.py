@@ -26,6 +26,26 @@ def test_inverse_examples():
         F5.zero().inv()
 
 
+def test_power_is_repeated_multiplication():
+    # n >= 0 through the built-in pow, n < 0 through the inverse, which
+    # refuses zero; the value stays canonical, an int mod p or a Fraction
+    fields = [(FieldSpec.prime(p), [str(v) for v in range(p)]) for p in (2, 5, 7)]
+    fields.append((QQ, ["0", "1", "-1", "2", "-2/3", "7/4"]))
+    for field, texts in fields:
+        for x in map(field.from_str, texts):
+            for n in range(-4, 6):
+                if n < 0 and x.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        x ** n
+                    continue
+                want = field.one()
+                for _ in range(abs(n)):
+                    want = want * (x if n > 0 else x.inv())
+                got = x ** n
+                assert got == want and got.field == field
+                assert type(got.value) is type(want.value) and str(got) == str(want)
+
+
 def test_enumeration():
     assert [s.value for s in FieldSpec.prime(3).elements(nonzero=True)] == [1, 2]
     assert [s.value for s in FieldSpec.prime(2).elements()] == [0, 1]

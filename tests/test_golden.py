@@ -9,17 +9,25 @@ and exit code in enumeration order.  The instances cover the benchmark's
 `requests` pool (the 3-component unlink over F3 at every 25th
 augmentation), the degenerate components of the 3-component unlink over
 F2, and the Hopf link over F3, whose zero-row candidates give extended
-sheaves and `invalid sheaf data` replies.
+sheaves and `invalid sheaf data` replies.  The `sheaf` verb's `not an
+augmentation` replies, which list the certificate's failures, longitude
+items included, are pinned on seeded candidates that the test reference
+certificate rejects.
 """
 
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from cordsheaf import BraidWord, FieldSpec, enumerate_augs, verify_bijection
+from cordsheaf.braid import component_map
 from cordsheaf.cli import main
+from cordsheaf.cordaug import AugCandidate
+
+import certificate_reference as reference
 
 # (name, strands, word, p, every) -> (augmentations, digest of the sheaf
 # replies, digest of the to-aug replies); every k-th augmentation is sent
@@ -70,6 +78,17 @@ VERIFY_FAILING = {
 }
 
 
+# (name, strands, word, p) -> (replies naming a longitude family, digest of
+# the `sheaf` replies to 200 seeded normalized candidates that fail the
+# certificate); each reply lists up to eight failures
+NOT_AUGMENTATIONS = {
+    ("trefoil", 2, (1, 1, 1), 5): (29, "fe9b4760ac6efe3dac6200df1703a8b4ed6cd12c"),
+    ("figure-eight", 3, (1, -2, 1, -2), 3): (12, "5f5d46dd7e867309e52bd06feb284cd6d2a589bb"),
+    ("stabilized-hopf", 3, (1, 1, 2), 3): (31, "5c3599f5e8d6a717888d0c5e67f454a22122856a"),
+    ("4-strand-knot", 4, (1, 2, 3), 3): (8, "b09c8eff1a52ae02ced9c0a2690adff6d9e98a1f"),
+}
+
+
 def _request(capsys, monkeypatch, argv, doc: str) -> str:
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code = main(argv)
@@ -111,3 +130,45 @@ def test_verify_report():
                          ids=lambda key: f"{' '.join(map(str, key[1]))}/{key[0]}/F{key[2]}")
 def test_verify_reports_with_failures(key):
     assert _verify_digest(*key) == VERIFY_FAILING[key]
+
+
+def _not_augmentations(n: int, word, p: int, count: int = 200) -> list[dict]:
+    """count seeded candidates, diagonal normalized, that the reference
+    certificate rejects: in turn uniform ones and sparse ones, whose
+    off-diagonal entries are nonzero with probability 0.1.  A sparse one
+    breaks few identities, so a reply's first eight failures can reach the
+    longitude families."""
+    braid = BraidWord(n, list(word))
+    labels = component_map(braid).labels
+    r = max(labels)
+    rng = random.Random(f"{n}/{word}/{p}")
+    out: list[dict] = []
+    while len(out) < count:
+        density = 0.1 if len(out) % 2 else 1
+        lam, mu = ([rng.randrange(1, p) for _ in range(r)] for _ in range(2))
+        rows = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        for i, s in enumerate(labels):
+            rows[i][i] = (1 - mu[s - 1]) % p
+        doc = {"field": {"kind": "prime", "p": p}, "n": n, "r": r,
+               "component_map": list(labels), "R": [[str(x) for x in row] for row in rows],
+               "lambda": [str(x) for x in lam], "mu": [str(x) for x in mu]}
+        if not reference.verdict(AugCandidate.from_json(doc), braid):
+            out.append(doc)
+    return out
+
+
+@pytest.mark.parametrize("key", list(NOT_AUGMENTATIONS), ids=lambda key: f"{key[0]}-F{key[3]}")
+def test_not_an_augmentation_replies(capsys, monkeypatch, key):
+    # the `sheaf` verb prints check_relations's failures, longitude items
+    # included, for a candidate that is not an augmentation, and exits 2
+    _, n, word, p = key
+    braid_args = ["--braid", " ".join(map(str, word)), "--strands", str(n)]
+    digest, longitude = hashlib.sha1(), 0
+    for doc in _not_augmentations(n, word, p):
+        reply = _request(capsys, monkeypatch, ["sheaf", "--aug", "-", *braid_args],
+                         json.dumps(doc))
+        assert reply.startswith('2\n{\n  "error": "not an augmentation"')
+        longitude += '"family": "longitude-' in reply
+        digest.update(reply.encode() + b"\0")
+    assert (longitude, digest.hexdigest()) == NOT_AUGMENTATIONS[key]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -45,6 +46,20 @@ def test_search_space_and_budget():
     # past 128 bits the space is written as its powers, which are not formed
     with pytest.raises(BudgetExceededError, match=r"of 3\^8997000 \* 2\^6000 tuples"):
         enumerate_augs(BraidWord(3000, []), F3)
+
+
+def test_huge_strand_counts_are_refused_before_any_per_strand_work():
+    # component_map, the first per-strand step of each call, refuses more
+    # strands than the geometry's letter cap before it builds anything per
+    # strand; building its lists for 3 000 000 strands took seconds
+    braid = BraidWord(3_000_000, [])
+    start = time.perf_counter()
+    for call in (lambda: search_space_size(braid, F2), lambda: enumerate_augs(braid, F2),
+                 lambda: verify_bijection(braid, F2), lambda: markov_compare(braid, braid, F2)):
+        with pytest.raises(BudgetExceededError,
+                           match="^braid geometry of 3000000 letters exceeds the budget"):
+            call()
+    assert time.perf_counter() - start < 1
 
 
 def test_search_space_of_the_benchmark_instances():

@@ -504,7 +504,7 @@ def test_sections_and_stabilized_space_equal_the_pairwise_folds():
             gamma = gamma.intersect(sub)
         eye, V0 = Matrix.identity(field, N), Subspace.zero(field, N)
         for mat in sheaf.M:
-            V0 = V0.sum((eye - mat).image())
+            V0 = V0.sum(Subspace(field, N, eye - mat))
         for got, want in ((global_sections(sheaf), gamma), (stabilized_space(sheaf), V0)):
             assert (got._vectors, got._pivots) == (want._vectors, want._pivots)
             assert got.to_json() == want.to_json()

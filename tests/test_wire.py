@@ -82,7 +82,7 @@ def test_matrix_and_subspace_roundtrip(field):
         rows, cols = rng.randint(0, 4), rng.randint(0, 4)
         m = _random_matrix(field, rng, rows, cols)
         assert Matrix.from_json(field, m.to_json(), rows, cols) == m
-        sub = m.image()
+        sub = Subspace(field, rows, m)
         assert Subspace.from_json(field, rows, sub.to_json()) == sub
         # any spanning set decodes to its span
         assert Subspace.from_json(field, rows, m.to_json()) == sub
