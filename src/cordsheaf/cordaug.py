@@ -469,17 +469,19 @@ def _forest_dilation(p: int | None, components: ComponentMap, rows) -> list:
     return d
 
 
-def _canonical_rows(cand: AugCandidate) -> tuple[list, tuple]:
-    """canonical_form's raw d and the raw rows of R in its representative.
-
-    When d is all ones, cand is its own representative and the rows are
-    cand.R.values itself.
+def _canonical_rows(p: int | None, components: ComponentMap, rows) -> tuple[list, tuple]:
+    """canonical_form's raw d and the raw rows of R in its representative,
+    from the raw rows of R, which are returned as they are when d is all ones.
     """
-    p, rows = cand.field.p, cand.R.values
-    d = _forest_dilation(p, cand.components, rows)
+    d = _forest_dilation(p, components, rows)
     if all(x == 1 for x in d):
         return d, rows
-    return d, _dilated_rows(p, _dilation_factors(p, cand.components, d), rows)
+    return d, _dilated_rows(p, _dilation_factors(p, components, d), rows)
+
+
+def _orbit_key(rows, lam: Sequence, mu: Sequence) -> tuple:
+    """A reduced-dilation orbit's key: its canonical R's raw rows, raw lambda and mu."""
+    return rows, tuple(lam), tuple(mu)
 
 
 def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
@@ -495,5 +497,5 @@ def canonical_form(cand: AugCandidate) -> tuple[AugCandidate, DilationParam]:
     map is idempotent because every anchor entry of a representative is 1.
     So a candidate is its own representative exactly when d is all ones.
     """
-    d, rows = _canonical_rows(cand)
+    d, rows = _canonical_rows(cand.field.p, cand.components, cand.R.values)
     return _with_rows(cand, rows), DilationParam([Scalar(cand.field, x) for x in d])

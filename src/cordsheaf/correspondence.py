@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .braid import BraidWord, MeridianWord, geometry
-from .cordaug import (AugCandidate, IndexSets, _degenerate_components, check_relations,
-                      degenerate_components, index_sets)
+from .cordaug import (AugCandidate, IndexSets, _canonical_rows, _degenerate_components,
+                      _orbit_key, check_relations, degenerate_components, index_sets)
 from .field import MixedFieldError, Scalar
 from .linalg import (Matrix, Subspace, _axpy, _dot, _hyperplane, _identity, _inv, _matmul,
                      _matvec, _neg, _null_vectors, _one, _right_inverse, _rref, _scale, _sub,
@@ -190,20 +190,18 @@ def sheaf_to_aug(sheaf: SheafData, triv: LocalTrivialization) -> AugCandidate:
     """Read off the augmentation; degenerate summands give lambda = alpha.
     A trivialization that does not fit, or a vanishing lambda or mu, raises
     InvalidTrivializationError naming the strand or component."""
-    return _sheaf_read_off(sheaf, triv)[0]
+    return _candidate(sheaf.field, sheaf.components, *_sheaf_read_off(sheaf, triv)[:3])
 
 
-def _sheaf_read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[AugCandidate, list]:
-    """sheaf_to_aug's candidate, read off the values of sheaf and triv, and
-    the d_j of _read_off."""
-    field, geom, n = sheaf.field, geometry(sheaf.braid), sheaf.braid.n
+def _sheaf_read_off(sheaf: SheafData, triv: LocalTrivialization) -> tuple[tuple, list, list, list]:
+    """_read_off on the values of sheaf and triv: the rows of R, lambda and
+    mu of sheaf_to_aug's candidate, as values, and the d_j."""
+    field, n = sheaf.field, sheaf.braid.n
     if triv.field is not None and triv.field != field:
         raise MixedFieldError(f"trivialization over {triv.field} used on a sheaf over {field}")
-    rows, lam, mu, disp = _read_off(field.p, geom, sheaf.N, sheaf._values,
-                                    [w._vectors for w in sheaf.W],
-                                    {d.component: d.alpha.value for d in sheaf.deg},
-                                    triv._f[:n], triv._finv[:n], sheaf._minv)
-    return _candidate(field, geom.components, rows, lam, mu), disp
+    return _read_off(field.p, geometry(sheaf.braid), sheaf.N, sheaf._values,
+                     [w._vectors for w in sheaf.W], {d.component: d.alpha.value for d in sheaf.deg},
+                     triv._f[:n], triv._finv[:n], sheaf._minv)
 
 
 def _candidate(field, components, rows, lam, mu) -> AugCandidate:
@@ -475,10 +473,15 @@ def roundtrip_sheaf(sheaf: SheafData) -> DiffReport:
     return _roundtrip_sheaf(sheaf)[0]
 
 
-def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]:
+def _roundtrip_sheaf(sheaf: SheafData, lay: _AugLayout | None = None, values: tuple | None = None
+                     ) -> tuple[DiffReport, AugCandidate | None, tuple | None]:
     """roundtrip_sheaf's report, plus the induced augmentation it read
-    (None when Gamma != 0 stopped it first).  Every comparison runs on field
-    values; a Subspace is built only for a stalk mismatch's entry."""
+    (None when Gamma != 0 stopped it first) and, given lay, its _orbit_key.
+    Every comparison runs on field values; a Subspace is built only for a
+    stalk mismatch's entry.  lay is the layout sheaf was built from, of a
+    certified candidate, and values its values(lay.extended): a read-back in
+    lay.cand's orbit passes the certificate, which reduced dilations keep,
+    and one equal to lay.cand takes its layout and values."""
     report = DiffReport()
     field, p, N, n = sheaf.field, sheaf.field.p, sheaf.N, sheaf.braid.n
     normals = [_null_vectors(p, w._vectors, w._pivots, N) for w in sheaf.W]
@@ -486,10 +489,24 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
     gamma = N - len(_rref(p, [v for rows in normals for v in rows], N)[1])
     if gamma:
         report.add("Gamma", "0", gamma)
-        return report, None
+        return report, None, None
     # f_j and d_j = (Id - M_j) finv_j as values, None at the degenerate strands
     triv = choose_trivialization(sheaf)
-    eps, disp = _sheaf_read_off(sheaf, triv)
+    rows, lam, mu, disp = _sheaf_read_off(sheaf, triv)
+    key = eps_lay = None
+    if lay is None:
+        eps = _candidate(field, sheaf.components, rows, lam, mu)
+    else:
+        rep = lay.cand
+        rep_key = _orbit_key(rep.R.values, [x.value for x in rep.lam], [x.value for x in rep.mu])
+        key = _orbit_key(rows, lam, mu)
+        if key == rep_key:  # rep's rows are canonical, so key is its orbit's
+            eps, eps_lay = rep, lay
+        else:
+            key = _orbit_key(_canonical_rows(p, sheaf.components, rows)[1], lam, mu)
+            eps = _candidate(field, sheaf.components, rows, lam, mu)
+            if key == rep_key:
+                eps_lay = _AugLayout(eps, index_sets(eps))
     units = _identity(p, N)
     bent = [t for t, (M_t, f_t, d_t) in enumerate(zip(sheaf._values, triv._f, disp), 1)
             if d_t is not None and M_t != tuple(map(tuple, _minus_outer(p, d_t, f_t, units)))]
@@ -497,27 +514,30 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
         report.add("rank-one meridians", "M[j] = Id - d_j f_j", f"fails at strands {bent}")
 
     expected_deg = [(d.component, d.alpha) for d in sheaf.deg]
-    got_deg = [(s, eps.lam[s - 1]) for s in degenerate_components(eps)]
+    deg = degenerate_components(eps) if eps_lay is None else eps_lay.deg_comps
+    got_deg = [(s, eps.lam[s - 1]) for s in deg]
     if expected_deg != got_deg:
         report.add("deg", expected_deg, got_deg)
 
-    try:
-        lay = _certified_layout(eps, sheaf.braid)
-    except NotAnAugmentationError as err:
-        report.add("induced augmentation", "valid candidate", err.report.failures[:3])
-        return report, eps
-    dim, _, sub_M, sub_W = lay.values(extended=False)
+    if eps_lay is None:
+        try:
+            eps_lay = _certified_layout(eps, sheaf.braid)
+        except NotAnAugmentationError as err:
+            report.add("induced augmentation", "valid candidate", err.report.failures[:3])
+            return report, eps, key
+    reuse = eps_lay is lay and not lay.extended
+    dim, _, sub_M, sub_W = values if reuse else eps_lay.values(extended=False)
     V0, V0_pivots = _stabilized(p, N, sheaf._values)
     if dim != len(V0_pivots):
         report.add("dim V_0", dim, len(V0_pivots))
-        return report, eps
+        return report, eps, key
     if dim == 0:
-        return report, eps
+        return report, eps, key
 
     # R = (f_i d_j), so the d_j at R's pivot columns are independent: Phi is
     # injective, and each d_j = (Id - M_j) finv_j lies in V_0, so with the
     # dimensions equal Phi's image is V_0
-    Phi = _transpose([disp[j - 1] for j in lay.pivots], N)
+    Phi = _transpose([disp[j - 1] for j in eps_lay.pivots], N)
     for t in range(1, n + 1):
         if _matmul(p, sheaf._values[t - 1], Phi, dim) != _matmul(p, Phi, sub_M[t - 1], dim):
             report.add(f"intertwine M[{t}]", "equal products", "mismatch")
@@ -532,10 +552,10 @@ def _roundtrip_sheaf(sheaf: SheafData) -> tuple[DiffReport, AugCandidate | None]
 
     outside = {i for i in range(1, n + 1)
                if all(sheaf.W[i - 1]._coordinates(v) is not None for v in V0)}
-    zero_rows = set(index_sets(eps).I_dprime)
+    zero_rows = eps_lay.zero_rows | eps_lay.deg_strands  # R's zero rows
     if outside != zero_rows:
         report.add("extension strands", sorted(zero_rows), sorted(outside))
-    return report, eps
+    return report, eps, key
 
 
 def extend_by_constant(sheaf: SheafData, extra: int) -> SheafData:

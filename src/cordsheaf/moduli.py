@@ -4,13 +4,14 @@ quotient by reduced dilations, sheaf representatives, and the bijection check.
 Enumeration fixes the diagonal of R from mu (the normalization is a hard
 constraint), loops over the rows of R and the unit tuples, and keeps the
 candidates passing the relation certificate.  It certifies raw rows: a
-candidate object exists only for a tuple that is kept.  The
-quotient keys each orbit on the raw rows of its canonical R and builds one
-representative per orbit, and the bijection check builds each candidate's
-sheaf once, reusing it for the orbit the candidate represents.  The moduli
-set of sheaves is produced through the augmentation side; an optional
-direct enumeration of small-dimension representation data cross-checks
-that nothing is missed at dimensions <= 2.
+candidate object exists only for a tuple that is kept, tagged with the key
+of its orbit.  The quotient keys each orbit on the raw rows of its canonical
+R.  The bijection check takes its orbits from the enumerator's tags, builds
+each candidate's sheaf once, and hands each representative's certified
+layout to its sheaf round trip.  The moduli set of sheaves is produced
+through the augmentation side; an optional direct enumeration of
+small-dimension representation data cross-checks that nothing is missed
+at dimensions <= 2.
 
 Two representatives are identified in the sheaf moduli when they are
 isomorphic, degenerate data included: representatives carry no constant
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .braid import BraidWord, BudgetExceededError, component_map, geometry
 from .cordaug import (AugCandidate, _canonical_rows, _dilated_rows, _dilation_factors,
-                      _forest_dilation, _strand_minv, _with_rows, canonical_form,
+                      _forest_dilation, _orbit_key, _strand_minv, _with_rows, canonical_form,
                       degenerate_components, index_sets, passes_fast)
 from .correspondence import _AugLayout, _roundtrip_sheaf, _roundtrip_values, aug_to_subsheaf
 from .field import FieldSpec
@@ -37,9 +38,20 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 def search_space_size(braid: BraidWord, field: FieldSpec) -> int:
-    cm = component_map(braid)
-    n, r, p = braid.n, cm.r, field.p
-    return p ** (n * n - n) * (p - 1) ** (2 * r)
+    """p^(n^2-n) (p-1)^(2r); BudgetExceededError past 128 bits."""
+    return _search_space(braid.n, component_map(braid).r, field.p, 2 ** 128 - 1)
+
+
+def _search_space(n: int, r: int, p: int, budget: int) -> int:
+    """The search space, refused past budget with each power cut where 2^k
+    passes it; a space that may pass 128 bits is written as its powers."""
+    a, b, cap = n * n - n, 2 * r, budget.bit_length() + 1
+    space = p ** min(a, cap) * (p - 1) ** min(b, cap)
+    if space > budget:
+        small = a * p.bit_length() + b * (p - 1).bit_length() <= 128
+        raise BudgetExceededError(p ** a * (p - 1) ** b if small else f"{p}^{a} * {p - 1}^{b}",
+                                  budget)
+    return space
 
 
 def enumerate_augs(braid: BraidWord, field: FieldSpec,
@@ -52,6 +64,13 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     brings in its whole orbit, whose other members are certified in turn
     before they are kept.  Sorting the block by its tuples gives the order
     of a scan over every tuple.  A knot skips the test: all are canonical.
+    """
+    return _enumerate(braid, field, budget)[0]
+
+
+def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, list]:
+    """enumerate_augs's candidates, and for each the _orbit_key of the orbit
+    that brought it in (on a knot, its own), one key object per orbit.
 
     Tuples are walked as rows: each strand's rows of R, with the diagonal
     in place, are built once per mu, and the certificate runs on them with
@@ -65,13 +84,7 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
         raise ValueError(f"budget must be >= 0, got {budget}")
     cm = component_map(braid)
     n, r, p = braid.n, cm.r, field.p
-    # search_space_size against the budget, with each power cut where 2^k
-    # passes the budget; a space that may pass 128 bits is written as powers
-    a, b, cap = n * n - n, 2 * r, budget.bit_length() + 1
-    if p ** min(a, cap) * (p - 1) ** min(b, cap) > budget:
-        small = a * p.bit_length() + b * (p - 1).bit_length() <= 128
-        raise BudgetExceededError(p ** a * (p - 1) ** b if small else f"{p}^{a} * {p - 1}^{b}",
-                                  budget)
+    _search_space(n, r, p, budget)
     geom = geometry(braid)
     units = list(field.elements(nonzero=True))
 
@@ -91,21 +104,24 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     def certified(rows: tuple) -> bool:
         return passes_fast(geom, raw_lam, (p, rows, minv))
 
-    out = []
+    out, keys = [], []
     for mu in itertools.product(units, repeat=r):
         minv = _strand_minv(p, cm, mu)
+        raw_mu = [x.value for x in mu]
         choices = strand_rows([_sub(p, 1, mu[s - 1].value) for s in cm.labels])
         for lam in itertools.product(units, repeat=r):
             raw_lam = [x.value for x in lam]
-            block: dict = {}  # rows -> True once certified, else None
+            block: dict = {}  # rows -> the key of the certified orbit that brought them in
             for rows in itertools.compress(itertools.product(*choices), canonical):
                 if certified(rows):
-                    block.update(dict.fromkeys(_dilated_rows(p, f, rows) for f in dilations))
-                    block[rows] = True
+                    block.update(dict.fromkeys((_dilated_rows(p, f, rows) for f in dilations),
+                                               _orbit_key(rows, raw_lam, raw_mu)))
             for rows in sorted(block):
-                if block[rows] or certified(rows):
+                key = block[rows]
+                if rows == key[0] or certified(rows):
                     out.append(AugCandidate(field, cm, Matrix._from_values(field, rows), lam, mu))
-    return out
+                    keys.append(key)
+    return out, keys
 
 
 class Orbit:
@@ -130,19 +146,14 @@ def quotient_by_dilation(points: Sequence[AugCandidate]) -> list[Orbit]:
     """
     orbits: dict = {}
     for cand in points:
-        _, rows = _canonical_rows(cand)
-        key = _orbit_key(rows, cand)
+        _, rows = _canonical_rows(cand.field.p, cand.components, cand.R.values)
+        key = _orbit_key(rows, [x.value for x in cand.lam], [x.value for x in cand.mu])
         orbit = orbits.get(key)
         if orbit is None:
             rep = cand if rows is cand.R.values else _with_rows(cand, rows)
             orbits[key] = orbit = Orbit(rep, 0)
         orbit.size += 1
     return list(orbits.values())
-
-
-def _orbit_key(rows, cand: AugCandidate) -> tuple:
-    """rows, the raw rows of R in cand's orbit representative, with raw lambda and mu."""
-    return rows, tuple([x.value for x in cand.lam]), tuple([x.value for x in cand.mu])
 
 
 class ModuliReport:
@@ -189,29 +200,33 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     distinct orbits must give inequivalent sheaves.
     """
     report = ModuliReport(braid, field)
-    report.aug_points = enumerate_augs(braid, field, budget)
-    report.orbits = quotient_by_dilation(report.aug_points)
-    report.notes.append(
-        f"{len(report.aug_points)} candidates, {len(report.orbits)} dilation orbits")
+    report.aug_points, keys = _enumerate(braid, field, budget)
 
     # enumerate_augs kept only candidates passing the relation certificate.
     # Each candidate's sheaf is written as field values and read back on
-    # them; only an orbit representative, itself an enumerated candidate,
-    # gets its sheaf built as SheafData.
+    # them; the enumerator's orbits, in first-seen order, get the sheaf of
+    # their canonical member, whose layout and values serve its round trip.
     geom = geometry(braid)
-    rep_index = {_orbit_key(o.rep.R.values, o.rep): k for k, o in enumerate(report.orbits)}
-    rep_sheaves: list = [None] * len(report.orbits)
-    for idx, cand in enumerate(report.aug_points):
+    orbit_of: dict = {}  # orbit key -> its orbit's index
+    reps: list = []  # per orbit, its representative's layout and sheaf values
+    for idx, (cand, key) in enumerate(zip(report.aug_points, keys)):
         lay = _AugLayout(cand, index_sets(cand))
         values = lay.values(lay.extended)
         diff = _roundtrip_values(lay, geom, values)
         if diff is not None:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
-        k = rep_index.get(_orbit_key(cand.R.values, cand))
-        if k is not None:
-            rep_sheaves[k] = lay.sheaf(braid, values)
+        k = orbit_of.setdefault(key, len(reps))
+        if k == len(reps):
+            report.orbits.append(Orbit(None, 0))
+            reps.append(None)
+        report.orbits[k].size += 1
+        if cand.R.values == key[0]:
+            report.orbits[k].rep, reps[k] = cand, (lay, values)
+    report.notes.append(
+        f"{len(report.aug_points)} candidates, {len(report.orbits)} dilation orbits")
 
-    for k, sheaf in enumerate(rep_sheaves):
+    for k, (lay, values) in enumerate(reps):
+        sheaf = lay.sheaf(braid, values)
         vrep = validate(sheaf)
         if not vrep.ok:
             report.fail("invalid-sheaf", f"orbit {k}", vrep.failures[:4])
@@ -220,17 +235,15 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     # a layout sheaf has no global sections, so the round trip reads its
     # augmentation
     induced_keys: dict = {}
-    for k, sheaf in enumerate(report.sheaf_reps):
+    for k, (rep_key, (lay, values)) in enumerate(zip(orbit_of, reps)):
         try:
-            diff, eps = _roundtrip_sheaf(sheaf)
+            diff, eps, key = _roundtrip_sheaf(report.sheaf_reps[k], lay, values)
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
-            _, rows = _canonical_rows(eps)
-            key = _orbit_key(rows, eps)
-            rep = report.orbits[k].rep
-            if key != _orbit_key(rep.R.values, rep):
+            if key != rep_key:
                 report.fail("wrong-orbit", f"representative {k}",
-                            {"expected": rep.to_json(), "got": canonical_form(eps)[0].to_json()})
+                            {"expected": lay.cand.to_json(),
+                             "got": canonical_form(eps)[0].to_json()})
             induced_keys.setdefault(key, []).append(k)
         except Exception as err:  # keep verifying; each breakage is one report entry
             report.fail("error", f"representative {k}", f"{type(err).__name__}: {err}")

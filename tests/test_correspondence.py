@@ -15,7 +15,8 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       extend_by_constant, pure_cord_trace,
                                       roundtrip_aug, roundtrip_sheaf,
                                       sheaf_to_aug)
-from cordsheaf.correspondence import _AugLayout, _certified_layout, _sheaf_read_off
+from cordsheaf.correspondence import (_AugLayout, _candidate, _certified_layout,
+                                      _roundtrip_sheaf, _sheaf_read_off)
 from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
@@ -596,7 +597,8 @@ def _phi_and_v0(sheaf):
     if global_sections(sheaf).dim:
         return None
     try:
-        eps, disp = _sheaf_read_off(sheaf, choose_trivialization(sheaf))
+        *read, disp = _sheaf_read_off(sheaf, choose_trivialization(sheaf))
+        eps = _candidate(sheaf.field, sheaf.components, *read)
         lay = _certified_layout(eps, sheaf.braid)
     except (InvalidTrivializationError, NotAnAugmentationError):
         return None
@@ -685,3 +687,77 @@ def test_diff_candidates_names_each_differing_entry():
         {"location": "lambda[2]", "expected": "1", "got": "2"},
         {"location": "mu[2]", "expected": "1", "got": "4"},
     ]
+
+
+# (strands, word, p) -> orbit representatives whose sheaf reads back as the
+# representative itself, as another member of its orbit, off its orbit, or
+# raises: the links verify reports failures on, then the benchmark's verify
+# instances
+SHORTCUT_PATHS = {(2, (1, 1, 1, 1), 5): (53, 29, 4, 0), (3, (1, 1), 3): (85, 221, 22, 0),
+                  (3, (1, 1, 2), 3): (9, 4, 1, 2), (3, (1, 2, 1, 2, 1, 2), 3): (28, 70, 30, 0),
+                  (2, (1, 1), 3): (9, 5, 2, 0), (2, (), 7): (163, 246, 0, 0),
+                  (2, (), 5): (69, 76, 0, 0), (3, (), 2): (64, 0, 0, 0),
+                  (2, (1, 1, 1), 5): (11, 0, 0, 0), (2, (1, 1), 5): (49, 17, 6, 0)}
+
+
+def _values(cand) -> tuple:
+    return cand.R.values, tuple(x.value for x in cand.lam), tuple(x.value for x in cand.mu)
+
+
+def _shortcut_path(monkeypatch, sheaf, lay, values) -> str:
+    """Which path _roundtrip_sheaf takes given the representative's layout,
+    after checking that it returns what the full path returns, and that it
+    runs the relation certificate only off the representative's orbit."""
+    import cordsheaf.correspondence as co
+    certified = []
+    monkeypatch.setattr(co, "check_relations",
+                        lambda *args: certified.append(None) or check_relations(*args))
+    try:
+        diff, eps, key = _roundtrip_sheaf(sheaf, lay, values)
+    except InvalidTrivializationError as err:
+        monkeypatch.undo()
+        with pytest.raises(InvalidTrivializationError, match=f"^{re.escape(str(err))}$"):
+            _roundtrip_sheaf(sheaf)
+        return "raises"
+    path = ("itself" if eps is lay.cand else "orbit" if key == _values(lay.cand) else "off")
+    assert len(certified) == (path == "off")
+    monkeypatch.undo()
+    full, want, none = _roundtrip_sheaf(sheaf)
+    assert none is None
+    assert diff.entries == full.entries
+    assert _values(eps) == _values(want)
+    assert key == _values(canonical_form(want)[0])
+    return path
+
+
+@pytest.mark.parametrize("key", list(SHORTCUT_PATHS),
+                         ids=lambda key: f"{list(key[1])}/{key[0]}/F{key[2]}")
+def test_sheaf_round_trip_shortcut_matches_the_full_path(monkeypatch, key):
+    # verify_bijection hands each representative's layout and sheaf values
+    # to the sheaf round trip: a read-back equal to the representative, or
+    # in its orbit, skips the certificate (and the layout and values it
+    # would rebuild), and must report exactly what the full path reports
+    n, word, p = key
+    braid = BraidWord(n, list(word))
+    paths = {"itself": 0, "orbit": 0, "off": 0, "raises": 0}
+    for orbit in quotient_by_dilation(enumerate_augs(braid, FieldSpec.prime(p))):
+        lay = _AugLayout(orbit.rep, index_sets(orbit.rep))
+        values = lay.values(lay.extended)
+        paths[_shortcut_path(monkeypatch, lay.sheaf(braid, values), lay, values)] += 1
+    assert tuple(paths.values()) == SHORTCUT_PATHS[key]
+
+
+def test_sheaf_round_trip_shortcut_certifies_a_read_back_off_the_orbit(monkeypatch):
+    # a corrupted sheaf handed over with its source's layout: squaring strand
+    # 1's meridian moves the read-back off the orbit and breaks the
+    # certificate, which runs and itemizes its failures as the full path does
+    braid = BraidWord(2, [1, 1])
+    cand = next(c for c in enumerate_augs(braid, F5) if c.R.values == ((0, 0), (1, 4)))
+    lay = _AugLayout(cand, index_sets(cand))
+    values = lay.values(lay.extended)
+    sheaf = lay.sheaf(braid, values)
+    bad = SheafData(F5, braid, sheaf.N, [sheaf.M[0] * sheaf.M[0], sheaf.M[1]], sheaf.W, sheaf.deg)
+    assert _shortcut_path(monkeypatch, bad, lay, values) == "off"
+    [entry] = _roundtrip_sheaf(bad, lay, values)[0].entries
+    assert entry["location"] == "induced augmentation"
+    assert "'family': 'transport-col'" in entry["got"]

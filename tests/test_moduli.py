@@ -21,6 +21,7 @@ from cordsheaf.sheafmodel import global_sections, isomorphic, stabilized_space
 
 import certificate_reference as reference
 from certificate_reference import SCANNED
+from test_golden import VERIFY_FAILING
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -46,6 +47,20 @@ def test_search_space_and_budget():
     # past 128 bits the space is written as its powers, which are not formed
     with pytest.raises(BudgetExceededError, match=r"of 3\^8997000 \* 2\^6000 tuples"):
         enumerate_augs(BraidWord(3000, []), F3)
+
+
+def test_search_space_past_128_bits_is_refused_unformed():
+    # 2^(n^2 - n) on 100 000 strands has 10^10 bits; forming it exhausted
+    # memory after seconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^search space of 2\^9999900000 \* 1\^200000 "
+                                                  rf"tuples exceeds the budget {2 ** 128 - 1}$"):
+        search_space_size(BraidWord(100_000, []), F2)
+    assert time.perf_counter() - start < 1
+    # 110 bits are formed, 132 are not
+    assert search_space_size(BraidWord(11, []), F2) == 2 ** 110
+    with pytest.raises(BudgetExceededError, match=r"of 2\^132 \* 1\^24 tuples"):
+        search_space_size(BraidWord(12, []), F2)
 
 
 def test_huge_strand_counts_are_refused_before_any_per_strand_work():
@@ -220,6 +235,27 @@ def test_quotient_equals_the_canonical_form_reference(braid, field):
     for points in (pts, pts[::-1]):
         orbits = quotient_by_dilation(points)
         assert [(o.rep.to_json(), o.size) for o in orbits] == _quotient_by_canonical_form(points)
+
+
+# every scanned pair and the links whose verify reports pin failures
+VERIFIED = list(dict.fromkeys(SCANNED + [(BraidWord(n, list(word)), FieldSpec.prime(p))
+                                         for n, word, p in VERIFY_FAILING]))
+
+
+@pytest.mark.parametrize("braid, field", VERIFIED,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in VERIFIED])
+def test_verify_takes_the_quotient_from_the_enumerator(braid, field):
+    # verify_bijection builds its orbits from the orbit keys the enumerator
+    # tags its candidates with, not from quotient_by_dilation; they must be
+    # the quotient's, orbit by orbit, each represented by the enumerated
+    # candidate at its canonical member
+    report = verify_bijection(braid, field)
+    assert ([(o.rep.to_json(), o.size) for o in report.orbits]
+            == [(o.rep.to_json(), o.size) for o in quotient_by_dilation(report.aug_points)])
+    enumerated = {id(cand) for cand in report.aug_points}
+    for orbit in report.orbits:
+        assert id(orbit.rep) in enumerated
+        assert canonical_form(orbit.rep)[0] == orbit.rep
 
 
 def test_enumeration_reaches_orbits_whose_forest_starts_off_component_1():
@@ -484,10 +520,10 @@ def test_collision_entries(monkeypatch, braid, field, failures, digest):
     real = moduli._roundtrip_sheaf
     induced = []
 
-    def first_induced(sheaf):
-        diff, eps = real(sheaf)
-        induced.append(eps)
-        return diff, induced[0]
+    def first_induced(sheaf, *layout):
+        diff, eps, key = real(sheaf, *layout)
+        induced.append((eps, key))
+        return (diff, *induced[0])
 
     monkeypatch.setattr(moduli, "_roundtrip_sheaf", first_induced)
     monkeypatch.setattr(moduli, "isomorphic",
