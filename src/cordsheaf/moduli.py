@@ -13,6 +13,10 @@ through the augmentation side; an optional direct enumeration of
 small-dimension representation data cross-checks that nothing is missed
 at dimensions <= 2.
 
+Where a lone strand (its own component, with an empty longitude segment)
+has lambda != 1, its transport identities force its row and column of R to
+vanish, so such (mu, lambda) blocks loop over those rows only.
+
 Two representatives are identified in the sheaf moduli when they are
 isomorphic, degenerate data included: representatives carry no constant
 directions, which are what the quotient by local systems collapses.
@@ -39,7 +43,15 @@ DEFAULT_BUDGET = 10 ** 8
 
 def search_space_size(braid: BraidWord, field: FieldSpec) -> int:
     """p^(n^2-n) (p-1)^(2r); BudgetExceededError past 128 bits."""
-    return _search_space(braid.n, component_map(braid).r, field.p, 2 ** 128 - 1)
+    p = _finite_p(field)
+    return _search_space(braid.n, component_map(braid).r, p, 2 ** 128 - 1)
+
+
+def _finite_p(field: FieldSpec) -> int:
+    """The field's characteristic; ValueError on the rationals."""
+    if not field.is_prime_field:
+        raise ValueError("enumeration needs a finite field")
+    return field.p
 
 
 def _search_space(n: int, r: int, p: int, budget: int) -> int:
@@ -64,6 +76,12 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     brings in its whole orbit, whose other members are certified in turn
     before they are kept.  Sorting the block by its tuples gives the order
     of a scan over every tuple.  A knot skips the test: all are canonical.
+
+    A lone strand i, its own component with an empty longitude segment,
+    has transport identities (lambda_s - 1) row_i = 0 and (lambda_s - 1)
+    col_i = 0.  So in a block where lambda_s != 1 only tuples whose row i
+    and column i vanish are scanned, and none when mu_s != 1, as the
+    diagonal entry 1 - mu_s is then nonzero; every tuple left out fails.
     """
     return _enumerate(braid, field, budget)[0]
 
@@ -73,46 +91,62 @@ def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, l
     that brought it in (on a knot, its own), one key object per orbit.
 
     Tuples are walked as rows: each strand's rows of R, with the diagonal
-    in place, are built once per mu, and the certificate runs on them with
-    mu^-1 and lambda read once per block.  A Matrix and an AugCandidate are
-    built only for the tuples that are kept.  Canonicity and the orbits are
-    cordaug's raw-rows forms, _forest_dilation and _dilated_rows.
+    in place, are built once per mu and set of zeroed lone strands, and the
+    certificate runs on them with mu^-1 and lambda read once per block.  A
+    Matrix and an AugCandidate are built only for the tuples that are kept.
+    Canonicity and the orbits are cordaug's raw-rows forms, _forest_dilation
+    and _dilated_rows.
     """
-    if not field.is_prime_field:
-        raise ValueError("enumeration needs a finite field")
+    p = _finite_p(field)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     cm = component_map(braid)
-    n, r, p = braid.n, cm.r, field.p
+    n, r = braid.n, cm.r
     _search_space(n, r, p, budget)
     geom = geometry(braid)
     units = list(field.elements(nonzero=True))
+    # the lone strands, from 0: tau(i) = i and an empty segment
+    lone = [i for i in range(n) if geom.tau[i] == i + 1 and not geom.segments[i + 1].letters]
 
-    def strand_rows(diag: list) -> list:  # per strand, its rows in order
-        return [[v[:i] + (x,) + v[i:] for v in itertools.product(range(p), repeat=n - 1)]
+    def strand_rows(diag: list, zero: frozenset) -> list:  # per strand, its rows in order
+        return [[v[:i] + (x,) + v[i:] for v in itertools.product(
+                    *((0,) if i in zero or j in zero else range(p) for j in range(n) if j != i))]
                 for i, x in enumerate(diag)]
 
     # the reduced dilations (d_1 = 1); on a knot the one dilation is the identity
     dilations = [_dilation_factors(p, cm, (1,) + rest)
                  for rest in itertools.product(range(1, p), repeat=r - 1)]
-    # canonicity never reads the diagonal, so one bitmap serves every block
+    # canonicity never reads the diagonal, so one bitmap per zeroed set
+    # serves every block; on a knot every tuple is canonical
     ones = [1] * r
-    canonical = itertools.repeat(1) if r == 1 else bytearray(
-        _forest_dilation(p, cm, rows) == ones for rows in itertools.product(*strand_rows([0] * n)))
+    canonical: dict = {}  # zeroed set -> bitmap
 
     # minv and raw_lam below are those of the (mu, lambda) block in scan
     def certified(rows: tuple) -> bool:
         return passes_fast(geom, raw_lam, (p, rows, minv))
 
+    lams = []  # per lambda: its units, raw values and zeroed lone strands
+    for lam in itertools.product(units, repeat=r):
+        raw = [x.value for x in lam]
+        lams.append((lam, raw, frozenset(i for i in lone if raw[cm.labels[i] - 1] != 1)))
     out, keys = [], []
     for mu in itertools.product(units, repeat=r):
         minv = _strand_minv(p, cm, mu)
         raw_mu = [x.value for x in mu]
-        choices = strand_rows([_sub(p, 1, mu[s - 1].value) for s in cm.labels])
-        for lam in itertools.product(units, repeat=r):
-            raw_lam = [x.value for x in lam]
+        diag = [_sub(p, 1, mu[s - 1].value) for s in cm.labels]
+        zeroable = frozenset(i for i, x in enumerate(diag) if not x)
+        choices: dict = {}  # zeroed set -> strand_rows
+        for lam, raw_lam, zero in lams:
+            if not zero <= zeroable:
+                continue  # a zeroed row's diagonal entry 1 - mu_s is not 0
+            if zero not in choices:
+                choices[zero] = strand_rows(diag, zero)
+            if zero not in canonical:
+                canonical[zero] = itertools.repeat(1) if r == 1 else bytearray(
+                    _forest_dilation(p, cm, rows) == ones
+                    for rows in itertools.product(*strand_rows([0] * n, zero)))
             block: dict = {}  # rows -> the key of the certified orbit that brought them in
-            for rows in itertools.compress(itertools.product(*choices), canonical):
+            for rows in itertools.compress(itertools.product(*choices[zero]), canonical[zero]):
                 if certified(rows):
                     block.update(dict.fromkeys((_dilated_rows(p, f, rows) for f in dilations),
                                                _orbit_key(rows, raw_lam, raw_mu)))
@@ -358,6 +392,7 @@ def enumerate_sheaves_direct(braid: BraidWord, field: FieldSpec,
     Exponential in every direction; meant only as an independent check that
     the augmentation-side enumeration reaches everything at dimension <= 2.
     """
+    _finite_p(field)
     geom = geometry(braid)
     n = braid.n
     reps: list[SheafData] = []

@@ -23,8 +23,11 @@ HOPF = BraidWord(2, [1, 1])
 TREFOIL = BraidWord(2, [1, 1, 1])
 
 # every braid and field the suite enumerates (the 3-unlink over F5 only as a
-# budget refusal), T(3,3), whose zero-row orbits all lack a sheaf, and four
-# 4-strand links over F2, whose rows hold three off-diagonal entries
+# budget refusal), T(3,3), whose zero-row orbits all lack a sheaf, four
+# 4-strand links over F2, whose rows hold three off-diagonal entries, and two
+# links whose lone strands (their own component, crossing nothing) the
+# enumerator zeroes away from a pure unlink: a trefoil beside a third strand,
+# and two strands whose crossings cancel
 SCANNED = [(UNKNOT, F2), (UNKNOT, F3), (UNKNOT, F5), (UNKNOT, F7),
            (UNLINK2, F2), (UNLINK2, F3), (UNLINK2, F5), (UNLINK2, F7),
            (BraidWord(2, [1]), F2), (BraidWord(2, [1]), F3),
@@ -39,7 +42,8 @@ SCANNED = [(UNKNOT, F2), (UNKNOT, F3), (UNKNOT, F5), (UNKNOT, F7),
            (BraidWord(3, [1, 2]), F3), (BraidWord(3, [1, -2, 1, -2]), F3),
            (BraidWord(3, [1, 2, 1, 2, 1, 2]), F3),
            (BraidWord(4, []), F2), (BraidWord(4, [1, 1, 3, 3]), F2),
-           (BraidWord(4, [1, 2, 3]), F2), (BraidWord(4, [1, -2, 3]), F2)]
+           (BraidWord(4, [1, 2, 3]), F2), (BraidWord(4, [1, -2, 3]), F2),
+           (BraidWord(3, [1, 1, 1]), F3), (BraidWord(2, [1, -1]), F3)]
 
 
 def loop_product(cand, word, X):

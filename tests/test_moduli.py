@@ -83,6 +83,10 @@ def test_search_space_of_the_benchmark_instances():
     assert search_space_size(BraidWord(3, [1, -2, 1, -2]), F5) == 250000
     with pytest.raises(ValueError, match="budget must be >= 0"):
         enumerate_augs(UNKNOT, F3, budget=-1)
+    # the rationals cannot be enumerated, and every entry point says so
+    for call in (enumerate_augs, search_space_size, enumerate_sheaves_direct):
+        with pytest.raises(ValueError, match="^enumeration needs a finite field$"):
+            call(UNLINK2, FieldSpec.rationals())
 
 
 def test_unknot_counts():
@@ -170,10 +174,14 @@ def test_enumeration_equals_the_full_scan(braid, field):
         assert not check_relations(cand, braid).ok, cand.to_json()
 
 
-# passes_fast calls of one enumeration: on links, one per canonical tuple
-# plus one per other member of each orbit that passes; on a knot every tuple
-CERTIFIED_COUNTS = [(UNLINK2, F5, 2080), (UNLINK2, F7, 13104), (UNLINK3, F3, 16464),
-                    (HOPF, F5, 1861), (BraidWord(3, [1, 1]), F3, 12765),
+# passes_fast calls of one enumeration, over the tuples left once each block
+# has zeroed the row and column of every lone strand (its own component,
+# crossing nothing) whose lambda is not 1: on links, one per canonical tuple
+# plus one per other member of each orbit that passes; on a knot with no lone
+# strand, every tuple.  On an unlink every tuple left passes, so the count is
+# the candidates'.
+CERTIFIED_COUNTS = [(UNLINK2, F5, 433), (UNLINK2, F7, 1849), (UNLINK3, F3, 5947),
+                    (HOPF, F5, 1861), (BraidWord(3, [1, 1]), F3, 6797),
                     (BraidWord(3, [1, 2]), F3, 2916)]
 
 
@@ -189,15 +197,20 @@ def test_enumeration_certifies_one_tuple_per_orbit(monkeypatch, braid, field, ca
 
     passes_fast = moduli.passes_fast
     monkeypatch.setattr(moduli, "passes_fast", counted)
-    enumerate_augs(braid, field)
+    pts = enumerate_augs(braid, field)
     assert len(seen) == calls
     if component_map(braid).r == 1:
         assert calls == search_space_size(braid, field)
+    if not braid.word:
+        assert calls == len(pts)
 
 
 def test_canonicity_is_tested_on_links_only(monkeypatch):
     # a knot has one component, so every tuple is canonical and the bitmap
     # is skipped; a link tests each tuple of rows with a zero diagonal once
+    # per set of zeroed lone strands that a block reaches: on the 2-unlink
+    # over F3, the 9 tuples with none zeroed and one tuple each for strand 1,
+    # strand 2 and both
     import cordsheaf.moduli as moduli
     seen = []
 
@@ -210,7 +223,7 @@ def test_canonicity_is_tested_on_links_only(monkeypatch):
     assert enumerate_augs(BraidWord(3, [1, -2, 1, -2]), F3)
     assert seen == []
     assert enumerate_augs(UNLINK2, F3)
-    assert len(seen) == 3 ** 2
+    assert len(seen) == 3 ** 2 + 3
 
 
 def _quotient_by_canonical_form(points):
