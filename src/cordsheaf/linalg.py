@@ -104,6 +104,12 @@ def _transpose(rows: Sequence[Sequence], cols: int) -> list:
     return list(zip(*rows)) if rows else [()] * cols
 
 
+def _check_size(name: str, size: int) -> None:
+    """ValueError naming the argument when a size is negative."""
+    if size < 0:
+        raise ValueError(f"{name} must be >= 0, got {size}")
+
+
 def _identity(p: int | None, n: int) -> tuple:
     """The unit rows of k^n, as tuples."""
     zero, one = (_zero(p),), _one(p)
@@ -227,6 +233,8 @@ class Matrix:
     def __init__(self, field: FieldSpec, entries: Sequence[Sequence[Scalar]],
                  cols: int | None = None):
         rows = [tuple(row) for row in entries]
+        if cols is not None:
+            _check_size("cols", cols)
         self.field = field
         self.rows = len(rows)
         # The column count cannot be inferred from an empty row list, so
@@ -263,10 +271,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
+        _check_size("n", n)
         return cls._from_values(field, _identity(field.p, n))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
+        _check_size("rows", rows)
+        _check_size("cols", cols)
         zero = _zero(field.p)
         return cls._from_values(field, [[zero] * cols for _ in range(rows)], cols=cols)
 
@@ -474,6 +485,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient_dim: int,
                      vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
+        _check_size("ambient_dim", ambient_dim)
         rows = [list(v) for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
@@ -483,10 +495,12 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
+        _check_size("ambient_dim", ambient_dim)
         return cls._from_echelon(field, ambient_dim, [], [])
 
     @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
+        _check_size("ambient_dim", ambient_dim)
         return cls._from_echelon(field, ambient_dim, _identity(field.p, ambient_dim),
                                  range(ambient_dim))
 

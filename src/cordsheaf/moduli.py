@@ -7,11 +7,13 @@ candidates passing the relation certificate.  It certifies raw rows: a
 candidate object exists only for a tuple that is kept, tagged with the key
 of its orbit.  The quotient keys each orbit on the raw rows of its canonical
 R.  The bijection check takes its orbits from the enumerator's tags, builds
-each candidate's sheaf once, and hands each representative's certified
-layout to its sheaf round trip.  The moduli set of sheaves is produced
-through the augmentation side; an optional direct enumeration of
-small-dimension representation data cross-checks that nothing is missed
-at dimensions <= 2.
+each candidate's sheaf once, eliminating once per orbit (the other members
+carry the first member's layout by the dilation scales the enumerator tags
+them with), and hands each representative's certified layout to its sheaf
+round trip, which stops where its own checks decide the rest.  The moduli
+set of sheaves is produced through the augmentation side; an optional
+direct enumeration of small-dimension representation data cross-checks
+that nothing is missed at dimensions <= 2.
 
 Where a lone strand (its own component, with an empty longitude segment)
 has lambda != 1, its transport identities force its row and column of R to
@@ -34,7 +36,7 @@ from .cordaug import (AugCandidate, _canonical_rows, _dilated_rows, _dilation_fa
                       degenerate_components, index_sets, passes_fast)
 from .correspondence import _AugLayout, _roundtrip_sheaf, _roundtrip_values, aug_to_subsheaf
 from .field import FieldSpec
-from .linalg import Matrix, Subspace, _hyperplane, _identity, _sub
+from .linalg import Matrix, Subspace, _hyperplane, _identity, _inv, _mul, _sub
 from .sheafmodel import (SheafData, _first_moved, global_sections, is_reduced, isomorphic,
                          validate)
 
@@ -86,9 +88,11 @@ def enumerate_augs(braid: BraidWord, field: FieldSpec,
     return _enumerate(braid, field, budget)[0]
 
 
-def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, list]:
+def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, list, list]:
     """enumerate_augs's candidates, and for each the _orbit_key of the orbit
-    that brought it in (on a knot, its own), one key object per orbit.
+    that brought it in (on a knot, its own), one key object per orbit, and
+    the per-strand raw scales of a reduced dilation taking the orbit's
+    canonical tuple to it: its R is D R D^-1 for D their diagonal.
 
     Tuples are walked as rows: each strand's rows of R, with the diagonal
     in place, are built once per mu and set of zeroed lone strands, and the
@@ -113,9 +117,10 @@ def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, l
                     *((0,) if i in zero or j in zero else range(p) for j in range(n) if j != i))]
                 for i, x in enumerate(diag)]
 
-    # the reduced dilations (d_1 = 1); on a knot the one dilation is the identity
-    dilations = [_dilation_factors(p, cm, (1,) + rest)
-                 for rest in itertools.product(range(1, p), repeat=r - 1)]
+    # the reduced dilations (d_1 = 1), as factor tables and per-strand scales;
+    # on a knot the one dilation is the identity
+    dilations = [(_dilation_factors(p, cm, d), tuple([d[s - 1] for s in cm.labels]))
+                 for d in ((1,) + rest for rest in itertools.product(range(1, p), repeat=r - 1))]
     # canonicity never reads the diagonal, so one bitmap per zeroed set
     # serves every block; on a knot every tuple is canonical
     ones = [1] * r
@@ -129,7 +134,7 @@ def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, l
     for lam in itertools.product(units, repeat=r):
         raw = [x.value for x in lam]
         lams.append((lam, raw, frozenset(i for i in lone if raw[cm.labels[i] - 1] != 1)))
-    out, keys = [], []
+    out, keys, scales = [], [], []
     for mu in itertools.product(units, repeat=r):
         minv = _strand_minv(p, cm, mu)
         raw_mu = [x.value for x in mu]
@@ -145,17 +150,20 @@ def _enumerate(braid: BraidWord, field: FieldSpec, budget: int) -> tuple[list, l
                 canonical[zero] = itertools.repeat(1) if r == 1 else bytearray(
                     _forest_dilation(p, cm, rows) == ones
                     for rows in itertools.product(*strand_rows([0] * n, zero)))
-            block: dict = {}  # rows -> the key of the certified orbit that brought them in
+            block: dict = {}  # rows -> the key of the certified orbit that brought them in,
+            # and the scales of a dilation taking its canonical rows to them
             for rows in itertools.compress(itertools.product(*choices[zero]), canonical[zero]):
                 if certified(rows):
-                    block.update(dict.fromkeys((_dilated_rows(p, f, rows) for f in dilations),
-                                               _orbit_key(rows, raw_lam, raw_mu)))
+                    key = _orbit_key(rows, raw_lam, raw_mu)
+                    block.update((_dilated_rows(p, f, rows), (key, delta))
+                                 for f, delta in dilations)
             for rows in sorted(block):
-                key = block[rows]
+                key, delta = block[rows]
                 if rows == key[0] or certified(rows):
                     out.append(AugCandidate(field, cm, Matrix._from_values(field, rows), lam, mu))
                     keys.append(key)
-    return out, keys
+                    scales.append(delta)
+    return out, keys, scales
 
 
 class Orbit:
@@ -232,27 +240,37 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     augmentation round trip; every sheaf representative must survive the
     sheaf round trip and induce an augmentation back in its paired orbit;
     distinct orbits must give inequivalent sheaves.
+
+    Each orbit's first member is eliminated, and the other members carry
+    its layout over (_AugLayout.dilated), each round-tripping on its own.
+    Every representative is validated; its sheaf round trip stops where its
+    own checks decide the rest (roundtrip_sheaf).
     """
     report = ModuliReport(braid, field)
-    report.aug_points, keys = _enumerate(braid, field, budget)
+    report.aug_points, keys, scales = _enumerate(braid, field, budget)
 
     # enumerate_augs kept only candidates passing the relation certificate.
     # Each candidate's sheaf is written as field values and read back on
     # them; the enumerator's orbits, in first-seen order, get the sheaf of
-    # their canonical member, whose layout and values serve its round trip.
-    geom = geometry(braid)
+    # their canonical member, whose layout serves its round trip.
+    geom, p = geometry(braid), field.p
     orbit_of: dict = {}  # orbit key -> its orbit's index
+    firsts: list = []  # per orbit, its first member's layout and inverse scales
     reps: list = []  # per orbit, its representative's layout and sheaf values
-    for idx, (cand, key) in enumerate(zip(report.aug_points, keys)):
-        lay = _AugLayout(cand, index_sets(cand))
+    for idx, (cand, key, delta) in enumerate(zip(report.aug_points, keys, scales)):
+        k = orbit_of.setdefault(key, len(reps))
+        if k == len(reps):
+            lay = _AugLayout(cand, index_sets(cand))
+            firsts.append((lay, [_inv(p, x) for x in delta]))
+            report.orbits.append(Orbit(None, 0))
+            reps.append(None)
+        else:
+            first, inverse = firsts[k]
+            lay = first.dilated(cand, [_mul(p, x, y) for x, y in zip(delta, inverse)])
         values = lay.values(lay.extended)
         diff = _roundtrip_values(lay, geom, values)
         if diff is not None:
             report.fail("roundtrip-aug", f"candidate {idx}", diff.entries[:4])
-        k = orbit_of.setdefault(key, len(reps))
-        if k == len(reps):
-            report.orbits.append(Orbit(None, 0))
-            reps.append(None)
         report.orbits[k].size += 1
         if cand.R.values == key[0]:
             report.orbits[k].rep, reps[k] = cand, (lay, values)
@@ -269,9 +287,9 @@ def verify_bijection(braid: BraidWord, field: FieldSpec,
     # a layout sheaf has no global sections, so the round trip reads its
     # augmentation
     induced_keys: dict = {}
-    for k, (rep_key, (lay, values)) in enumerate(zip(orbit_of, reps)):
+    for k, (rep_key, (lay, _)) in enumerate(zip(orbit_of, reps)):
         try:
-            diff, eps, key = _roundtrip_sheaf(report.sheaf_reps[k], lay, values)
+            diff, eps, key = _roundtrip_sheaf(report.sheaf_reps[k], lay)
             if not diff.empty:
                 report.fail("roundtrip-sheaf", f"representative {k}", diff.entries[:4])
             if key != rep_key:

@@ -16,7 +16,8 @@ from cordsheaf.correspondence import (InvalidTrivializationError,
                                       roundtrip_aug, roundtrip_sheaf,
                                       sheaf_to_aug)
 from cordsheaf.correspondence import (_AugLayout, _candidate, _certified_layout,
-                                      _roundtrip_sheaf, _sheaf_read_off)
+                                      _checks_decide, _compare_subsheaf, _roundtrip_sheaf,
+                                      _sheaf_read_off)
 from cordsheaf.field import FieldSpec, MixedFieldError
 from cordsheaf.linalg import Matrix, Subspace
 from cordsheaf.moduli import enumerate_augs, quotient_by_dilation, verify_bijection
@@ -25,6 +26,7 @@ from cordsheaf.sheafmodel import (DegenerateSummand, SheafData, global_sections,
                                   stabilized_space, validate)
 
 from linalg_reference import solve
+from test_moduli import VERIFIED
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -293,6 +295,9 @@ def test_quotient_invariance():
     for cand, sheaf in _suite_sheaves(rng, max_items=80):
         fat = extend_by_constant(sheaf, rng.randint(1, 2))
         assert validate(fat).ok
+        assert extend_by_constant(sheaf, 0) == sheaf
+        with pytest.raises(ValueError, match="^extra must be >= 0, got -1$"):
+            extend_by_constant(sheaf, -1)
         triv = choose_trivialization(sheaf)
         extra = fat.N - sheaf.N
         f2, finv2 = [], []
@@ -494,13 +499,33 @@ def test_comparison_map_is_the_transverse_vector_map():
     assert compared > 1000
 
 
+def _skipped_comparisons(sheaf, lay=None):
+    """What _compare_subsheaf itemizes on sheaf when _roundtrip_sheaf stops
+    before it (its checks add no entry and _checks_decide holds), called on
+    the read-off's d_j and the induced augmentation's layout; None when the
+    round trip does not stop there."""
+    try:
+        report, eps, _ = _roundtrip_sheaf(sheaf, lay)
+    except InvalidTrivializationError:
+        return None
+    if eps is None or not report.empty or not _checks_decide(sheaf):
+        return None
+    skipped = DiffReport()
+    disp = _sheaf_read_off(sheaf, choose_trivialization(sheaf))[3]
+    _compare_subsheaf(sheaf, disp, _AugLayout(eps, index_sets(eps)), skipped)
+    return skipped.entries
+
+
 def test_unlink_over_f2_runs_every_comparison():
     # no vector of F_2^2 avoids the three stalks of four representatives;
-    # the comparison map needs none
+    # the comparison map needs none.  verify stops each clean round trip
+    # before the comparisons, so they are run here on every representative
     report = verify_bijection(UNLINK3, F2)
     assert report.ok
     assert report.notes == [f"{len(report.aug_points)} candidates, "
                             f"{len(report.orbits)} dilation orbits"]
+    assert [_skipped_comparisons(sheaf) for sheaf in report.sheaf_reps] == [[]] * 64
+    assert sum(_transverse_vector(sheaf) is None for sheaf in report.sheaf_reps) >= 4
 
 
 def test_corrupted_meridian_is_itemized():
@@ -645,6 +670,63 @@ def test_phi_spans_v0_wherever_the_round_trip_compares_dimensions():
     assert compared >= 2000
 
 
+@pytest.mark.parametrize("braid, field", VERIFIED,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in VERIFIED])
+def test_checks_decide_the_comparisons_on_layout_sheaves(braid, field):
+    # each representative's layout sheaf, handed over with its layout as
+    # verify_bijection hands it: wherever the round trip stops before the
+    # comparisons, they find nothing
+    stopped = 0
+    for orbit in quotient_by_dilation(enumerate_augs(braid, field)):
+        lay = _AugLayout(orbit.rep, index_sets(orbit.rep))
+        skipped = _skipped_comparisons(lay.sheaf(braid), lay)
+        assert skipped in (None, []), orbit.rep.to_json()
+        stopped += skipped is not None
+    assert stopped
+
+
+def test_checks_decide_the_comparisons_on_moved_and_corrupted_sheaves():
+    # the suite's sheaves, their conjugates and one-entry corruptions: the
+    # conjugates are valid and no longer in the layout's shape, and the
+    # corruptions take the round trip down every other path
+    rng = random.Random(41)
+    sheaves = [sheaf for _, sheaf in _suite_sheaves(rng, max_items=None)]
+    sheaves += [_conjugated(sheaf, rng) for sheaf in sheaves]
+    sheaves += [bad for sheaf in rng.sample(sheaves, 40) for bad in _corrupted(sheaf, rng)]
+    results = [_skipped_comparisons(sheaf) for sheaf in sheaves]
+    assert [entries for entries in results if entries] == []
+    assert results.count([]) >= 1000
+
+
+def test_a_sheaf_the_checks_do_not_decide_gets_the_comparisons():
+    # a stalk of the wrong dimension off the degenerate strands, and on a
+    # degenerate strand a stalk that is not the full space or a meridian
+    # that is not the identity: the checks before the comparisons all pass,
+    # so only the comparisons can itemize them
+    one = F3.one()
+    cand = AugCandidate(F3, component_map(UNLINK3),
+                        Matrix.from_rows(F3, [[0, 0, 0], [0, 0, 1], [0, 1, 2]]),
+                        [F3.scalar(2), one, one], [one, one, F3.scalar(2)])
+    mixed = aug_to_sheaf(cand, UNLINK3)  # strand 1 degenerate, N = 2
+    trefoil = BraidWord(2, [1, 1, 1])
+    knot = next(sheaf for sheaf in (aug_to_sheaf(c, trefoil) for c in enumerate_augs(trefoil, F5))
+                if sheaf.N == 2)
+    cases = [
+        (SheafData(F5, trefoil, 2, knot.M, (knot.W[0], Subspace.zero(F5, 2)), ()),
+         {"location": "stalk match W[2]", "expected": "[[], []]", "got": "[['0'], ['1']]"}),
+        (SheafData(F3, UNLINK3, 2, mixed.M, (Matrix.from_rows(F3, [[1, 0]]).kernel(),)
+                   + mixed.W[1:], mixed.deg),
+         {"location": "extension strands", "expected": "[1]", "got": "[]"}),
+        (SheafData(F3, UNLINK3, 2, (Matrix.from_rows(F3, [[1, 1], [0, 1]]),) + mixed.M[1:],
+                   mixed.W, mixed.deg),
+         {"location": "intertwine M[1]", "expected": "equal products", "got": "mismatch"}),
+    ]
+    for sheaf, entry in cases:
+        assert not _checks_decide(sheaf)
+        assert entry in roundtrip_sheaf(sheaf).entries
+        assert _skipped_comparisons(sheaf) is None
+
+
 def test_rejected_sheaves_raise_one_exception_type():
     # the read-off either reports or raises InvalidTrivializationError, which
     # names the strand or component, on sheaves validate rejects: formerly a
@@ -704,7 +786,7 @@ def _values(cand) -> tuple:
     return cand.R.values, tuple(x.value for x in cand.lam), tuple(x.value for x in cand.mu)
 
 
-def _shortcut_path(monkeypatch, sheaf, lay, values) -> str:
+def _shortcut_path(monkeypatch, sheaf, lay) -> str:
     """Which path _roundtrip_sheaf takes given the representative's layout,
     after checking that it returns what the full path returns, and that it
     runs the relation certificate only off the representative's orbit."""
@@ -713,7 +795,7 @@ def _shortcut_path(monkeypatch, sheaf, lay, values) -> str:
     monkeypatch.setattr(co, "check_relations",
                         lambda *args: certified.append(None) or check_relations(*args))
     try:
-        diff, eps, key = _roundtrip_sheaf(sheaf, lay, values)
+        diff, eps, key = _roundtrip_sheaf(sheaf, lay)
     except InvalidTrivializationError as err:
         monkeypatch.undo()
         with pytest.raises(InvalidTrivializationError, match=f"^{re.escape(str(err))}$"):
@@ -733,17 +815,16 @@ def _shortcut_path(monkeypatch, sheaf, lay, values) -> str:
 @pytest.mark.parametrize("key", list(SHORTCUT_PATHS),
                          ids=lambda key: f"{list(key[1])}/{key[0]}/F{key[2]}")
 def test_sheaf_round_trip_shortcut_matches_the_full_path(monkeypatch, key):
-    # verify_bijection hands each representative's layout and sheaf values
-    # to the sheaf round trip: a read-back equal to the representative, or
-    # in its orbit, skips the certificate (and the layout and values it
-    # would rebuild), and must report exactly what the full path reports
+    # verify_bijection hands each representative's layout to the sheaf
+    # round trip: a read-back equal to the representative, or in its orbit,
+    # skips the certificate, and must report exactly what the full path
+    # reports
     n, word, p = key
     braid = BraidWord(n, list(word))
     paths = {"itself": 0, "orbit": 0, "off": 0, "raises": 0}
     for orbit in quotient_by_dilation(enumerate_augs(braid, FieldSpec.prime(p))):
         lay = _AugLayout(orbit.rep, index_sets(orbit.rep))
-        values = lay.values(lay.extended)
-        paths[_shortcut_path(monkeypatch, lay.sheaf(braid, values), lay, values)] += 1
+        paths[_shortcut_path(monkeypatch, lay.sheaf(braid), lay)] += 1
     assert tuple(paths.values()) == SHORTCUT_PATHS[key]
 
 
@@ -754,10 +835,9 @@ def test_sheaf_round_trip_shortcut_certifies_a_read_back_off_the_orbit(monkeypat
     braid = BraidWord(2, [1, 1])
     cand = next(c for c in enumerate_augs(braid, F5) if c.R.values == ((0, 0), (1, 4)))
     lay = _AugLayout(cand, index_sets(cand))
-    values = lay.values(lay.extended)
-    sheaf = lay.sheaf(braid, values)
+    sheaf = lay.sheaf(braid)
     bad = SheafData(F5, braid, sheaf.N, [sheaf.M[0] * sheaf.M[0], sheaf.M[1]], sheaf.W, sheaf.deg)
-    assert _shortcut_path(monkeypatch, bad, lay, values) == "off"
-    [entry] = _roundtrip_sheaf(bad, lay, values)[0].entries
+    assert _shortcut_path(monkeypatch, bad, lay) == "off"
+    [entry] = _roundtrip_sheaf(bad, lay)[0].entries
     assert entry["location"] == "induced augmentation"
     assert "'family': 'transport-col'" in entry["got"]

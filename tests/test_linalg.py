@@ -91,6 +91,10 @@ def test_public_subspace_constructor_canonicalizes_its_basis():
         assert Subspace(F3, 3, basis) == Subspace.from_vectors(F3, 3, zip(*basis.entries))
     with pytest.raises(ValueError):
         Subspace(F3, 3, Matrix.from_rows(F3, [[1], [0]]))
+    # a negative ambient dimension is refused: full and zero would compare equal
+    for build in (Subspace.full, Subspace.zero, lambda f, n: Subspace.from_vectors(f, n, [])):
+        with pytest.raises(ValueError, match="^ambient_dim must be >= 0, got -2$"):
+            build(F5, -2)
 
 
 def test_solve_examples_and_property():
@@ -161,6 +165,13 @@ def test_matrix_equality_and_hash_see_shape():
     assert len({a, b, Matrix.zeros(F3, 0, 2)}) == 2
     assert Matrix.zeros(F3, 2, 0) != Matrix.zeros(F3, 3, 0)
     assert Matrix.zeros(F3, 0, 2) == Matrix.zeros(F3, 0, 2)
+    # a negative size is refused, naming the argument, not read as an empty shape
+    for build, name in ((lambda: Matrix.zeros(F5, 2, -3), "cols"),
+                        (lambda: Matrix.zeros(F5, -1, 2), "rows"),
+                        (lambda: Matrix.identity(F5, -2), "n"),
+                        (lambda: Matrix(F5, [], cols=-1), "cols")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+            build()
 
 
 # -- the value kernels against a Scalar-by-Scalar reference ------------------------

@@ -13,7 +13,7 @@ from cordsheaf.cordaug import (AugCandidate, DilationParam, apply_dilation, cano
 from cordsheaf.correspondence import _AugLayout, aug_to_sheaf, roundtrip_aug
 from cordsheaf.field import FieldSpec
 from cordsheaf.linalg import Matrix
-from cordsheaf.moduli import (BudgetExceededError, enumerate_augs,
+from cordsheaf.moduli import (DEFAULT_BUDGET, BudgetExceededError, _enumerate, enumerate_augs,
                               enumerate_sheaves_direct, markov_compare,
                               quotient_by_dilation, search_space_size,
                               verify_bijection)
@@ -269,6 +269,32 @@ def test_verify_takes_the_quotient_from_the_enumerator(braid, field):
     for orbit in report.orbits:
         assert id(orbit.rep) in enumerated
         assert canonical_form(orbit.rep)[0] == orbit.rep
+
+
+@pytest.mark.parametrize("braid, field", VERIFIED,
+                         ids=[f"{list(b.word)}/{b.n}/F{f.p}" for b, f in VERIFIED])
+def test_members_carry_their_orbits_layout(braid, field):
+    # the enumerator tags each candidate with the per-strand scales of a
+    # dilation taking its orbit's canonical tuple to it; verify_bijection
+    # eliminates only an orbit's first member and carries that layout to
+    # the others, which must give each member its own layout, slot by slot
+    # and in its sheaf values
+    p = field.p
+    first: dict = {}
+    for cand, key, scales in zip(*_enumerate(braid, field, DEFAULT_BUDGET)):
+        canonical = key[0]
+        assert cand.R.values == tuple(tuple(x * di * pow(dj, -1, p) % p for x, dj in
+                                            zip(row, scales)) for row, di in zip(canonical, scales))
+        own = _AugLayout(cand, index_sets(cand))
+        if key not in first:
+            first[key] = own, scales
+            continue
+        lay, at = first[key]
+        got = lay.dilated(cand, [x * pow(y, -1, p) % p for x, y in zip(scales, at)])
+        assert [getattr(got, name) for name in _AugLayout.__slots__] == \
+            [getattr(own, name) for name in _AugLayout.__slots__]
+        assert got.values(got.extended) == own.values(own.extended)
+        assert got.values(False) == own.values(False)
 
 
 def test_enumeration_reaches_orbits_whose_forest_starts_off_component_1():
